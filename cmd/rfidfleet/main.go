@@ -28,6 +28,7 @@ import (
 	"os"
 	"runtime/pprof"
 	"strings"
+	"time"
 
 	"rfidest"
 	"rfidest/internal/fleet"
@@ -57,7 +58,7 @@ func run() int {
 		retry        = flag.Int("retry", 0, "re-run a failed or saturated trial up to this many times before degrading the job")
 		retryBackoff = flag.Float64("retry-backoff", 0, "simulated air-time backoff in seconds before retry k (doubles each attempt)")
 		trialTimeout = flag.Duration("trial-timeout", 0, "per-trial deadline; a timed-out attempt is retried like any other failure (0 = no limit)")
-		interleave   = flag.Bool("interleave", false, "run the batch on the deterministic round scheduler (breadth-first across jobs; incompatible with -trial-timeout)")
+		interleave   = flag.Bool("interleave", false, "run the batch on the deterministic round scheduler (breadth-first across jobs)")
 		timeout      = flag.Duration("timeout", 0, "cancel the batch after this long (0 = no limit)")
 		verbose      = flag.Bool("v", false, "also print one line per job")
 		metrics      = flag.String("metrics", "", `dump an observability snapshot on exit: "text" or "json"`)
@@ -75,10 +76,6 @@ func run() int {
 	}
 	if *retry < 0 || !(*retryBackoff >= 0) || *trialTimeout < 0 {
 		fmt.Fprintln(os.Stderr, "rfidfleet: need retry >= 0, retry-backoff >= 0, trial-timeout >= 0")
-		return 2
-	}
-	if *interleave && *trialTimeout > 0 {
-		fmt.Fprintln(os.Stderr, "rfidfleet: -interleave and -trial-timeout are mutually exclusive; use -timeout to bound an interleaved batch")
 		return 2
 	}
 	if *metrics != "" && *metrics != "text" && *metrics != "json" {
@@ -135,6 +132,7 @@ func run() int {
 		eps: *eps, delta: *delta, trials: *trials, seed: *seed,
 		tagLevel: *tagLevel, noise: *noise,
 		faults: *faults, retry: *retry, retryBackoff: *retryBackoff,
+		trialTimeout: *trialTimeout,
 	})
 
 	ctx := context.Background()
@@ -152,8 +150,7 @@ func run() int {
 		*systems, len(names), *trials, *systems*len(names)**trials, mode, *seed)
 
 	rep, err := fleet.Run(ctx, fleet.Config{
-		Workers: *workers, Seed: *seed, Observer: observer,
-		TrialTimeout: *trialTimeout, Interleave: *interleave,
+		Workers: *workers, Seed: *seed, Observer: observer, Interleave: *interleave,
 	}, jobs)
 	if err != nil && rep == nil {
 		fmt.Fprintf(os.Stderr, "rfidfleet: %v\n", err)
@@ -219,15 +216,16 @@ type workloadSpec struct {
 	faults       float64
 	retry        int
 	retryBackoff float64
+	trialTimeout time.Duration
 }
 
 // buildWorkload lays out the mixed batch: `systems` deployments with
 // log-spaced cardinalities cycling through the three tagID distributions,
 // every other one noisy when a noise rate is set, crossed with the chosen
 // estimators. A non-zero fault severity installs the severity-scaled
-// channel-fault plan on every system; retry/backoff ride along on every
-// job. Everything derives from seed, so a fixed command line is a fixed
-// workload.
+// channel-fault plan on every system; retry/backoff and the per-trial
+// deadline ride along on every job. Everything derives from seed, so a
+// fixed command line is a fixed workload.
 func buildWorkload(spec workloadSpec) []fleet.Job {
 	dists := []rfidest.Distribution{rfidest.Uniform, rfidest.ApproxNormal, rfidest.Normal}
 	var jobs []fleet.Job
@@ -254,6 +252,10 @@ func buildWorkload(spec workloadSpec) []fleet.Job {
 			variant += "+faults"
 		}
 		sys := rfidest.NewSystem(n, opts...)
+		var runOpts []rfidest.Option
+		if spec.trialTimeout > 0 {
+			runOpts = append(runOpts, rfidest.WithTimeout(spec.trialTimeout))
+		}
 		for _, name := range spec.names {
 			jobs = append(jobs, fleet.Job{
 				Name:                fmt.Sprintf("n=%d(%s)/%s", n, variant, name),
@@ -264,6 +266,7 @@ func buildWorkload(spec workloadSpec) []fleet.Job {
 				Trials:              spec.trials,
 				Retries:             spec.retry,
 				RetryBackoffSeconds: spec.retryBackoff,
+				Options:             runOpts,
 			})
 		}
 	}

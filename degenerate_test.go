@@ -1,6 +1,7 @@
 package rfidest
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -12,26 +13,58 @@ import (
 // where it silently disables the guarantee machinery. The shared check is
 // now positively phrased (stats.InUnitInterval), so NaN and ±Inf are
 // rejected at every public entry point.
+//
+// The rows that name an estimator are in range but extreme: ZOE and SRC
+// size their accurate phase from (ε, δ), and these targets used to overflow
+// that size into a panic or a corrupt result. ZOE and SRC now refuse them
+// with ErrSlotLimit before a session opens; ZOE-batched caps its
+// observation count and answers.
 func TestAccuracyRejectsNonFinite(t *testing.T) {
 	nan := math.NaN()
 	inf := math.Inf(1)
 	cases := []struct {
 		name           string
+		estimator      string // "" runs every BFCE entry point
 		epsilon, delta float64
 	}{
-		{"nan-epsilon", nan, 0.05},
-		{"nan-delta", 0.05, nan},
-		{"nan-both", nan, nan},
-		{"inf-epsilon", inf, 0.05},
-		{"neg-inf-delta", 0.05, -inf},
-		{"zero-epsilon", 0, 0.05},
-		{"one-delta", 0.05, 1},
-		{"negative-epsilon", -0.05, 0.05},
-		{"above-one-delta", 0.05, 1.5},
+		{"nan-epsilon", "", nan, 0.05},
+		{"nan-delta", "", 0.05, nan},
+		{"nan-both", "", nan, nan},
+		{"inf-epsilon", "", inf, 0.05},
+		{"neg-inf-delta", "", 0.05, -inf},
+		{"zero-epsilon", "", 0, 0.05},
+		{"one-delta", "", 0.05, 1},
+		{"negative-epsilon", "", -0.05, 0.05},
+		{"above-one-delta", "", 0.05, 1.5},
+		{"src-tiny-epsilon", "SRC", 1e-9, 0.05},
+		{"zoe-tiny-delta", "ZOE", 0.05, 1e-300},
+		{"zoe-batched-tiny-delta", "ZOE-batched", 0.05, 1e-300},
+		{"src-tiny-both", "SRC", 1e-9, 1e-9},
+		{"zoe-tiny-both", "ZOE", 1e-9, 1e-9},
+		{"zoe-batched-tiny-both", "ZOE-batched", 1e-9, 1e-9},
 	}
 	sys := NewSystem(100, WithSeed(3))
+	big := NewSystem(2000, WithSynthetic(), WithSeed(3))
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			if c.estimator == "ZOE-batched" {
+				est, err := big.Run(nil, WithEstimator(c.estimator), WithAccuracy(c.epsilon, c.delta), WithSalt(1))
+				if err != nil {
+					t.Fatalf("ZOE-batched at (ε, δ) = (%v, %v): %v", c.epsilon, c.delta, err)
+				}
+				// The rough phase's slots plus at most the 65536-slot cap.
+				if math.IsInf(est.N, 0) || math.IsNaN(est.N) || est.Slots <= 0 || est.Slots > 65536+1024 {
+					t.Errorf("ZOE-batched at (ε, δ) = (%v, %v) answered %+v", c.epsilon, c.delta, est)
+				}
+				return
+			}
+			if c.estimator != "" {
+				_, err := big.Run(nil, WithEstimator(c.estimator), WithAccuracy(c.epsilon, c.delta), WithSalt(1))
+				if !errors.Is(err, ErrSlotLimit) {
+					t.Errorf("%s at (ε, δ) = (%v, %v): err = %v, want ErrSlotLimit", c.estimator, c.epsilon, c.delta, err)
+				}
+				return
+			}
 			if _, err := sys.Run(nil, WithAccuracy(c.epsilon, c.delta)); err == nil {
 				t.Errorf("Run accepted (ε, δ) = (%v, %v)", c.epsilon, c.delta)
 			} else if !strings.Contains(err.Error(), "epsilon and delta") {

@@ -129,16 +129,15 @@
 // closed-loop load generator. POST /v1/estimate answers one estimation
 // and POST /v1/batch runs a whole fleet batch (optionally on the
 // interleaving scheduler); GET /v1/metrics exports the estimation and
-// HTTP registries as text or JSON. Determinism survives the transport: a
-// request that pins a salt returns the bit-identical estimate of the
-// equivalent in-process Run(WithSalt(...)), whether the server answers it
-// solo or coalesces it with concurrent requests into a fleet batch —
-// micro-batching is a throughput decision, never a result decision — and
-// server-assigned salts are derived from the configured seed and echoed
-// for replay. Admission is bounded (in-flight slots plus a short queue;
-// overflow sheds with 429 and Retry-After, deadlines map to 504), and
-// shutdown drains in-flight sessions at round boundaries. See DESIGN.md
-// §10.
+// HTTP registries as text or JSON. Each estimate request is one in-handler
+// Run. Determinism survives the transport: a request that pins a salt
+// returns the bit-identical estimate of the equivalent in-process
+// Run(WithSalt(...)), and server-assigned salts are derived from the
+// configured seed and echoed for replay. Admission is bounded (in-flight
+// slots plus a short queue; overflow sheds with 429 and Retry-After,
+// deadlines map to 504, and an accuracy target past ErrSlotLimit is 400),
+// and shutdown drains in-flight sessions at round boundaries. See
+// DESIGN.md §10.
 //
 // # Resilience
 //

@@ -71,7 +71,7 @@ func (s *System) EstimateBFCE(epsilon, delta float64) (Estimate, error) {
 	return s.Run(context.Background(), WithAccuracy(epsilon, delta)) //lint:allow ctxbg deprecated pre-context wrapper; signature cannot thread a ctx
 }
 
-// Estimators returns the names accepted by EstimateWith, sorted. The set
+// Estimators returns the names accepted by WithEstimator, sorted. The set
 // is defined once, in the estimators package registry.
 func Estimators() []string {
 	return estimators.Names()

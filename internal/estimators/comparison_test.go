@@ -74,13 +74,19 @@ func TestLOFNilSession(t *testing.T) {
 func TestZOESlotsFormula(t *testing.T) {
 	// m = ⌈(d·0.5/(e^{-λ*}(1−e^{-ελ*})))²⌉: for (0.05, 0.05), d=1.96 →
 	// edge = 0.2032·0.0766 and m ≈ 3960.
-	m := ZOESlots(Accuracy{0.05, 0.05})
+	m, err := ZOESlots(Accuracy{0.05, 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m < 3700 || m > 4200 {
 		t.Fatalf("ZOE slots for (0.05,0.05) = %d, want ~3960", m)
 	}
 	// Looser ε shrinks m roughly quadratically (the 1−e^{-ελ} edge is
 	// slightly sublinear in ε, so the ratio lands below 36).
-	m2 := ZOESlots(Accuracy{0.3, 0.05})
+	m2, err := ZOESlots(Accuracy{0.3, 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ratio := float64(m) / float64(m2); ratio < 20 || ratio > 30 {
 		t.Fatalf("slot ratio eps 0.05→0.3 = %v, want ~24.5", ratio)
 	}
@@ -133,11 +139,11 @@ func TestZOEMaxSlotsCap(t *testing.T) {
 
 func TestSRCFrameSizeFormula(t *testing.T) {
 	// l = ⌈7.72/ε²⌉ → 3088 at ε=0.05, 86 at ε=0.3.
-	if l := SRCFrameSize(0.05); l < 3000 || l > 3200 {
-		t.Fatalf("SRC frame at eps=0.05 = %d", l)
+	if l, err := SRCFrameSize(0.05); err != nil || l < 3000 || l > 3200 {
+		t.Fatalf("SRC frame at eps=0.05 = %d (%v)", l, err)
 	}
-	if l := SRCFrameSize(0.3); l < 80 || l > 95 {
-		t.Fatalf("SRC frame at eps=0.3 = %d", l)
+	if l, err := SRCFrameSize(0.3); err != nil || l < 80 || l > 95 {
+		t.Fatalf("SRC frame at eps=0.3 = %d (%v)", l, err)
 	}
 }
 

@@ -13,6 +13,7 @@
 package estimators
 
 import (
+	"errors"
 	"math"
 
 	"rfidest/internal/channel"
@@ -39,6 +40,18 @@ func (a Accuracy) Validate() {
 		panic("estimators: accuracy parameters must be in (0, 1)")
 	}
 }
+
+// ErrSlotLimit is the sentinel wrapped when an (ε, δ) target would size an
+// accurate phase past maxSizedSlots. The target is in range, but no frame
+// that large can be allocated, so callers that map errors onto a protocol
+// response (the serving layer's 400) treat it as a bad request.
+var ErrSlotLimit = errors.New("accuracy target needs more than 2^24 slots")
+
+// maxSizedSlots bounds the slot counts ZOE and SRC derive from (ε, δ). It
+// admits every target in the paper's range and this repository's
+// experiments — SRC at ε = 0.001 sizes 7.7M slots — while refusing the ones
+// whose sizes no longer fit an allocation, or an int.
+const maxSizedSlots = 1 << 24
 
 // Result is the outcome of one estimation run.
 type Result struct {

@@ -2,6 +2,7 @@ package estimators
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"rfidest/internal/channel"
@@ -39,11 +40,17 @@ func NewSRC() *SRC { return &SRC{} }
 func (s *SRC) Name() string { return "SRC" }
 
 // SRCFrameSize returns the accurate-phase frame length l for a confidence
-// interval ε (single-round success probability 0.8 via Chebyshev).
-func SRCFrameSize(eps float64) int {
-	l := (math.Exp(lambdaStarZOE) - 1) /
-		(0.2 * lambdaStarZOE * lambdaStarZOE * eps * eps)
-	return int(math.Ceil(l))
+// interval ε (single-round success probability 0.8 via Chebyshev). An ε
+// below about 6.8e-4 needs a frame of more than 2^24 slots and fails with
+// an error wrapping ErrSlotLimit.
+func SRCFrameSize(eps float64) (int, error) {
+	l := math.Ceil((math.Exp(lambdaStarZOE) - 1) /
+		(0.2 * lambdaStarZOE * lambdaStarZOE * eps * eps))
+	if !(l <= maxSizedSlots) { // phrased so NaN fails too
+		return 0, fmt.Errorf("estimators: SRC at ε = %g needs %.3g slots per frame: %w",
+			eps, l, ErrSlotLimit)
+	}
+	return int(l), nil
 }
 
 // SRCRounds returns the number of accurate-phase repetitions for δ.

@@ -268,9 +268,6 @@ func (s *lofStepper) Restore(snap any) error {
 // ZOE: rough sub-stepper, then m single-slot frames.
 
 type zoeStepper struct {
-	acc      Accuracy
-	maxSlots int
-
 	rough       Stepper
 	roughDone   bool
 	roughRounds int
@@ -288,6 +285,17 @@ type zoeStepper struct {
 // estimator never blocks ZOE from stepping.
 func (z *ZOE) Stepper(acc Accuracy) (Stepper, error) {
 	acc.Validate()
+	m, err := ZOESlots(acc)
+	if err != nil {
+		return nil, err
+	}
+	max := z.MaxSlots
+	if max == 0 {
+		max = 65536
+	}
+	if max > 0 && m > max {
+		m = max
+	}
 	roughEst := z.Rough
 	if roughEst == nil {
 		roughEst = NewLOF()
@@ -296,7 +304,7 @@ func (z *ZOE) Stepper(acc Accuracy) (Stepper, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &zoeStepper{acc: acc, maxSlots: z.MaxSlots, rough: rough}, nil
+	return &zoeStepper{m: m, rough: rough}, nil
 }
 
 func (s *zoeStepper) Name() string { return "ZOE" }
@@ -347,8 +355,9 @@ func (s *zoeStepper) RunLegacy(r *channel.Reader) (bool, error) {
 	return false, nil
 }
 
-// finishRough sizes the accurate phase from the rough estimate, exactly
-// as the monolithic Estimate did.
+// finishRough loads the accurate phase from the rough estimate, exactly
+// as the monolithic Estimate did (its slot count m depends on (ε, δ)
+// alone, so Stepper sized it up front).
 func (s *zoeStepper) finishRough() {
 	roughRes := s.rough.Result(timing.Cost{}, timing.Profile{})
 	s.roughRounds = roughRes.Rounds
@@ -361,13 +370,6 @@ func (s *zoeStepper) finishRough() {
 	if s.p > 1 {
 		s.p = 1
 	}
-	m := ZOESlots(s.acc)
-	if max := s.maxSlots; max > 0 && m > max {
-		m = max
-	} else if s.maxSlots == 0 && m > 65536 {
-		m = 65536
-	}
-	s.m = m
 	s.roughDone = true
 }
 
@@ -410,9 +412,6 @@ func (s *zoeStepper) Restore(snap any) error {
 // SRC: rough sub-stepper, then median-combined zero-estimator rounds.
 
 type srcStepper struct {
-	acc       Accuracy
-	maxRounds int
-
 	rough       Stepper
 	roughDone   bool
 	roughRounds int
@@ -427,6 +426,10 @@ type srcStepper struct {
 // Stepper implements Steppable; the rough phase composes like ZOE's.
 func (src *SRC) Stepper(acc Accuracy) (Stepper, error) {
 	acc.Validate()
+	l, err := SRCFrameSize(acc.Epsilon)
+	if err != nil {
+		return nil, err
+	}
 	roughEst := src.Rough
 	if roughEst == nil {
 		roughEst = &LOF{FrameSize: 32, Rounds: 1}
@@ -435,7 +438,7 @@ func (src *SRC) Stepper(acc Accuracy) (Stepper, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &srcStepper{acc: acc, maxRounds: src.MaxRounds, rough: rough}, nil
+	return &srcStepper{l: l, rounds: SRCRounds(acc.Delta, src.MaxRounds), rough: rough}, nil
 }
 
 func (s *srcStepper) Name() string { return "SRC" }
@@ -492,8 +495,6 @@ func (s *srcStepper) finishRough() {
 	if nRough < 1 {
 		nRough = 1
 	}
-	s.l = SRCFrameSize(s.acc.Epsilon)
-	s.rounds = SRCRounds(s.acc.Delta, s.maxRounds)
 	s.p = lambdaStarZOE * float64(s.l) / nRough
 	if s.p > 1 {
 		s.p = 1

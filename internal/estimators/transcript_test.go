@@ -24,7 +24,10 @@ func collectTrace(t *testing.T, e Estimator, n int, acc Accuracy, seed uint64) [
 // frame) pair — the structure that makes its time reader-dominated.
 func TestZOETranscript(t *testing.T) {
 	events := collectTrace(t, NewZOE(), 100000, Default, 61)
-	m := ZOESlots(Default)
+	m, err := ZOESlots(Default)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var lofFrames, slotFrames, broadcasts int
 	for _, e := range events {
 		switch {
@@ -51,7 +54,10 @@ func TestZOETranscript(t *testing.T) {
 // SRCRounds frames of SRCFrameSize slots, each under a single broadcast.
 func TestSRCTranscript(t *testing.T) {
 	events := collectTrace(t, NewSRC(), 100000, Default, 63)
-	l := SRCFrameSize(Default.Epsilon)
+	l, err := SRCFrameSize(Default.Epsilon)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rounds := SRCRounds(Default.Delta, 0)
 	var accurate int
 	for _, e := range events {

@@ -106,13 +106,14 @@ func (z *ZOEBatched) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
 	if p > 1 {
 		p = 1
 	}
-	m := ZOESlots(acc)
+	// Cap in float: an extreme (ε, δ) sizes m past int (see zoeSlots).
 	max := z.MaxSlots
 	if max <= 0 {
 		max = 65536
 	}
-	if m > max {
-		m = max
+	m := max
+	if sized := zoeSlots(acc); sized < float64(max) {
+		m = int(sized)
 	}
 
 	// One seed broadcast, then m back-to-back single-bit observations.

@@ -2,6 +2,7 @@ package estimators
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"rfidest/internal/channel"
@@ -48,14 +49,28 @@ func (z *ZOE) Name() string { return "ZOE" }
 const lambdaStarZOE = 1.5936242600400401
 
 // ZOESlots returns the accurate-phase slot count m for an (ε, δ) target,
-// using ZOE's conservative σ(x)max = 0.5 bound at the design load λ*.
-func ZOESlots(acc Accuracy) int {
+// using ZOE's conservative σ(x)max = 0.5 bound at the design load λ*. A
+// target that needs more than 2^24 slots fails with an error wrapping
+// ErrSlotLimit.
+func ZOESlots(acc Accuracy) (int, error) {
+	m := zoeSlots(acc)
+	if !(m <= maxSizedSlots) { // phrased so NaN fails too
+		return 0, fmt.Errorf("estimators: ZOE at (ε, δ) = (%g, %g) needs %.3g slots: %w",
+			acc.Epsilon, acc.Delta, m, ErrSlotLimit)
+	}
+	return int(m), nil
+}
+
+// zoeSlots is ZOESlots in float. It overflows int for in-range targets: a
+// δ below about 1e-16 rounds 1−δ to 1, so d = +Inf, and a tiny ε shrinks
+// the interval edge toward zero.
+func zoeSlots(acc Accuracy) float64 {
 	acc.Validate()
 	d := stats.D(acc.Delta)
 	const sigmaMax = 0.5
 	edge := math.Exp(-lambdaStarZOE) * (1 - math.Exp(-acc.Epsilon*lambdaStarZOE))
 	root := d * sigmaMax / edge
-	return int(math.Ceil(root * root))
+	return math.Ceil(root * root)
 }
 
 // Estimate implements Estimator: it builds the round state machine

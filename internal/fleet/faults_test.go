@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,52 +141,82 @@ func TestRunFaultedBatchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunTrialTimeout pins the TrialTimeout contract: an expired per-trial
-// deadline fails the attempt at session start; with retries the job
-// degrades, without them it fails — and a generous deadline is inert.
-func TestRunTrialTimeout(t *testing.T) {
+// TestRunAttemptTimeout pins the per-attempt deadline a job sets with
+// rfidest.WithTimeout in Job.Options, in both scheduling modes: an expired
+// deadline fails the attempt at its first round boundary; with retries the
+// job degrades, without them it fails; a negative deadline is a per-job
+// failure from rfidest's own validation — and a generous deadline is inert.
+func TestRunAttemptTimeout(t *testing.T) {
 	sys := rfidest.NewSystem(5000, rfidest.WithSeed(94))
 	job := Job{System: sys, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1, Trials: 2}
+	timed := func(j Job, d time.Duration) Job {
+		j.Options = []rfidest.Option{rfidest.WithTimeout(d)}
+		return j
+	}
+	// Options hold closures, which never compare equal; drop them so the
+	// rest of the report can be compared whole.
+	noOptions := func(rep *Report) *Report {
+		c := stripWall(rep)
+		c.Jobs = append([]JobResult(nil), rep.Jobs...)
+		for i := range c.Jobs {
+			c.Jobs[i].Job.Options = nil
+		}
+		return c
+	}
+	for _, interleave := range []bool{false, true} {
+		cfg := Config{Seed: 9, Interleave: interleave}
+		base, err := Run(context.Background(), cfg, []Job{job})
+		if err != nil {
+			t.Fatal(err)
+		}
+		roomy, err := Run(context.Background(), cfg, []Job{timed(job, time.Hour)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(noOptions(base), noOptions(roomy)) {
+			t.Fatalf("interleave=%v: a generous trial timeout perturbed results", interleave)
+		}
 
-	base, err := Run(context.Background(), Config{Seed: 9}, []Job{job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	roomy, err := Run(context.Background(), Config{Seed: 9, TrialTimeout: time.Hour}, []Job{job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripWall(base), stripWall(roomy)) {
-		t.Fatal("a generous trial timeout perturbed results")
-	}
+		// A deadline that expires before the first round: without retries
+		// the job fails at trial 0 ...
+		rep, err := Run(context.Background(), cfg, []Job{timed(job, time.Nanosecond)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failed != 1 || !errors.Is(rep.Jobs[0].Err, context.DeadlineExceeded) || rep.Jobs[0].FailedAt != 0 {
+			t.Fatalf("interleave=%v: timeout without retries should fail the job: %+v", interleave, rep.Jobs[0])
+		}
+		// ... and with retries it degrades instead, completing no trials but
+		// poisoning neither the batch nor sibling jobs.
+		retrying := timed(job, time.Nanosecond)
+		retrying.Retries = 2
+		rep, err = Run(context.Background(), cfg, []Job{retrying, job})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failed != 0 {
+			t.Fatalf("interleave=%v: timeout with retries must not fail the job: %+v", interleave, rep.Jobs[0])
+		}
+		if !rep.Jobs[0].Degraded || rep.Jobs[0].Err != nil || len(rep.Jobs[0].Estimates) != 0 {
+			t.Fatalf("interleave=%v: timeout with retries should degrade: %+v", interleave, rep.Jobs[0])
+		}
+		pair, err := Run(context.Background(), cfg, []Job{job, job})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep.Jobs[1].Estimates, pair.Jobs[1].Estimates) {
+			t.Fatalf("interleave=%v: sibling job perturbed by a timed-out job", interleave)
+		}
 
-	// A deadline that expires before the session opens: without retries the
-	// job fails at trial 0 ...
-	tight := Config{Seed: 9, TrialTimeout: time.Nanosecond}
-	rep, err := Run(context.Background(), tight, []Job{job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed != 1 || rep.Jobs[0].Err == nil || rep.Jobs[0].FailedAt != 0 {
-		t.Fatalf("timeout without retries should fail the job: %+v", rep.Jobs[0])
-	}
-	// ... and with retries it degrades instead, completing no trials but
-	// poisoning neither the batch nor sibling jobs.
-	retrying := job
-	retrying.Retries = 2
-	rep, err = Run(context.Background(), tight, []Job{retrying})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed != 0 {
-		t.Fatalf("timeout with retries must not fail the job: %+v", rep.Jobs[0])
-	}
-	if !rep.Jobs[0].Degraded || rep.Jobs[0].Err != nil {
-		t.Fatalf("timeout with retries should degrade: %+v", rep.Jobs[0])
-	}
-
-	if _, err := Run(context.Background(), Config{Seed: 9, TrialTimeout: -time.Second}, []Job{job}); err == nil {
-		t.Fatal("negative trial timeout accepted")
+		// A negative deadline never reaches a round: rfidest rejects it, and
+		// the rejection is the job's failure, not the batch's.
+		rep, err = Run(context.Background(), cfg, []Job{timed(job, -time.Second)})
+		if err != nil {
+			t.Fatalf("interleave=%v: negative trial timeout failed the batch: %v", interleave, err)
+		}
+		if rep.Failed != 1 || rep.Jobs[0].FailedAt != 0 || !strings.Contains(rep.Jobs[0].Failure, "negative run timeout") {
+			t.Fatalf("interleave=%v: negative trial timeout should fail the job: %+v", interleave, rep.Jobs[0])
+		}
 	}
 }
 

@@ -30,9 +30,6 @@ func runInterleaved(ctx context.Context, cfg Config, jobs []Job) ([]JobResult, i
 	for i, r := range runners {
 		rounds += outcome[i].Rounds
 		results[i] = r.finalize(ctx)
-		if cfg.OnJobDone != nil {
-			cfg.OnJobDone(results[i])
-		}
 	}
 	return results, rounds
 }

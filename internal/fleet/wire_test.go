@@ -90,38 +90,9 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOnJobDoneHook: the batch submission hook fires exactly once per job,
-// with final results, in both pooled and interleaved modes.
-func TestOnJobDoneHook(t *testing.T) {
-	sys := rfidest.NewSystem(5000, rfidest.WithSynthetic(), rfidest.WithSeed(3))
-	jobs := []Job{
-		{System: sys, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1, Trials: 2},
-		{System: sys, Estimator: "ZOE-batched", Epsilon: 0.1, Delta: 0.1},
-	}
-	for _, interleave := range []bool{false, true} {
-		seen := make([]JobResult, len(jobs))
-		count := 0
-		cfg := Config{Seed: 7, Workers: 1, Interleave: interleave, OnJobDone: func(r JobResult) {
-			seen[r.Index] = r
-			count++
-		}}
-		rep, err := Run(context.Background(), cfg, jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if count != len(jobs) {
-			t.Fatalf("interleave=%v: OnJobDone fired %d times, want %d", interleave, count, len(jobs))
-		}
-		if !reflect.DeepEqual(seen, rep.Jobs) {
-			t.Errorf("interleave=%v: hook results differ from Report.Jobs", interleave)
-		}
-	}
-}
-
 // TestJobOptionsSaltOverride: a WithSeedSalt in Job.Options overrides the
 // fleet-derived trial salt, so the job's single trial is bit-identical to a
-// direct salted Run — the contract the serving layer's micro-batcher
-// coalesces requests on.
+// direct salted Run.
 func TestJobOptionsSaltOverride(t *testing.T) {
 	sys := rfidest.NewSystem(5000, rfidest.WithSynthetic(), rfidest.WithSeed(3))
 	const salt = 0xfeedbeef
@@ -146,8 +117,8 @@ func TestJobOptionsSaltOverride(t *testing.T) {
 }
 
 // TestJobOptionsTimeout: rfidest.WithTimeout via Job.Options bounds a trial
-// in interleaved mode (where Config.TrialTimeout is unavailable); an
-// immediate deadline fails the trial without failing its siblings.
+// in interleaved mode; an immediate deadline fails the trial without
+// failing its siblings.
 func TestJobOptionsTimeout(t *testing.T) {
 	sys := rfidest.NewSystem(5000, rfidest.WithSynthetic(), rfidest.WithSeed(3))
 	rep, err := Run(context.Background(), Config{Seed: 7, Interleave: true}, []Job{

@@ -8,9 +8,9 @@ import (
 )
 
 // requestLatencyBounds bracket the serving layer's latency SLO: BFCE's
-// in-process run is sub-millisecond on commodity hardware, the micro-batch
-// window adds single-digit milliseconds, and anything past a second is an
-// overload artifact worth its own bucket.
+// in-process run is sub-millisecond on commodity hardware, slower
+// protocols and admission queueing take milliseconds to tens of them, and
+// anything past a second is an overload artifact worth its own bucket.
 var requestLatencyBounds = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 }
@@ -46,7 +46,6 @@ type breakerCell struct {
 type routeMetrics struct {
 	requests atomic.Int64
 	classes  [6]atomic.Int64 // status/100; [0] collects malformed codes
-	batched  atomic.Int64
 	latency  *Histogram
 }
 
@@ -84,10 +83,6 @@ func (r *RequestRegistry) Observe(route string, status int, seconds float64) {
 	m.classes[class].Add(1)
 	m.latency.Observe(seconds)
 }
-
-// Batched records that a request on route was answered through a coalesced
-// fleet batch rather than a solo run.
-func (r *RequestRegistry) Batched(route string) { r.route(route).batched.Add(1) }
 
 // InflightAdd moves the in-flight gauge; call with +1 at admission and -1
 // when the response is written.
@@ -166,7 +161,6 @@ type RouteSnapshot struct {
 	Status4xx      int64             `json:"status4xx,omitempty"`
 	Status5xx      int64             `json:"status5xx,omitempty"`
 	StatusOther    int64             `json:"statusOther,omitempty"`
-	Batched        int64             `json:"batched,omitempty"`
 	LatencySeconds HistogramSnapshot `json:"latency_s"`
 }
 
@@ -196,7 +190,6 @@ func (r *RequestRegistry) Snapshot() RequestSnapshot {
 			Status4xx:      m.classes[4].Load(),
 			Status5xx:      m.classes[5].Load(),
 			StatusOther:    m.classes[0].Load() + m.classes[1].Load(),
-			Batched:        m.batched.Load(),
 			LatencySeconds: m.latency.snapshot(),
 		})
 	}
@@ -236,7 +229,6 @@ func (s RequestSnapshot) WriteText(w io.Writer) error {
 		tw.line(prefix+".status4xx", rt.Status4xx)
 		tw.line(prefix+".status5xx", rt.Status5xx)
 		tw.line(prefix+".status_other", rt.StatusOther)
-		tw.line(prefix+".batched", rt.Batched)
 		tw.histogram(prefix+".latency_s", rt.LatencySeconds)
 	}
 	for _, bk := range s.Breakers {

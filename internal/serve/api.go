@@ -149,12 +149,10 @@ type EstimateRequest struct {
 	// sequence number) and echoes it in the response; replaying a request
 	// with the echoed salt reproduces the estimate bit-identically.
 	Salt *uint64 `json:"salt,omitempty"`
-	// TimeoutMs bounds the run (rfidest.WithTimeout); 0 means the server
-	// default. The run stops at a round boundary, so expiry is 504 with
-	// deterministic partial accounting.
+	// TimeoutMs bounds the request, admission wait included; 0 means the
+	// server default. The run stops at a round boundary, so expiry is 504
+	// with deterministic partial accounting.
 	TimeoutMs int `json:"timeoutMs,omitempty"`
-	// Solo bypasses the micro-batcher for this request.
-	Solo bool `json:"solo,omitempty"`
 }
 
 // EstimateResponse is the POST /v1/estimate reply.
@@ -164,9 +162,12 @@ type EstimateResponse struct {
 	// Salt is the session the estimate was produced under — the request's
 	// salt if it pinned one, otherwise the server-assigned salt.
 	Salt uint64 `json:"salt"`
-	// Batched reports the request was answered through a coalesced fleet
-	// batch. Batching never changes the estimate (the salt pins the
-	// session), so this is diagnostic only.
+	// Batched is always false: the server answers every estimate with one
+	// in-handler run, and omitempty keeps the field off the wire.
+	//
+	// Deprecated: the micro-batcher that set it was removed (it never
+	// changed an estimate and only added latency). The field stays because
+	// the ledgerbench benchmark still reads it.
 	Batched bool `json:"batched,omitempty"`
 }
 

@@ -135,7 +135,7 @@ func TestCrashRecoveryEquality(t *testing.T) {
 	saltsA := map[uint64]bool{}
 	for i := 0; i < 3; i++ {
 		status, body := postJSON(t, tsA.URL+"/v1/estimate", serve.EstimateRequest{
-			System: monSpec, Epsilon: 0.1, Delta: 0.1, Solo: true,
+			System: monSpec, Epsilon: 0.1, Delta: 0.1,
 		})
 		if status != http.StatusOK {
 			t.Fatalf("estimate %d: status %d: %s", i, status, body)
@@ -170,7 +170,7 @@ func TestCrashRecoveryEquality(t *testing.T) {
 	for _, a := range ests {
 		salt := a.salt
 		status, body := postJSON(t, tsB.URL+"/v1/estimate", serve.EstimateRequest{
-			System: monSpec, Epsilon: 0.1, Delta: 0.1, Salt: &salt, Solo: true,
+			System: monSpec, Epsilon: 0.1, Delta: 0.1, Salt: &salt,
 		})
 		if status != http.StatusOK {
 			t.Fatalf("replay salt %#x: status %d: %s", salt, status, body)
@@ -211,7 +211,7 @@ func TestCrashRecoveryEquality(t *testing.T) {
 
 	// (3) Restart never re-issues an acknowledged salt.
 	fstatus, fbody := postJSON(t, tsB.URL+"/v1/estimate", serve.EstimateRequest{
-		System: monSpec, Epsilon: 0.1, Delta: 0.1, Solo: true,
+		System: monSpec, Epsilon: 0.1, Delta: 0.1,
 	})
 	if fstatus != http.StatusOK {
 		t.Fatalf("fresh estimate on B: status %d: %s", fstatus, fbody)
@@ -231,8 +231,7 @@ func TestCrashRecoveryEquality(t *testing.T) {
 // never feeding the breaker.
 func TestBreakerOverHTTP(t *testing.T) {
 	s, ts := newTestServer(t, serve.Config{
-		Now:         time.Now,
-		BatchWindow: -1, // solo path: each timeout is one clean outcome
+		Now: time.Now,
 		Breaker: serve.BreakerConfig{
 			Window: 4, MinSamples: 4, TripRatio: 0.5,
 			CoolDown: time.Hour, // tripped stays tripped for the test

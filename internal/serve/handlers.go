@@ -46,8 +46,7 @@ func (s *Server) requestTimeout(timeoutMs int) (time.Duration, error) {
 	return time.Duration(timeoutMs) * time.Millisecond, nil
 }
 
-// handleEstimate answers POST /v1/estimate: validate, admit, run (through
-// the micro-batcher unless the request opts out), respond.
+// handleEstimate answers POST /v1/estimate: validate, admit, run, respond.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var req EstimateRequest
 	if !s.decodeJSON(w, r, &req) {
@@ -76,23 +75,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var salt uint64
 	if req.Salt != nil {
 		salt = *req.Salt
-	} else {
-		var err error
-		if salt, err = s.nextSalt(); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
+	} else if salt, err = s.nextSalt(); err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
 
-	// The handler's own wait is bounded by the same deadline as the run,
-	// so an expired request stops occupying its admission slot even if
-	// its batched session is still finishing a round.
-	ctx := r.Context()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.workContext(r, timeout)
+	defer cancel()
 	release, err := s.adm.acquire(ctx)
 	if err != nil {
 		s.writeAdmissionError(w, err)
@@ -100,34 +89,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	sys := s.systems.get(req.System)
-	var est rfidest.Estimate
-	batched := false
-	if s.bat != nil && !req.Solo {
-		jobOpts := []rfidest.Option{rfidest.WithSeedSalt(salt)}
-		if timeout > 0 {
-			jobOpts = append(jobOpts, rfidest.WithTimeout(timeout))
-		}
-		est, err = s.bat.submit(ctx, fleet.Job{
-			System:    sys,
-			Estimator: estimator,
-			Epsilon:   req.Epsilon,
-			Delta:     req.Delta,
-			Options:   jobOpts,
-		})
-		batched = err == nil
-	} else {
-		opts := []rfidest.Option{
-			rfidest.WithEstimator(estimator),
-			rfidest.WithAccuracy(req.Epsilon, req.Delta),
-			rfidest.WithSeedSalt(salt),
-			rfidest.WithObserver(s.reg),
-		}
-		if timeout > 0 {
-			opts = append(opts, rfidest.WithTimeout(timeout))
-		}
-		est, err = sys.Run(ctx, opts...)
-	}
+	est, err := s.systems.get(req.System).Run(ctx,
+		rfidest.WithEstimator(estimator),
+		rfidest.WithAccuracy(req.Epsilon, req.Delta),
+		rfidest.WithSeedSalt(salt),
+		rfidest.WithObserver(s.reg))
 	if !errors.Is(err, context.Canceled) {
 		// A client that went away says nothing about the estimator's
 		// health; everything else feeds the breaker.
@@ -137,15 +103,33 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpStatus(err), err.Error())
 		return
 	}
-	if batched {
-		s.req.Batched(routeEstimate)
-	}
 	writeJSON(w, http.StatusOK, EstimateResponse{
 		Estimate:  est,
 		Estimator: estimator,
 		Salt:      salt,
-		Batched:   batched,
 	})
+}
+
+// workContext bounds one work request: its run stops at the next round
+// boundary once the client goes away, the request's timeout (if any)
+// expires, or the server's root context is cancelled (New's ctx, or
+// Shutdown's drain deadline) — whichever comes first. The slot the
+// request holds is therefore released only when its work has stopped.
+func (s *Server) workContext(r *http.Request, timeout time.Duration) (context.Context, context.CancelFunc) {
+	var (
+		ctx    context.Context
+		cancel context.CancelFunc
+	)
+	if timeout > 0 {
+		ctx, cancel = context.WithTimeout(r.Context(), timeout)
+	} else {
+		ctx, cancel = context.WithCancel(r.Context())
+	}
+	stop := context.AfterFunc(s.base, cancel)
+	return ctx, func() {
+		stop()
+		cancel()
+	}
 }
 
 // handleBatch answers POST /v1/batch: the request's jobs run as one fleet
@@ -230,12 +214,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		seed = s.cfg.Seed
 	}
 
-	ctx := r.Context()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.workContext(r, timeout)
+	defer cancel()
 	release, err := s.adm.acquire(ctx)
 	if err != nil {
 		s.writeAdmissionError(w, err)
@@ -389,12 +369,8 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx := r.Context()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.workContext(r, timeout)
+	defer cancel()
 	release, err := s.adm.acquire(ctx)
 	if err != nil {
 		s.writeAdmissionError(w, err)

@@ -97,7 +97,7 @@ func (s *Server) instrument(route string, work bool, h http.HandlerFunc) http.Ha
 // httpStatus maps an estimation or serving error onto its HTTP status.
 func httpStatus(err error) int {
 	switch {
-	case errors.Is(err, rfidest.ErrUnknownEstimator):
+	case errors.Is(err, rfidest.ErrUnknownEstimator), errors.Is(err, rfidest.ErrSlotLimit):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests

@@ -8,23 +8,21 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"rfidest/internal/serve"
 )
 
-// benchBody is the request both legs drive: a synthetic 10k-tag system
-// under BFCE(0.1, 0.1) with a pinned salt, so every request replays one
-// deterministic session and the benchmark measures serving overhead, not
-// estimation variance.
-func benchBody(b *testing.B, solo bool) []byte {
+// benchBody is the request the benchmark drives: a synthetic 10k-tag
+// system under BFCE(0.1, 0.1) with a pinned salt, so every request replays
+// one deterministic session and the benchmark measures serving overhead,
+// not estimation variance.
+func benchBody(b *testing.B) []byte {
 	b.Helper()
 	salt := uint64(1)
 	body, err := json.Marshal(serve.EstimateRequest{
 		System:  serve.SystemSpec{N: 10000, Seed: 3, Synthetic: true},
 		Epsilon: 0.1, Delta: 0.1,
 		Salt: &salt,
-		Solo: solo,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -57,34 +55,15 @@ func post(b *testing.B, client *http.Client, url string, body []byte) {
 	}
 }
 
-// BenchmarkServeEstimateSolo measures one full HTTP round trip per op on
-// the solo path: transport + admission + a direct in-handler Run.
-func BenchmarkServeEstimateSolo(b *testing.B) {
+// BenchmarkServeEstimate measures one full HTTP round trip per op:
+// transport + admission + a direct in-handler Run.
+func BenchmarkServeEstimate(b *testing.B) {
 	ts := benchServer(b, serve.Config{})
-	body := benchBody(b, true)
+	body := benchBody(b)
 	url := ts.URL + "/v1/estimate"
 	client := ts.Client()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		post(b, client, url, body)
 	}
-}
-
-// BenchmarkServeEstimateBatched drives the micro-batched path from
-// parallel clients, so windows genuinely coalesce; ns/op is per answered
-// request at saturation.
-func BenchmarkServeEstimateBatched(b *testing.B) {
-	ts := benchServer(b, serve.Config{
-		BatchWindow: time.Millisecond, BatchMaxSize: 16, MaxInFlight: 64,
-	})
-	body := benchBody(b, false)
-	url := ts.URL + "/v1/estimate"
-	client := ts.Client()
-	b.SetParallelism(4) // 4 x GOMAXPROCS concurrent closed-loop clients
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			post(b, client, url, body)
-		}
-	})
 }

@@ -39,13 +39,12 @@ func benchChaosRequest() serve.EstimateRequest {
 		System:  serve.SystemSpec{N: 10000, Seed: 3, Synthetic: true},
 		Epsilon: 0.1, Delta: 0.1,
 		Salt: &salt,
-		Solo: true,
 	}
 }
 
 // BenchmarkServeChaosClean is the control: the chaos middleware is mounted
 // but draws no faults, so ns/op is the pure overhead of the injection
-// layer plus the resilient client over the solo serving path.
+// layer plus the resilient client over the serving path.
 func BenchmarkServeChaosClean(b *testing.B) {
 	c := benchChaosServer(b, chaoshttp.Severity(0), 3)
 	req := benchChaosRequest()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -71,14 +72,14 @@ func postJSON(t *testing.T, url string, body any) (int, []byte) {
 }
 
 // TestEstimateGoldengridReplay replays the full golden grid through
-// POST /v1/estimate — alternating the micro-batched and solo paths — and
-// requires every response bit-identical to the pinned in-process result.
+// POST /v1/estimate and requires every response bit-identical to the
+// pinned in-process result.
 func TestEstimateGoldengridReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid over HTTP is not short")
 	}
 	_, ts := newTestServer(t, serve.Config{})
-	for i, c := range goldengrid.Cases() {
+	for _, c := range goldengrid.Cases() {
 		salt := c.Salt
 		status, body := postJSON(t, ts.URL+"/v1/estimate", serve.EstimateRequest{
 			System:    specFor(t, c.System),
@@ -86,7 +87,6 @@ func TestEstimateGoldengridReplay(t *testing.T) {
 			Epsilon:   goldengrid.Epsilon,
 			Delta:     goldengrid.Delta,
 			Salt:      &salt,
-			Solo:      i%2 == 1,
 		})
 		if status != http.StatusOK {
 			t.Fatalf("%s/%s salt %#x: status %d: %s", c.System, c.Estimator, c.Salt, status, body)
@@ -102,8 +102,8 @@ func TestEstimateGoldengridReplay(t *testing.T) {
 		if resp.Salt != c.Salt {
 			t.Errorf("response did not echo the pinned salt: got %#x want %#x", resp.Salt, c.Salt)
 		}
-		if wantBatched := i%2 == 0; resp.Batched != wantBatched {
-			t.Errorf("case %d: batched = %v, want %v", i, resp.Batched, wantBatched)
+		if resp.Batched {
+			t.Errorf("%s/%s salt %#x: response claims it was batched", c.System, c.Estimator, c.Salt)
 		}
 	}
 }
@@ -206,14 +206,15 @@ func TestEstimateValidation(t *testing.T) {
 	url := ts.URL + "/v1/estimate"
 	good := serve.SystemSpec{N: 100, Synthetic: true}
 	for name, req := range map[string]serve.EstimateRequest{
-		"zero epsilon":                {System: good, Delta: 0.1},
-		"epsilon one":                 {System: good, Epsilon: 1, Delta: 0.1},
-		"zero n":                      {System: serve.SystemSpec{}, Epsilon: 0.1, Delta: 0.1},
-		"huge n":                      {System: serve.SystemSpec{N: 1 << 40}, Epsilon: 0.1, Delta: 0.1},
-		"bad distribution":            {System: serve.SystemSpec{N: 100, Distribution: "zipf"}, Epsilon: 0.1, Delta: 0.1},
-		"hash conflict":               {System: serve.SystemSpec{N: 100, PaperTagHash: true, IDHash: true}, Epsilon: 0.1, Delta: 0.1},
-		"negative timeout":            {System: good, Epsilon: 0.1, Delta: 0.1, TimeoutMs: -1},
-		"unknown estimator (batched)": {System: good, Epsilon: 0.1, Delta: 0.1, Estimator: "NOPE"},
+		"zero epsilon":                 {System: good, Delta: 0.1},
+		"epsilon one":                  {System: good, Epsilon: 1, Delta: 0.1},
+		"zero n":                       {System: serve.SystemSpec{}, Epsilon: 0.1, Delta: 0.1},
+		"huge n":                       {System: serve.SystemSpec{N: 1 << 40}, Epsilon: 0.1, Delta: 0.1},
+		"bad distribution":             {System: serve.SystemSpec{N: 100, Distribution: "zipf"}, Epsilon: 0.1, Delta: 0.1},
+		"hash conflict":                {System: serve.SystemSpec{N: 100, PaperTagHash: true, IDHash: true}, Epsilon: 0.1, Delta: 0.1},
+		"negative timeout":             {System: good, Epsilon: 0.1, Delta: 0.1, TimeoutMs: -1},
+		"unknown estimator":            {System: good, Epsilon: 0.1, Delta: 0.1, Estimator: "NOPE"},
+		"accuracy past the slot limit": {System: good, Epsilon: 1e-9, Delta: 0.05, Estimator: "SRC"},
 	} {
 		status, body := postJSON(t, url, req)
 		if status != http.StatusBadRequest {
@@ -225,37 +226,44 @@ func TestEstimateValidation(t *testing.T) {
 			t.Errorf("%s: malformed error body %s", name, body)
 		}
 	}
-	// The solo path maps the same sentinel.
-	status, _ := postJSON(t, url, serve.EstimateRequest{
-		System: good, Epsilon: 0.1, Delta: 0.1, Estimator: "NOPE", Solo: true,
-	})
-	if status != http.StatusBadRequest {
-		t.Errorf("solo unknown estimator: status %d, want 400", status)
-	}
-	// Unknown JSON fields are rejected: the wire schema is frozen.
-	resp, err := http.Post(url, "application/json",
-		strings.NewReader(`{"system":{"n":100},"epsilon":0.1,"delta":0.1,"bogus":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
+	// Unknown JSON fields are rejected: the wire schema is frozen, so a
+	// client still sending the retired "solo" flag gets a 400.
+	for _, body := range []string{
+		`{"system":{"n":100},"epsilon":0.1,"delta":0.1,"bogus":1}`,
+		`{"system":{"n":100},"epsilon":0.1,"delta":0.1,"solo":true}`,
+	} {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("unknown field in %s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 }
 
-// TestBackpressure floods a 1-slot, 1-waiter server and requires at least
-// one shed request (429 with Retry-After) while every admitted request
-// still answers correctly.
+// slowRequest is a pinned-salt estimate that holds its admission slot for
+// a few hundred milliseconds: ZOE sends one single-slot frame per
+// accurate-phase slot, and each frame hashes every tag of a materialized
+// population.
+func slowRequest(salt uint64) serve.EstimateRequest {
+	return serve.EstimateRequest{
+		System:    serve.SystemSpec{N: 20000, Seed: 3},
+		Estimator: "ZOE",
+		Epsilon:   0.1, Delta: 0.1,
+		Salt: &salt,
+	}
+}
+
+// TestBackpressure floods a 1-slot, 1-waiter server with slow requests and
+// requires at least one shed request (429 with Retry-After) while every
+// admitted request still answers correctly.
 func TestBackpressure(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{
 		MaxInFlight: 1, QueueDepth: 1, RetryAfterSeconds: 3,
-		BatchWindow: 20 * time.Millisecond,
 	})
-	req := serve.EstimateRequest{
-		System:  serve.SystemSpec{N: 2000, Seed: 3, Synthetic: true},
-		Epsilon: 0.1, Delta: 0.1,
-	}
+	req := slowRequest(5)
 	const flood = 12
 	type outcome struct {
 		status     int
@@ -298,23 +306,22 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// TestDeadline504: a 1ms budget cannot finish FNEB's hundreds of rounds;
-// the request answers 504 and the server leaks no goroutines.
+// TestDeadline504: a 1ms budget cannot finish ZOE's hundreds of
+// single-slot rounds over a materialized population; the session stops at
+// a round boundary, the request answers 504 and the server leaks no
+// goroutines.
 func TestDeadline504(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s, ts := newTestServer(t, serve.Config{})
-	status, body := postJSON(t, ts.URL+"/v1/estimate", serve.EstimateRequest{
-		System:    serve.SystemSpec{N: 50000, Seed: 7, Synthetic: true},
-		Estimator: "FNEB",
-		Epsilon:   0.1, Delta: 0.1,
-		TimeoutMs: 1,
-	})
+	req := slowRequest(7)
+	req.TimeoutMs = 1
+	status, body := postJSON(t, ts.URL+"/v1/estimate", req)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", status, body)
 	}
 	// The cut session must unwind completely: poll until the goroutine
 	// count settles back to the pre-server baseline. Closing the httptest
-	// server reaps its keep-alives; Shutdown stops the batch collector.
+	// server reaps its keep-alives.
 	ts.Close()
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("Shutdown: %v", err)
@@ -332,40 +339,36 @@ func TestDeadline504(t *testing.T) {
 	}
 }
 
-// TestShutdownDrain: a request parked in the micro-batch window survives
-// Shutdown — the final window flushes and answers it correctly — while
-// new work and /healthz flip to 503.
+// TestShutdownDrain: a slow request in flight survives Shutdown — the
+// drain waits for its session and answers it correctly — while new work
+// and /readyz flip to 503.
 func TestShutdownDrain(t *testing.T) {
-	s, ts := newTestServer(t, serve.Config{BatchWindow: time.Minute})
-	sys := rfidest.NewSystem(5000, rfidest.WithSynthetic(), rfidest.WithSeed(3))
-	want, err := sys.Run(context.Background(), rfidest.WithAccuracy(0.1, 0.1), rfidest.WithSeedSalt(11))
+	s, ts := newTestServer(t, serve.Config{})
+	sys := rfidest.NewSystem(20000, rfidest.WithSeed(3))
+	want, err := sys.Run(context.Background(), rfidest.WithEstimator("ZOE"),
+		rfidest.WithAccuracy(0.1, 0.1), rfidest.WithSeedSalt(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	salt := uint64(11)
 	type answer struct {
 		status int
 		body   []byte
 	}
 	parked := make(chan answer, 1)
 	go func() {
-		status, body := postJSON(t, ts.URL+"/v1/estimate", serve.EstimateRequest{
-			System:  serve.SystemSpec{N: 5000, Seed: 3, Synthetic: true},
-			Epsilon: 0.1, Delta: 0.1,
-			Salt: &salt,
-		})
+		status, body := postJSON(t, ts.URL+"/v1/estimate", slowRequest(11))
 		parked <- answer{status, body}
 	}()
-	// Wait until the request holds its admission slot (it is now parked
-	// in the minute-long batch window).
+	// Wait until the request holds its admission slot (its session is now
+	// running).
 	for i := 0; ; i++ {
 		if s.Requests().Snapshot().Inflight == 1 {
 			break
 		}
 		if i > 500 {
-			t.Fatal("request never reached the batcher")
+			t.Fatal("request never took an admission slot")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("Shutdown: %v", err)
@@ -407,6 +410,37 @@ func TestShutdownDrain(t *testing.T) {
 	}
 }
 
+// TestShutdownDeadlineCutsSessions: when the drain deadline expires first,
+// Shutdown cancels the server's root context and an in-flight session
+// stops at its next round boundary — the request answers 503 instead of
+// running to completion after the drain has given up on it.
+func TestShutdownDeadlineCutsSessions(t *testing.T) {
+	s, ts := newTestServer(t, serve.Config{})
+	type answer struct {
+		status int
+		body   []byte
+	}
+	inflight := make(chan answer, 1)
+	go func() {
+		status, body := postJSON(t, ts.URL+"/v1/estimate", slowRequest(13))
+		inflight <- answer{status, body}
+	}()
+	for i := 0; s.Requests().Snapshot().Inflight != 1; i++ {
+		if i > 500 {
+			t.Fatal("request never took an admission slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Shutdown past its deadline returned %v, want DeadlineExceeded", err)
+	}
+	if a := <-inflight; a.status != http.StatusServiceUnavailable {
+		t.Errorf("cut request: status %d, want 503: %s", a.status, a.body)
+	}
+}
+
 // TestMetricsEndpoint: after traffic, the text export carries both the
 // estimation and the request sections, and the JSON form parses.
 func TestMetricsEndpoint(t *testing.T) {
@@ -426,11 +460,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		"obs.sessions 1",
 		"obs.http.route./v1/estimate.requests 1",
 		"obs.http.route./v1/estimate.status2xx 1",
-		"obs.http.route./v1/estimate.batched 1",
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("text metrics missing %q:\n%.600s", want, text)
 		}
+	}
+	if strings.Contains(string(text), ".batched") {
+		t.Errorf("text metrics still export a batched counter:\n%.600s", text)
 	}
 	jr, err := http.Get(ts.URL + "/v1/metrics?format=json")
 	if err != nil {
@@ -447,12 +483,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestCoalescing: concurrent salted requests answered through shared
-// batches are each bit-identical to their direct in-process run.
+// TestCoalescing: concurrent pinned-salt requests — the traffic a
+// micro-batcher once coalesced into shared fleet batches — each run their
+// own session side by side on one cached System, and each is bit-identical
+// to its direct in-process run.
 func TestCoalescing(t *testing.T) {
-	_, ts := newTestServer(t, serve.Config{
-		BatchWindow: 20 * time.Millisecond, BatchMaxSize: 8, BatchInterleave: true,
-	})
+	_, ts := newTestServer(t, serve.Config{})
 	sys := rfidest.NewSystem(5000, rfidest.WithSynthetic(), rfidest.WithSeed(3))
 	const k = 8
 	want := make([]rfidest.Estimate, k)
@@ -490,7 +526,7 @@ func TestCoalescing(t *testing.T) {
 			t.Fatalf("request %d: %v", g.i, g.err)
 		}
 		if g.resp.Estimate != want[g.i] {
-			t.Errorf("request %d drifted under coalescing:\n got  %+v\n want %+v", g.i, g.resp.Estimate, want[g.i])
+			t.Errorf("request %d drifted under concurrency:\n got  %+v\n want %+v", g.i, g.resp.Estimate, want[g.i])
 		}
 	}
 }

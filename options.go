@@ -51,6 +51,14 @@ func defaultRunOptions() runOptions {
 // message — test for it with errors.Is.
 var ErrUnknownEstimator = estimators.ErrUnknownEstimator
 
+// ErrSlotLimit is the sentinel behind the error ZOE and SRC return for an
+// in-range (ε, δ) whose accurate phase would need more than 2^24 slots —
+// any δ below about 1e-16 (1−δ rounds to 1) or an ε of about 1e-3 and
+// below. The run fails before its session opens; callers that translate
+// it into a protocol-level response (the serving layer's HTTP 400) test
+// for it with errors.Is.
+var ErrSlotLimit = estimators.ErrSlotLimit
+
 // WithEstimator selects the protocol to run, by registry name (see
 // Estimators). The default is "BFCE", the paper's estimator. An unknown
 // name fails the run with an error wrapping ErrUnknownEstimator.

@@ -80,8 +80,10 @@ func (s *System) Run(ctx context.Context, opts ...Option) (Estimate, error) {
 }
 
 // runOn validates the options, opens a session via open and drives the
-// selected protocol's round machine to completion. It is the single
-// execution path behind Run and every deprecated Estimate* wrapper.
+// selected protocol's round machine to completion. It is Run's execution
+// loop, and so that of the deprecated EstimateBFCE, EstimateWith and
+// EstimateWithSalt wrappers; RunBFCEDetail (behind EstimateBFCEDetail)
+// drives core's retry loop itself to keep BFCE's internal diagnostics.
 func (s *System) runOn(ctx context.Context, open func() *channel.Reader, o runOptions) (Estimate, error) {
 	rs, err := s.startRun(open, o)
 	if err != nil {

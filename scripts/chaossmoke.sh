@@ -43,11 +43,10 @@ boot_server() {
     fi
 }
 
-# estimate <salt> <outfile>: one pinned-salt solo estimate (solo bypasses
-# the micro-batcher so the reply body is byte-stable across boots).
+# estimate <salt> <outfile>: one pinned-salt estimate.
 estimate() {
     curl -fsS -X POST "http://$addr/v1/estimate" \
-        -d "{\"system\":{\"n\":10000,\"seed\":3,\"synthetic\":true},\"epsilon\":0.1,\"delta\":0.1,\"salt\":$1,\"solo\":true}" \
+        -d "{\"system\":{\"n\":10000,\"seed\":3,\"synthetic\":true},\"epsilon\":0.1,\"delta\":0.1,\"salt\":$1}" \
         >"$2"
 }
 
