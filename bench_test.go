@@ -103,7 +103,7 @@ func BenchmarkBFCETagLevel(b *testing.B) {
 	b.ResetTimer()
 	var secs float64
 	for i := 0; i < b.N; i++ {
-		est, err := sys.EstimateBFCE(0.05, 0.05)
+		est, err := sys.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func BenchmarkBFCESynthetic(b *testing.B) {
 	sys := rfidest.NewSystem(1000000, rfidest.WithSeed(2), rfidest.WithSynthetic())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.EstimateBFCE(0.05, 0.05); err != nil {
+		if _, err := sys.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -130,7 +130,7 @@ func BenchmarkZOESynthetic(b *testing.B) {
 	sys := rfidest.NewSystem(500000, rfidest.WithSeed(3), rfidest.WithSynthetic())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.EstimateWith("ZOE", 0.05, 0.05); err != nil {
+		if _, err := sys.Run(context.Background(), rfidest.WithEstimator("ZOE"), rfidest.WithAccuracy(0.05, 0.05)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -247,7 +247,7 @@ func BenchmarkSRCSynthetic(b *testing.B) {
 	sys := rfidest.NewSystem(500000, rfidest.WithSeed(4), rfidest.WithSynthetic())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.EstimateWith("SRC", 0.05, 0.05); err != nil {
+		if _, err := sys.Run(context.Background(), rfidest.WithEstimator("SRC"), rfidest.WithAccuracy(0.05, 0.05)); err != nil {
 			b.Fatal(err)
 		}
 	}

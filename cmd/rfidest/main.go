@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -20,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	var (
 		n         = flag.Int("n", 100000, "true tag cardinality to simulate")
 		dist      = flag.String("dist", "uniform", "tagID distribution: uniform | approx-normal | normal")
@@ -68,7 +70,7 @@ func main() {
 			os.Exit(2)
 		}
 		for run := 0; run < *runs; run++ {
-			det, err := sys.EstimateBFCEDetail(*eps, *delta)
+			det, err := sys.RunBFCEDetail(ctx, rfidest.WithAccuracy(*eps, *delta))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "rfidest: %v\n", err)
 				os.Exit(1)
@@ -84,7 +86,7 @@ func main() {
 	var errSum, secSum float64
 	worst := 0.0
 	for run := 0; run < *runs; run++ {
-		est, err := sys.EstimateWith(*estimator, *eps, *delta)
+		est, err := sys.Run(ctx, rfidest.WithEstimator(*estimator), rfidest.WithAccuracy(*eps, *delta))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rfidest: %v\n", err)
 			os.Exit(1)

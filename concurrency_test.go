@@ -1,6 +1,7 @@
 package rfidest
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"sync"
@@ -45,9 +46,9 @@ func TestConcurrentSharedSystem(t *testing.T) {
 						var est Estimate
 						var err error
 						if (g+c)%2 == 0 {
-							est, err = sys.EstimateBFCE(0.1, 0.1)
+							est, err = sys.Run(context.Background(), WithAccuracy(0.1, 0.1))
 						} else {
-							est, err = sys.EstimateWith("BFCE", 0.1, 0.1)
+							est, err = sys.Run(context.Background(), WithEstimator("BFCE"), WithAccuracy(0.1, 0.1))
 						}
 						if err != nil {
 							errs <- err
@@ -92,7 +93,7 @@ func TestConcurrentSaltedSessions(t *testing.T) {
 
 	seq := make([]float64, calls)
 	for i := range seq {
-		est, err := sys.EstimateWithSalt("BFCE", 0.1, 0.1, uint64(i))
+		est, err := sys.Run(context.Background(), WithEstimator("BFCE"), WithAccuracy(0.1, 0.1), WithSeedSalt(uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func TestConcurrentSaltedSessions(t *testing.T) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			est, err := sys.EstimateWithSalt("BFCE", 0.1, 0.1, uint64(i))
+			est, err := sys.Run(context.Background(), WithEstimator("BFCE"), WithAccuracy(0.1, 0.1), WithSeedSalt(uint64(i)))
 			if err != nil {
 				t.Error(err)
 				return

@@ -79,7 +79,7 @@ func TestAccuracyRejectsNonFinite(t *testing.T) {
 		})
 	}
 	// Invalid calls must not advance the session counter (the validation
-	// order in runOn is load-bearing for salt-free reproducibility).
+	// order in startRun is load-bearing for salt-free reproducibility).
 	before, err := sys.Run(nil, WithSalt(99))
 	if err != nil {
 		t.Fatal(err)

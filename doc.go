@@ -14,7 +14,7 @@
 // # Quick start
 //
 //	sys := rfidest.NewSystem(500000, rfidest.WithSeed(42))
-//	est, err := sys.EstimateBFCE(0.05, 0.05)
+//	est, err := sys.Run(ctx) // BFCE at the paper's (0.05, 0.05)
 //	if err != nil { ... }
 //	fmt.Printf("n̂ = %.0f in %.3f s of air time\n", est.N, est.Seconds)
 //
@@ -31,9 +31,10 @@
 //
 // The context is checked before every protocol round — the round in
 // flight always completes, so a cancelled run leaves its session at a
-// round boundary and salted replays stay bit-identical. EstimateBFCE,
-// EstimateWith and EstimateWithSalt remain as thin deprecated wrappers
-// over Run; RunBFCEDetail is Run with BFCE's internal diagnostics.
+// round boundary and salted replays stay bit-identical. RunBFCEDetail is
+// Run with BFCE's internal diagnostics, and Monitor.Run is a warm-started
+// BFCE round; both step the same RunSession loop as Run, so options,
+// deadlines, retries and observer spans mean the same on all three.
 //
 // # Round-structured execution
 //
@@ -111,12 +112,12 @@
 // # Concurrency
 //
 // A System is safe to estimate from concurrently: population and
-// configuration are immutable once built, every Estimate* call opens a
-// fresh session over them, and the shared session counter is atomic.
-// Counter-derived sessions make concurrent calls independent but their
-// numbering scheduling-dependent; EstimateWithSalt addresses a session by
-// an explicit salt instead, replaying bit-identically regardless of what
-// else is in flight. Monitor and Tracker carry state between rounds by
+// configuration are immutable once built, every Run opens a fresh session
+// over them, and the shared session counter is atomic. Counter-derived
+// sessions make concurrent calls independent but their numbering
+// scheduling-dependent; WithSeedSalt addresses a session by an explicit
+// salt instead, replaying bit-identically regardless of what else is in
+// flight. Monitor and Tracker carry state between rounds by
 // design and are single-goroutine. The internal/fleet runner (driven by
 // cmd/rfidfleet) fans batches of estimation jobs across a bounded worker
 // pool on top of these guarantees, with results independent of the worker

@@ -1,8 +1,6 @@
 package rfidest
 
 import (
-	"context"
-
 	"rfidest/internal/core"
 	"rfidest/internal/estimators"
 	"rfidest/internal/timing"
@@ -63,42 +61,10 @@ func fromResult(r estimators.Result) Estimate {
 	}
 }
 
-// EstimateBFCE runs the paper's estimator to the (ε, δ) requirement:
-// P(|n̂ − n| ≤ ε·n) ≥ 1 − δ. Both parameters must lie in (0, 1).
-//
-// Deprecated: use Run with WithAccuracy; BFCE is Run's default estimator.
-func (s *System) EstimateBFCE(epsilon, delta float64) (Estimate, error) {
-	return s.Run(context.Background(), WithAccuracy(epsilon, delta)) //lint:allow ctxbg deprecated pre-context wrapper; signature cannot thread a ctx
-}
-
 // Estimators returns the names accepted by WithEstimator, sorted. The set
 // is defined once, in the estimators package registry.
 func Estimators() []string {
 	return estimators.Names()
-}
-
-// EstimateWith runs the named protocol (see Estimators) to the (ε, δ)
-// requirement over a fresh session drawn from the system's session
-// counter. Safe for concurrent use; under concurrency the assignment of
-// counter values to callers (and hence each caller's exact result) is
-// scheduling-dependent — use EstimateWithSalt when results must be
-// reproducible regardless of interleaving.
-//
-// Deprecated: use Run with WithEstimator and WithAccuracy.
-func (s *System) EstimateWith(name string, epsilon, delta float64) (Estimate, error) {
-	return s.Run(context.Background(), WithEstimator(name), WithAccuracy(epsilon, delta)) //lint:allow ctxbg deprecated pre-context wrapper; signature cannot thread a ctx
-}
-
-// EstimateWithSalt runs the named protocol over the session addressed by
-// salt instead of the shared session counter. Equal (system, salt) pairs
-// replay bit-identical sessions no matter how many other estimations are
-// in flight, which is what deterministic parallel harnesses (the
-// internal/fleet runner, experiment trial loops) key their jobs on.
-// Distinct salts give independent sessions, like distinct counter values.
-//
-// Deprecated: use Run with WithEstimator, WithAccuracy and WithSalt.
-func (s *System) EstimateWithSalt(name string, epsilon, delta float64, salt uint64) (Estimate, error) {
-	return s.Run(context.Background(), WithEstimator(name), WithAccuracy(epsilon, delta), WithSalt(salt)) //lint:allow ctxbg deprecated pre-context wrapper; signature cannot thread a ctx
 }
 
 // BFCEDetail runs BFCE and returns the protocol's internal diagnostics
@@ -113,13 +79,6 @@ type BFCEDetail struct {
 	ProbeRounds int      `json:"probeRounds"`         // probe adjustments before p_s was valid
 	Feasible    bool     `json:"feasible"`            // Theorem 3 had a feasible p_o at n̂_low
 	Saturated   bool     `json:"saturated,omitempty"` // a phase saw a degenerate all-0s/all-1s vector
-}
-
-// EstimateBFCEDetail is EstimateBFCE with full diagnostics.
-//
-// Deprecated: use RunBFCEDetail.
-func (s *System) EstimateBFCEDetail(epsilon, delta float64) (BFCEDetail, error) {
-	return s.RunBFCEDetail(context.Background(), WithAccuracy(epsilon, delta)) //lint:allow ctxbg deprecated pre-context wrapper; signature cannot thread a ctx
 }
 
 // ConstantTimeBudget returns the paper's closed-form bound on BFCE's air

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const n = 200000
 	const eps, delta = 0.05, 0.05
 
@@ -28,7 +30,7 @@ func main() {
 	}
 	var rows []row
 	for _, name := range rfidest.Estimators() {
-		est, err := sys.EstimateWith(name, eps, delta)
+		est, err := sys.Run(ctx, rfidest.WithEstimator(name), rfidest.WithAccuracy(eps, delta))
 		if err != nil {
 			log.Fatal(err)
 		}

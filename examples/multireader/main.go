@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A warehouse aisle covered by three portal readers with overlapping
 	// zones, as windows of one tag universe:
 	//   reader 1: tags [0, 90k)
@@ -33,7 +35,7 @@ func main() {
 	fmt.Println("per-reader zone estimates:")
 	total := 0.0
 	for i, sys := range []*rfidest.System{r1, r2, r3} {
-		est, err := sys.EstimateBFCE(0.05, 0.05)
+		est, err := sys.Run(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -47,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	est, err := union.EstimateBFCE(0.05, 0.05)
+	est, err := union.Run(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

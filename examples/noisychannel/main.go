@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const n = 150000
 	const trials = 10
 
@@ -32,7 +34,7 @@ func main() {
 			sys := rfidest.NewSystem(n,
 				rfidest.WithSeed(uint64(500+trial)),
 				rfidest.WithNoise(rates[0], rates[1]))
-			est, err := sys.EstimateBFCE(0.05, 0.05)
+			est, err := sys.Run(ctx)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const planned = 120000 // stock level the site is planned to hold
 
 	// Two weeks of simulated stock levels: receipts and shipments drift
@@ -39,7 +41,7 @@ func main() {
 		sys := rfidest.NewSystem(n,
 			rfidest.WithSeed(uint64(1000+day)),
 			rfidest.WithDistribution(rfidest.ApproxNormal))
-		est, err := sys.EstimateBFCE(0.05, 0.05)
+		est, err := sys.Run(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}

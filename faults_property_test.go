@@ -1,6 +1,7 @@
 package rfidest
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -40,7 +41,7 @@ func TestFaultsEveryInjectorEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 			for round := 0; round < 3; round++ {
-				if _, err := m.Estimate(sys); err != nil {
+				if _, err := m.Run(context.Background(), sys); err != nil {
 					t.Fatalf("monitor round %d failed: %v", round, err)
 				}
 			}
@@ -187,15 +188,34 @@ func TestRetryValidation(t *testing.T) {
 }
 
 // TestBFCEDetailRetryAgreesWithRun pins that the diagnostic path retries
-// the same way the registry path does.
+// the way Run does — saturated attempts only — so under WithRetry its
+// Estimate equals Run's and both paths book the same retries and
+// degradations.
 func TestBFCEDetailRetryAgreesWithRun(t *testing.T) {
-	sys := NewSystem(0, WithSeed(8))
-	det, err := sys.RunBFCEDetail(nil, WithSalt(3), WithRetry(2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if det.Estimate.Retries != 2 || !det.Estimate.Saturated {
-		t.Fatalf("detail retry accounting: %+v", det.Estimate)
+	for _, n := range []int{0, 1, 100, 1000, 2000, 20000} {
+		sys := NewSystem(n, WithSeed(8), WithSynthetic())
+		runReg, detReg := NewMetrics(), NewMetrics()
+		for salt := uint64(0); salt < 6; salt++ {
+			est, err := sys.Run(context.Background(), WithSeedSalt(salt), WithRetry(2, 0), WithObserver(runReg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			det, err := sys.RunBFCEDetail(context.Background(), WithSeedSalt(salt), WithRetry(2, 0), WithObserver(detReg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if det.Estimate != est {
+				t.Errorf("n=%d salt=%d: detail %+v != Run %+v", n, salt, det.Estimate, est)
+			}
+			if n == 0 && (det.Estimate.Retries != 2 || !det.Estimate.Saturated) {
+				t.Errorf("n=0 salt=%d: every attempt saturates, detail retry accounting %+v", salt, det.Estimate)
+			}
+		}
+		r, d := runReg.Snapshot(), detReg.Snapshot()
+		if r.Retries != d.Retries || r.Degraded != d.Degraded {
+			t.Errorf("n=%d: registry retries/degraded Run %d/%d, detail %d/%d",
+				n, r.Retries, r.Degraded, d.Retries, d.Degraded)
+		}
 	}
 }
 

@@ -2,11 +2,12 @@ package rfidest_test
 
 // The golden grid itself lives in internal/goldengrid so every replay
 // harness (this file, the scheduler tests, the fleet equivalence tests)
-// pins against one table. This file keeps the original contract: the
-// deprecated EstimateWithSalt entry point must reproduce every field of
-// every Estimate exactly.
+// pins against one table. This file keeps the original contract: a
+// salt-addressed Run (WithEstimator, WithAccuracy, WithSeedSalt) must
+// reproduce every field of every Estimate exactly.
 
 import (
+	"context"
 	"testing"
 
 	"rfidest"
@@ -34,7 +35,8 @@ func goldenSystems(t *testing.T) func(key string) *rfidest.System {
 func TestEstimateWithSaltGolden(t *testing.T) {
 	system := goldenSystems(t)
 	for _, c := range goldengrid.Cases() {
-		got, err := system(c.System).EstimateWithSalt(c.Estimator, goldengrid.Epsilon, goldengrid.Delta, c.Salt)
+		got, err := system(c.System).Run(context.Background(), rfidest.WithEstimator(c.Estimator),
+			rfidest.WithAccuracy(goldengrid.Epsilon, goldengrid.Delta), rfidest.WithSeedSalt(c.Salt))
 		if err != nil {
 			t.Errorf("%s/%s/0x%x: %v", c.System, c.Estimator, c.Salt, err)
 			continue

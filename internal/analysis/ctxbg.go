@@ -16,10 +16,11 @@ import (
 // Covered packages are the module root and everything under internal/;
 // cmd/ and examples/ are allowlisted because a process entry point is
 // exactly where a root context is supposed to be created. In-scope
-// deliberate roots — the deprecated Estimate* wrappers whose signatures
-// predate context plumbing, the nil-ctx defaults inside Run, and the
-// experiment helper's detached pool — are suppressed at the use site with
-// //lint:allow ctxbg so each exemption stays visible and reasoned.
+// deliberate roots — the nil-ctx default of the root package's run loop,
+// the root a nil-ctx RunSession.Step hangs its WithTimeout deadline on,
+// and the experiment helper's detached pool — are suppressed at the use
+// site with //lint:allow ctxbg so each exemption stays visible and
+// reasoned.
 var CtxBg = &Analyzer{
 	Name: "ctxbg",
 	Doc: "forbid context.Background()/context.TODO() outside process entry points (cmd/, examples/); " +

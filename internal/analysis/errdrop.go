@@ -8,10 +8,10 @@ import (
 
 // ErrDrop enforces error handling on the repository's contract APIs —
 // the calls whose errors carry correctness information an estimation
-// pipeline must not lose: System.Run/RunBFCEDetail, Merge,
-// core.EstimateRetry, the Estimate* wrappers, and the fleet entry points
-// (Run, Map). Dropping one of these errors is how a saturated or
-// infeasible round silently becomes a plausible-looking estimate.
+// pipeline must not lose: System.Run/RunBFCEDetail, Monitor.Run, Merge,
+// the core-level Estimate methods, and the fleet entry points (Run, Map).
+// Dropping one of these errors is how a saturated or infeasible round
+// silently becomes a plausible-looking estimate.
 //
 // The check is interprocedural: a module function that merely forwards a
 // contract error ("func trial() error { return sys.Run(...) }") exports
@@ -28,7 +28,7 @@ import (
 // reasoned //lint:allow errdrop at the use site.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
-	Doc: "flag contract-API errors (Run, Merge, EstimateRetry, fleet.Run/Map, and their wrappers) " +
+	Doc: "flag contract-API errors (Run, RunBFCEDetail, Merge, Estimate, fleet.Run/Map, and their wrappers) " +
 		"discarded anywhere in the call chain; a dropped error turns a failed round into a fake estimate",
 	Interprocedural: true,
 	Run:             runErrDrop,
@@ -38,16 +38,11 @@ var ErrDrop = &Analyzer{
 // is load-bearing by contract. Wrappers that forward these errors are
 // discovered by fact propagation, not listed.
 var contractErrNames = map[string]bool{
-	"Run":                true,
-	"RunBFCEDetail":      true,
-	"Merge":              true,
-	"Estimate":           true,
-	"EstimateRetry":      true,
-	"EstimateBFCE":       true,
-	"EstimateWith":       true,
-	"EstimateWithSalt":   true,
-	"EstimateBFCEDetail": true,
-	"Map":                true,
+	"Run":           true,
+	"RunBFCEDetail": true,
+	"Merge":         true,
+	"Estimate":      true,
+	"Map":           true,
 }
 
 // contractErrFact marks a module function that returns a contract

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -119,7 +118,6 @@ type Result struct {
 	ProbeRounds int  // probe adjustments performed
 	Feasible    bool // Theorem 3 had a feasible p_o at n̂_low
 	Saturated   bool // a phase saw an all-0s/all-1s vector and was clamped
-	Retries     int  // degenerate-round re-runs performed (EstimateRetry)
 
 	RhoRough float64 // idle fraction observed in the rough phase
 	RhoFinal float64 // idle fraction observed in the accurate phase
@@ -163,32 +161,23 @@ func (e *Estimator) Name() string { return "BFCE" }
 // Result.Saturated/Feasible rather than failing the run, matching the
 // protocol's behaviour of always producing an estimate.
 //
-// Estimate is EstimateContext without cancellation: the protocol logic
-// lives in the Stepper round state machine (stepper.go) and the shared
-// round driver executes it.
+// The protocol logic lives in the Stepper round state machine
+// (stepper.go) and the shared round driver executes it. Estimate is the
+// core-level API over hand-built sessions; cancellable, retried and
+// observed runs go through the root package's RunSession.
 func (e *Estimator) Estimate(r *channel.Reader) (Result, error) {
-	return e.EstimateContext(nil, r)
-}
-
-// EstimateContext is Estimate with per-round cancellation: ctx is checked
-// before every protocol round, and a cancelled run returns ctx's error
-// with any open phase span closed. The round in flight always completes,
-// so cancellation leaves the session's seed stream at a round boundary. A
-// nil ctx disables the checks.
-func (e *Estimator) EstimateContext(ctx context.Context, r *channel.Reader) (Result, error) {
-	return driveStepper(ctx, r, e.Stepper())
+	return driveStepper(r, e.Stepper())
 }
 
 // driveStepper runs a BFCE round machine over the session via the shared
 // driver and stamps the cost counters the machine itself cannot see. It is
-// the one execution path under Estimate, EstimateContext, EstimateRetry
-// and the Monitor's rounds.
-func driveStepper(ctx context.Context, r *channel.Reader, st *Stepper) (Result, error) {
+// the one execution path under Estimate and the Monitor's rounds.
+func driveStepper(r *channel.Reader, st *Stepper) (Result, error) {
 	if r == nil {
 		return Result{}, errors.New("core: nil session")
 	}
 	startCost := r.Cost()
-	if err := channel.Drive(ctx, r, st); err != nil {
+	if err := channel.Drive(nil, r, st); err != nil {
 		return Result{}, err
 	}
 	res := st.Result()

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
+	"math"
 
 	"rfidest/internal/channel"
 )
@@ -56,29 +55,6 @@ type Snap struct {
 	Rounds int
 }
 
-// absorb folds a completed round's result into the snapshot. The
-// saturated-round guard is part of the snapshot contract, not of any
-// particular execution loop: a saturated round produced a clamped
-// estimate (the observation was all-idle or all-busy), which is an
-// upper/lower resolution bound, not a measurement. Warm-starting the next
-// round from it would feed a fabricated lower bound into the optimal-p
-// search — after a population crash, every subsequent fast round would
-// keep probing at the stale rate and keep saturating. So a saturated
-// round clears the warm fields and the next round runs fully cold.
-func (s Snap) absorb(res Result) Snap {
-	s.Rounds++
-	if res.Saturated {
-		s.Pn = 0
-		s.N = 0
-		return s
-	}
-	if res.PsNum > 0 {
-		s.Pn = res.PsNum
-	}
-	s.N = res.Estimate
-	return s
-}
-
 // NewMonitor returns a Monitor running the given estimator configuration.
 func NewMonitor(cfg Config) (*Monitor, error) {
 	est, err := New(cfg)
@@ -101,8 +77,10 @@ func (m *Monitor) Restore(s Snap) error {
 	if s.Pn < 0 || s.Pn >= m.est.cfg.PDenom {
 		return fmt.Errorf("core: snapshot Pn %d outside [0, %d)", s.Pn, m.est.cfg.PDenom)
 	}
-	if !(s.N >= 0) { // positively phrased so NaN is rejected
-		return fmt.Errorf("core: snapshot N %v must be >= 0", s.N)
+	// Positively phrased so NaN fails it too. An infinite N would hand the
+	// next fast round an infinite lower bound, for which no p_o is feasible.
+	if !(s.N >= 0 && s.N <= math.MaxFloat64) {
+		return fmt.Errorf("core: snapshot N %v must be finite and >= 0", s.N)
 	}
 	if s.Rounds < 0 {
 		return fmt.Errorf("core: negative snapshot round count %d", s.Rounds)
@@ -111,11 +89,12 @@ func (m *Monitor) Restore(s Snap) error {
 	return nil
 }
 
-// stepper builds the round state machine for the next monitoring round
+// Stepper builds the round state machine for the next monitoring round
 // from the current snapshot: warm probe start when Pn is set, and a fast
 // accurate-only round when the FastRounds cadence and a warm estimate
-// allow.
-func (m *Monitor) stepper() *Stepper {
+// allow. The round changes nothing until its result is handed to Absorb,
+// so a round that fails or is cancelled leaves the warm state untouched.
+func (m *Monitor) Stepper() *Stepper {
 	cfg := m.est.cfg
 	if m.snap.Pn > 0 {
 		cfg.InitialPn = m.snap.Pn
@@ -126,22 +105,34 @@ func (m *Monitor) stepper() *Stepper {
 	return (&Estimator{cfg: cfg}).Stepper()
 }
 
-// Estimate runs the next monitoring round over the session.
-func (m *Monitor) Estimate(r *channel.Reader) (Result, error) {
-	return m.EstimateContext(nil, r)
+// Absorb commits a completed round's result to the warm-start state. The
+// saturated-round guard is part of the snapshot contract, not of any
+// particular execution loop: a saturated round produced a clamped
+// estimate (the observation was all-idle or all-busy), which is an
+// upper/lower resolution bound, not a measurement. Warm-starting the next
+// round from it would feed a fabricated lower bound into the optimal-p
+// search — after a population crash, every subsequent fast round would
+// keep probing at the stale rate and keep saturating. So a saturated
+// round clears the warm fields and the next round runs fully cold.
+func (m *Monitor) Absorb(res Result) {
+	m.snap.Rounds++
+	if res.Saturated {
+		m.snap.Pn = 0
+		m.snap.N = 0
+		return
+	}
+	if res.PsNum > 0 {
+		m.snap.Pn = res.PsNum
+	}
+	m.snap.N = res.Estimate
 }
 
-// EstimateContext is Estimate with per-round cancellation (see
-// Estimator.EstimateContext). A cancelled round does not advance the
-// monitor's warm-start state.
-func (m *Monitor) EstimateContext(ctx context.Context, r *channel.Reader) (Result, error) {
-	if r == nil {
-		return Result{}, errors.New("core: nil session")
-	}
-	res, err := driveStepper(ctx, r, m.stepper())
+// Estimate runs the next monitoring round over the session.
+func (m *Monitor) Estimate(r *channel.Reader) (Result, error) {
+	res, err := driveStepper(r, m.Stepper())
 	if err != nil {
 		return res, err
 	}
-	m.snap = m.snap.absorb(res)
+	m.Absorb(res)
 	return res, nil
 }

@@ -216,7 +216,7 @@ func (s *Stepper) Absorb(o channel.RoundObs) (bool, error) {
 
 // Result returns the protocol outcome accumulated so far. Cost and Seconds
 // are left zero: the driver that owns the session clock stamps them (see
-// Estimator.EstimateContext), keeping the Stepper free of session state.
+// driveStepper), keeping the Stepper free of session state.
 func (s *Stepper) Result() Result { return s.res }
 
 // Done reports whether the protocol has completed its accurate phase.

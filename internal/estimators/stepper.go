@@ -150,6 +150,11 @@ type bfceStepper struct {
 	core *core.Stepper
 }
 
+// BFCEStepper adapts a core BFCE round machine to Stepper, for callers
+// that build the machine themselves (a monitor's warm round, a run that
+// keeps the machine for its diagnostics) and drive it like any protocol.
+func BFCEStepper(st *core.Stepper) Stepper { return &bfceStepper{core: st} }
+
 // Stepper implements Steppable.
 func (b *BFCE) Stepper(acc Accuracy) (Stepper, error) {
 	acc.Validate()
@@ -160,7 +165,7 @@ func (b *BFCE) Stepper(acc Accuracy) (Stepper, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &bfceStepper{core: est.Stepper()}, nil
+	return BFCEStepper(est.Stepper()), nil
 }
 
 func (s *bfceStepper) Name() string                            { return "BFCE" }

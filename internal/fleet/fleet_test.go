@@ -170,9 +170,9 @@ func TestRunCancellation(t *testing.T) {
 }
 
 // TestRunMatchesDirectSaltedCalls pins the runner's seeding scheme: trial
-// t of job i must be exactly System.EstimateWithSalt with
-// Combine(seed, i, t) — so fleet results are reproducible outside the
-// fleet, one call at a time.
+// t of job i must be exactly System.Run under WithSeedSalt(Combine(seed,
+// i, t)) — so fleet results are reproducible outside the fleet, one call
+// at a time.
 func TestRunMatchesDirectSaltedCalls(t *testing.T) {
 	sys := rfidest.NewSystem(20000, rfidest.WithSeed(77), rfidest.WithSynthetic())
 	jobs := []Job{{System: sys, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1, Trials: 4}}
@@ -182,7 +182,7 @@ func TestRunMatchesDirectSaltedCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	for trial, got := range rep.Jobs[0].Estimates {
-		want, err := sys.EstimateWithSalt("BFCE", 0.1, 0.1, saltFor(seed, 0, trial))
+		want, err := sys.Run(context.Background(), rfidest.WithEstimator("BFCE"), rfidest.WithAccuracy(0.1, 0.1), rfidest.WithSeedSalt(saltFor(seed, 0, trial)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,8 +7,7 @@ import (
 
 	"rfidest/internal/channel"
 	"rfidest/internal/core"
-	"rfidest/internal/obs"
-	"rfidest/internal/stats"
+	"rfidest/internal/estimators"
 )
 
 // Monitor tracks a (possibly drifting) deployment with repeated BFCE
@@ -25,6 +24,7 @@ import (
 // different Monitors may share one System.
 type Monitor struct {
 	inner *core.Monitor
+	round *core.Stepper // the round Run is executing
 }
 
 // NewMonitor builds a monitor to the (ε, δ) requirement. fastRounds is how
@@ -46,8 +46,9 @@ func NewMonitor(epsilon, delta float64, fastRounds int) (*Monitor, error) {
 }
 
 // Run executes the next monitoring round against sys (typically a fresh
-// System per round, reflecting the deployment's current population),
-// mirroring (*System).Run: the context is checked before every protocol
+// System per round, reflecting the deployment's current population). The
+// round is the monitor's warm or fast BFCE machine stepped by the same
+// loop as (*System).Run: the context is checked before every protocol
 // round (a nil ctx disables cancellation), WithSeedSalt addresses the
 // round's session explicitly, WithTimeout bounds the round with a deadline,
 // and WithObserver attaches session spans, phase spans and metrics. A
@@ -60,10 +61,7 @@ func NewMonitor(epsilon, delta float64, fastRounds int) (*Monitor, error) {
 // state (the next round runs cold), and re-running it inside one round
 // would double-bill the deployment's air time.
 func (m *Monitor) Run(ctx context.Context, sys *System, opts ...Option) (Estimate, error) {
-	o := defaultRunOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := newRunOptions(opts)
 	switch {
 	case o.hasEstimator:
 		return Estimate{}, errors.New("rfidest: Monitor runs BFCE only; WithEstimator is not a monitor option")
@@ -71,80 +69,24 @@ func (m *Monitor) Run(ctx context.Context, sys *System, opts ...Option) (Estimat
 		return Estimate{}, errors.New("rfidest: a Monitor's accuracy is fixed at NewMonitor; WithAccuracy is not a monitor option")
 	case o.hasRetry:
 		return Estimate{}, errors.New("rfidest: WithRetry is not a monitor option; a saturated round already restarts the next round cold")
-	}
-	if sys == nil {
+	case sys == nil:
 		return Estimate{}, errors.New("rfidest: nil system")
 	}
-	if err := validateTimeout(o.timeout); err != nil {
-		return Estimate{}, err
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return Estimate{}, err
-		}
-	}
-	if o.timeout > 0 {
-		base := ctx
-		if base == nil {
-			base = context.Background() //lint:allow ctxbg WithTimeout on a nil-ctx monitor round needs a root to hang the deadline on
-		}
-		tctx, cancel := context.WithTimeout(base, o.timeout)
-		defer cancel()
-		ctx = tctx
-	}
-	open := sys.session
-	if o.hasSalt {
-		salt := o.salt
-		open = func() *channel.Reader { return sys.sessionAt(salt) }
-	}
-	session := open()
-	instrumented := o.observer != obs.Nop
-	if instrumented {
-		prev := session.Observer()
-		session.SetObserver(obs.Multi(prev, o.observer))
-		defer session.SetObserver(prev)
-		o.observer.SessionOpen("BFCE")
-	}
-	res, err := m.inner.EstimateContext(ctx, session)
-	if instrumented {
-		o.observer.SessionClose(obs.SessionStats{
-			Estimator:        "BFCE",
-			Estimate:         res.Estimate,
-			Rounds:           1,
-			Slots:            res.Cost.TagSlots,
-			ReaderBits:       res.Cost.ReaderBits,
-			Seconds:          res.Seconds,
-			TagTransmissions: session.TagTransmissions(),
-			Guarded:          res.Feasible,
-			Err:              err != nil,
-		})
-	}
+	est, err := sys.run(ctx, o, m)
+	round := m.round
+	m.round = nil
 	if err != nil {
 		return Estimate{}, err
 	}
-	out := Estimate{
-		N:                res.Estimate,
-		Seconds:          res.Seconds,
-		Slots:            res.Cost.TagSlots,
-		ReaderBits:       res.Cost.ReaderBits,
-		Rounds:           1,
-		Guarded:          res.Feasible,
-		TagTransmissions: session.TagTransmissions(),
-		Saturated:        res.Saturated,
-	}
-	sys.reportFaults(session, o.observer)
-	if instrumented && sys.n > 0 {
-		o.observer.EstimateError(stats.RelError(out.N, float64(sys.n)))
-	}
-	return out, nil
+	m.inner.Absorb(round.Result())
+	return est, nil
 }
 
-// Estimate runs the next monitoring round against sys.
-//
-// Deprecated: Estimate is Run without cancellation or options; new code
-// calls Run.
-func (m *Monitor) Estimate(sys *System) (Estimate, error) {
-	return m.Run(nil, sys)
+// nextStepper makes the monitor Run's stepper source: the monitor's warm
+// or fast round, kept so Run can commit its result once the round is done.
+func (m *Monitor) nextStepper() (estimators.Stepper, error) {
+	m.round = m.inner.Stepper()
+	return estimators.BFCEStepper(m.round), nil
 }
 
 // Rounds returns how many rounds the monitor has completed.

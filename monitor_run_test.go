@@ -2,47 +2,10 @@ package rfidest
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
-
-// TestMonitorRunMatchesEstimate: two identically-configured monitors, one
-// driven through the deprecated Estimate and one through Run with explicit
-// salts, must track the same deployment identically — Run is the same
-// round, not a variant of it.
-func TestMonitorRunMatchesEstimate(t *testing.T) {
-	old, err := NewMonitor(0.05, 0.05, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err := NewMonitor(0.05, 0.05, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 100000
-	for round := 0; round < 4; round++ {
-		// Two systems with the same seed expose identical sessions; the
-		// deprecated path consumes session 0 of one, Run takes the
-		// salt-addressed equivalent of the other.
-		sysA := NewSystem(n, WithSeed(uint64(700+round)))
-		sysB := NewSystem(n, WithSeed(uint64(700+round)))
-		want, err := old.Estimate(sysA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := now.Run(context.Background(), sysB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("round %d: Run %+v != Estimate %+v", round, got, want)
-		}
-		n = n * 103 / 100
-	}
-	if old.Rounds() != now.Rounds() {
-		t.Fatalf("round counters diverge: %d vs %d", old.Rounds(), now.Rounds())
-	}
-}
 
 // TestMonitorRunOptionRejection: the monitor's protocol, accuracy and
 // retry policy are fixed; the session-shaping options still work.
@@ -193,4 +156,48 @@ func TestMonitorSnapshotRestore(t *testing.T) {
 	if err := resumed.Restore(MonitorState{N: -1}); err == nil {
 		t.Error("negative estimate accepted")
 	}
+	// An infinite warm estimate would leave the next fast round no
+	// feasible persistence probability.
+	if err := resumed.Restore(MonitorState{Pn: snap.Pn, N: math.Inf(1), Rounds: 1}); err == nil {
+		t.Error("infinite estimate accepted")
+	}
+}
+
+// FuzzMonitorRestore: Restore is the decoder of durable monitor state
+// (checkpoint records, the serving layer's monitor table), so it must
+// reject every state the monitor cannot run from — NaN, ±Inf and negative
+// N, Pn outside [0, 1024), negative Rounds — accept the rest exactly, and
+// leave the next round a finite estimate or an error.
+func FuzzMonitorRestore(f *testing.F) {
+	f.Add(8, 50000.0, 3) // a warm state
+	f.Add(8, math.Inf(1), 3)
+	f.Add(8, math.NaN(), 3)
+	f.Add(1024, 50000.0, 3)
+	f.Add(8, 50000.0, -1)
+	sys := NewSystem(2000, WithSeed(5), WithSynthetic())
+	f.Fuzz(func(t *testing.T, pn int, n float64, rounds int) {
+		m, err := NewMonitor(0.05, 0.05, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := MonitorState{Pn: pn, N: n, Rounds: rounds}
+		err = m.Restore(st)
+		valid := pn >= 0 && pn < 1024 && n >= 0 && !math.IsInf(n, 1) && rounds >= 0
+		if valid != (err == nil) {
+			t.Fatalf("Restore(%+v): err = %v, want accepted = %v", st, err, valid)
+		}
+		if err != nil {
+			if m.Snapshot() != (MonitorState{}) {
+				t.Fatalf("rejected Restore(%+v) moved the state to %+v", st, m.Snapshot())
+			}
+			return
+		}
+		if got := m.Snapshot(); got != st {
+			t.Fatalf("Snapshot after Restore(%+v) = %+v", st, got)
+		}
+		est, err := m.Run(context.Background(), sys, WithSeedSalt(1))
+		if err == nil && (math.IsNaN(est.N) || math.IsInf(est.N, 0)) {
+			t.Fatalf("round after Restore(%+v) estimated %v", st, est.N)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package rfidest
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestMonitorFacadeTracksDrift(t *testing.T) {
 	n := 100000
 	for round := 0; round < 5; round++ {
 		sys := NewSystem(n, WithSeed(uint64(600+round)))
-		est, err := m.Estimate(sys)
+		est, err := m.Run(context.Background(), sys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,12 +34,12 @@ func TestMonitorFastRoundsCheaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys0 := NewSystem(150000, WithSeed(610))
-	full, err := m.Estimate(sys0)
+	full, err := m.Run(context.Background(), sys0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys1 := NewSystem(150000, WithSeed(611))
-	fast, err := m.Estimate(sys1)
+	fast, err := m.Run(context.Background(), sys1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestMonitorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Estimate(nil); err == nil {
+	if _, err := m.Run(context.Background(), nil); err == nil {
 		t.Fatal("nil system accepted")
 	}
 }
@@ -75,7 +76,7 @@ func TestMergeEstimatesUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := union.EstimateBFCE(0.05, 0.05)
+	est, err := union.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestMergedSystemInventoryAndEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := union.EstimateWith("EZB", 0.1, 0.1)
+	est, err := union.Run(context.Background(), WithEstimator("EZB"), WithAccuracy(0.1, 0.1))
 	if err != nil {
 		t.Fatal(err)
 	}

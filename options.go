@@ -35,13 +35,19 @@ type runOptions struct {
 	timeout      time.Duration
 }
 
-func defaultRunOptions() runOptions {
-	return runOptions{
+// newRunOptions applies opts over the defaults: BFCE at (0.05, 0.05),
+// counter-derived session, no observer, no retry, no deadline.
+func newRunOptions(opts []Option) runOptions {
+	o := runOptions{
 		estimator: "BFCE",
 		epsilon:   estimators.Default.Epsilon,
 		delta:     estimators.Default.Delta,
 		observer:  obs.Nop,
 	}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
 }
 
 // ErrUnknownEstimator is the sentinel behind the "unknown estimator" error

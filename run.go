@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"rfidest/internal/channel"
 	"rfidest/internal/core"
+	"rfidest/internal/estimators"
 	"rfidest/internal/obs"
 	"rfidest/internal/stats"
 )
@@ -37,9 +37,9 @@ type MetricsSnapshot = obs.Snapshot
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // Run executes one estimation over the system: it opens a fresh session
-// (counter-derived, or salt-addressed under WithSalt), runs the selected
-// protocol to the accuracy requirement, and returns the estimate. With no
-// options it runs BFCE at the paper's (0.05, 0.05) requirement.
+// (counter-derived, or salt-addressed under WithSeedSalt), runs the
+// selected protocol to the accuracy requirement, and returns the estimate.
+// With no options it runs BFCE at the paper's (0.05, 0.05) requirement.
 //
 // The context is checked before the run starts and again before every
 // protocol round; the round in flight always completes, so a cancelled run
@@ -52,10 +52,14 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // a StartRun/Step loop; callers that need to own the round schedule
 // (interleaving, round-granular deadlines) use those directly.
 func (s *System) Run(ctx context.Context, opts ...Option) (Estimate, error) {
-	o := defaultRunOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
+	return s.run(ctx, newRunOptions(opts), nil)
+}
+
+// run is the one execution loop behind Run, RunBFCEDetail and
+// Monitor.Run: options, then deadline, then session, then startRun, then
+// Step until done. src, when non-nil, supplies each attempt's round
+// machine in place of the estimator registry.
+func (s *System) run(ctx context.Context, o runOptions, src stepperSource) (Estimate, error) {
 	if ctx == nil {
 		ctx = context.Background() //lint:allow ctxbg documented nil-ctx convenience default
 	}
@@ -71,21 +75,7 @@ func (s *System) Run(ctx context.Context, opts ...Option) (Estimate, error) {
 		defer cancel()
 		o.timeout = 0 // applied here; the RunSession must not arm a second timer
 	}
-	open := s.session
-	if o.hasSalt {
-		salt := o.salt
-		open = func() *channel.Reader { return s.sessionAt(salt) }
-	}
-	return s.runOn(ctx, open, o)
-}
-
-// runOn validates the options, opens a session via open and drives the
-// selected protocol's round machine to completion. It is Run's execution
-// loop, and so that of the deprecated EstimateBFCE, EstimateWith and
-// EstimateWithSalt wrappers; RunBFCEDetail (behind EstimateBFCEDetail)
-// drives core's retry loop itself to keep BFCE's internal diagnostics.
-func (s *System) runOn(ctx context.Context, open func() *channel.Reader, o runOptions) (Estimate, error) {
-	rs, err := s.startRun(open, o)
+	rs, err := s.startRun(o, src)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -95,10 +85,9 @@ func (s *System) runOn(ctx context.Context, open func() *channel.Reader, o runOp
 			return Estimate{}, err
 		}
 		if done {
-			break
+			return rs.Result()
 		}
 	}
-	return rs.Result()
 }
 
 // validateRetry is the WithRetry domain check. The budget comparison is
@@ -111,21 +100,6 @@ func validateRetry(retries int, budget float64) error {
 		return fmt.Errorf("rfidest: retry budget must be >= 0 seconds, got %v", budget)
 	}
 	return nil
-}
-
-// reportFaults forwards the session's injector counters (if a fault
-// injector is installed and fired) to the observer, once per run.
-func (s *System) reportFaults(session *channel.Reader, o obs.Observer) {
-	if o == obs.Nop {
-		return
-	}
-	fs, ok := session.Engine.(interface{ FaultStats() obs.FaultStats })
-	if !ok {
-		return
-	}
-	if st := fs.FaultStats(); st != (obs.FaultStats{}) {
-		o.Faults(st)
-	}
 }
 
 // validateAccuracy is the one (ε, δ) domain check behind every public
@@ -141,98 +115,52 @@ func validateAccuracy(epsilon, delta float64) error {
 
 // RunBFCEDetail is Run restricted to BFCE, returning the protocol's
 // internal diagnostics alongside the estimate. WithEstimator selecting
-// anything but BFCE is an error; the other options behave as in Run.
+// anything but BFCE is an error; the other options behave as in Run, and
+// the Estimate is the one Run returns for the same options. Under
+// WithRetry the diagnostics describe the last attempt, except ProbeRounds,
+// which sums every attempt.
 func (s *System) RunBFCEDetail(ctx context.Context, opts ...Option) (BFCEDetail, error) {
-	o := defaultRunOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if ctx == nil {
-		ctx = context.Background() //lint:allow ctxbg documented nil-ctx convenience default
-	}
-	if err := ctx.Err(); err != nil {
-		return BFCEDetail{}, err
-	}
+	o := newRunOptions(opts)
 	if o.estimator != "BFCE" {
 		return BFCEDetail{}, fmt.Errorf("rfidest: RunBFCEDetail runs BFCE only, got estimator %q", o.estimator)
 	}
-	if err := validateAccuracy(o.epsilon, o.delta); err != nil {
-		return BFCEDetail{}, err
-	}
-	if err := validateRetry(o.retries, o.retryBudget); err != nil {
-		return BFCEDetail{}, err
-	}
-	if err := validateTimeout(o.timeout); err != nil {
-		return BFCEDetail{}, err
-	}
-	if o.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.timeout)
-		defer cancel()
-	}
-	est, err := core.New(core.Config{Epsilon: o.epsilon, Delta: o.delta})
+	rounds := &detailRounds{cfg: core.Config{Epsilon: o.epsilon, Delta: o.delta}}
+	est, err := s.run(ctx, o, rounds)
 	if err != nil {
 		return BFCEDetail{}, err
 	}
-	session := s.session
-	if o.hasSalt {
-		salt := o.salt
-		session = func() *channel.Reader { return s.sessionAt(salt) }
-	}
-	r := session()
-	instrumented := o.observer != obs.Nop
-	if instrumented {
-		r.SetObserver(o.observer)
-		o.observer.SessionOpen("BFCE")
-	}
-	res, err := est.EstimateRetry(ctx, r, core.RetryPolicy{MaxRetries: o.retries, BudgetSeconds: o.retryBudget})
-	if instrumented {
-		for i := 1; i <= res.Retries; i++ {
-			o.observer.Retry("BFCE", i)
-		}
-		if o.retries > 0 && (res.Saturated || !res.Feasible) {
-			o.observer.Degraded("BFCE")
-		}
-	}
-	if instrumented {
-		o.observer.SessionClose(obs.SessionStats{
-			Estimator:        "BFCE",
-			Estimate:         res.Estimate,
-			Rounds:           1,
-			Slots:            res.Cost.TagSlots,
-			ReaderBits:       res.Cost.ReaderBits,
-			Seconds:          res.Seconds,
-			TagTransmissions: r.TagTransmissions(),
-			Guarded:          res.Feasible,
-			Err:              err != nil,
-		})
-	}
-	if err != nil {
-		return BFCEDetail{}, err
-	}
-	out := BFCEDetail{
-		Estimate: Estimate{
-			N:                res.Estimate,
-			Seconds:          res.Seconds,
-			Slots:            res.Cost.TagSlots,
-			ReaderBits:       res.Cost.ReaderBits,
-			Rounds:           1 + res.Retries,
-			Guarded:          res.Feasible,
-			TagTransmissions: r.TagTransmissions(),
-			Saturated:        res.Saturated,
-			Retries:          res.Retries,
-		},
+	res := rounds.cur.Result()
+	return BFCEDetail{
+		Estimate:    est,
 		Rough:       res.Rough,
 		LowerBound:  res.LowerBound,
 		ProbePn:     res.PsNum,
 		OptimalPn:   res.PoNum,
-		ProbeRounds: res.ProbeRounds,
+		ProbeRounds: rounds.probes + res.ProbeRounds,
 		Feasible:    res.Feasible,
 		Saturated:   res.Saturated,
+	}, nil
+}
+
+// detailRounds is RunBFCEDetail's stepper source: a fresh BFCE machine per
+// attempt, the current one kept for its diagnostics and the probe rounds
+// of the earlier attempts summed.
+type detailRounds struct {
+	cfg    core.Config
+	cur    *core.Stepper
+	probes int
+}
+
+func (d *detailRounds) nextStepper() (estimators.Stepper, error) {
+	// Built per attempt, after startRun has validated the accuracy: core
+	// would silently default a zero epsilon or delta.
+	est, err := core.New(d.cfg)
+	if err != nil {
+		return nil, err
 	}
-	s.reportFaults(r, o.observer)
-	if instrumented && s.n > 0 {
-		o.observer.EstimateError(stats.RelError(out.Estimate.N, float64(s.n)))
+	if d.cur != nil {
+		d.probes += d.cur.Result().ProbeRounds
 	}
-	return out, nil
+	d.cur = est.Stepper()
+	return estimators.BFCEStepper(d.cur), nil
 }

@@ -17,11 +17,15 @@ import (
 // executes exactly one round (one reader broadcast plus one observed
 // frame); Result returns the estimate once Step reports done.
 //
-// A stepped run is bit-identical to Run with the same options — Run itself
-// is a StartRun/Step loop — but the caller owns the schedule: rounds of
-// several sessions can be interleaved (the fleet harness's -interleave
-// mode drives many RunSession-shaped runs round-robin), a deadline can cut
-// a run at a round boundary, and progress can be observed mid-protocol.
+// RunSession is the one loop that executes an estimate in this package:
+// Run, RunBFCEDetail and Monitor.Run each step one to completion, so the
+// deadline, session spans, retry ladder, fault forwarding and error
+// metric behave the same whichever entry point started the run. A
+// stepped run is bit-identical to Run with the same options, but the
+// caller owns the schedule: rounds of several sessions can be interleaved
+// (the fleet harness's -interleave mode drives many RunSession-shaped runs
+// round-robin), a deadline can cut a run at a round boundary, and
+// progress can be observed mid-protocol.
 //
 // A RunSession is single-goroutine; concurrent runs take one RunSession
 // each (the underlying System stays shared and safe).
@@ -29,8 +33,9 @@ type RunSession struct {
 	sys  *System
 	o    runOptions
 	name string
-	est  estimators.Estimator
+	est  estimators.Estimator // registry protocol, when src is nil
 	acc  estimators.Accuracy
+	src  stepperSource // caller-supplied round machines, or nil
 	st   estimators.Stepper
 	r    *channel.Reader
 	prev obs.Observer
@@ -50,30 +55,35 @@ type RunSession struct {
 	err      error
 }
 
-// StartRun validates the options, opens a fresh session (counter-derived,
-// or salt-addressed under WithSalt) and returns the run paused before its
-// first round. The options are those of Run; nothing executes until Step.
-func (s *System) StartRun(opts ...Option) (*RunSession, error) {
-	o := defaultRunOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	open := s.session
-	if o.hasSalt {
-		salt := o.salt
-		open = func() *channel.Reader { return s.sessionAt(salt) }
-	}
-	return s.startRun(open, o)
+// stepperSource supplies the round machine of each attempt a RunSession
+// starts, in place of the estimator registry: RunBFCEDetail hands over
+// BFCE machines it keeps for their diagnostics, Monitor.Run the monitor's
+// warm or fast round.
+type stepperSource interface {
+	nextStepper() (estimators.Stepper, error)
 }
 
-// startRun is the shared constructor behind StartRun and runOn. The
-// operation order (estimator lookup, accuracy validation, stepper build,
-// then session open) is load-bearing — the session counter must not
-// advance for invalid calls.
-func (s *System) startRun(open func() *channel.Reader, o runOptions) (*RunSession, error) {
-	est, err := estimators.New(o.estimator)
-	if err != nil {
-		return nil, fmt.Errorf("rfidest: %w", err)
+// StartRun validates the options, opens a fresh session (counter-derived,
+// or salt-addressed under WithSeedSalt) and returns the run paused before
+// its first round. The options are those of Run; nothing executes until
+// Step.
+func (s *System) StartRun(opts ...Option) (*RunSession, error) {
+	return s.startRun(newRunOptions(opts), nil)
+}
+
+// startRun is the shared constructor behind StartRun and the run loop;
+// src, when non-nil, replaces the registry as the source of each
+// attempt's round machine. The operation order (estimator lookup,
+// option validation, stepper build, then session open) is load-bearing —
+// the session counter must not advance for invalid calls.
+func (s *System) startRun(o runOptions, src stepperSource) (*RunSession, error) {
+	rs := &RunSession{sys: s, o: o, src: src}
+	if src == nil {
+		est, err := estimators.New(o.estimator)
+		if err != nil {
+			return nil, fmt.Errorf("rfidest: %w", err)
+		}
+		rs.est, rs.acc = est, estimators.Accuracy{Epsilon: o.epsilon, Delta: o.delta}
 	}
 	if err := validateAccuracy(o.epsilon, o.delta); err != nil {
 		return nil, err
@@ -84,12 +94,16 @@ func (s *System) startRun(open func() *channel.Reader, o runOptions) (*RunSessio
 	if err := validateTimeout(o.timeout); err != nil {
 		return nil, err
 	}
-	acc := estimators.Accuracy{Epsilon: o.epsilon, Delta: o.delta}
-	st, err := estimators.AsStepper(est, acc)
+	st, err := rs.nextStepper()
 	if err != nil {
 		return nil, err
 	}
-	rs := &RunSession{sys: s, o: o, name: est.Name(), est: est, acc: acc, st: st, r: open()}
+	rs.st, rs.name = st, st.Name()
+	if o.hasSalt {
+		rs.r = s.sessionAt(o.salt)
+	} else {
+		rs.r = s.session()
+	}
 	rs.attemptStart = rs.r.Cost()
 	if rs.instrumented() {
 		rs.prev = rs.r.Observer()
@@ -97,6 +111,14 @@ func (s *System) startRun(open func() *channel.Reader, o runOptions) (*RunSessio
 		o.observer.SessionOpen(rs.name)
 	}
 	return rs, nil
+}
+
+// nextStepper builds the round machine of the next attempt.
+func (rs *RunSession) nextStepper() (estimators.Stepper, error) {
+	if rs.src != nil {
+		return rs.src.nextStepper()
+	}
+	return estimators.AsStepper(rs.est, rs.acc)
 }
 
 func (rs *RunSession) instrumented() bool { return rs.o.observer != obs.Nop }
@@ -177,7 +199,7 @@ func (rs *RunSession) Step(ctx context.Context) (done bool, err error) {
 		!(rs.o.retryBudget > 0 && rs.total.Seconds >= rs.o.retryBudget) {
 		rs.attempt++
 		rs.o.observer.Retry(rs.name, rs.attempt)
-		st, err := estimators.AsStepper(rs.est, rs.acc)
+		st, err := rs.nextStepper()
 		if err != nil {
 			return true, rs.fail(err)
 		}
@@ -228,13 +250,25 @@ func (rs *RunSession) settle() {
 	out.TagTransmissions = rs.r.TagTransmissions()
 	if rs.instrumented() {
 		rs.r.SetObserver(rs.prev)
-	}
-	rs.sys.reportFaults(rs.r, rs.o.observer)
-	if rs.o.observer != obs.Nop && rs.sys.n > 0 {
-		rs.o.observer.EstimateError(stats.RelError(out.N, float64(rs.sys.n)))
+		rs.reportFaults()
+		if rs.sys.n > 0 {
+			rs.o.observer.EstimateError(stats.RelError(out.N, float64(rs.sys.n)))
+		}
 	}
 	rs.finished = true
 	rs.out = out
+}
+
+// reportFaults forwards the session's injector counters (if a fault
+// injector is installed and fired) to the observer, once per run.
+func (rs *RunSession) reportFaults() {
+	fs, ok := rs.r.Engine.(interface{ FaultStats() obs.FaultStats })
+	if !ok {
+		return
+	}
+	if st := fs.FaultStats(); st != (obs.FaultStats{}) {
+		rs.o.observer.Faults(st)
+	}
 }
 
 // Result returns the estimate of a completed run. Calling it before Step

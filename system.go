@@ -44,12 +44,12 @@ func (d Distribution) String() string { return d.internal().String() }
 //
 // Concurrency contract: the population and configuration are immutable
 // once built, and each estimation call opens a fresh reader session over
-// them, so Estimate* calls are safe to issue from any number of goroutines
+// them, so Run calls are safe to issue from any number of goroutines
 // against one shared System — the only cross-session state is the session
 // counter, which is advanced atomically. Counter-derived sessions make
 // calls independent but their numbering scheduling-dependent; callers that
 // need results reproducible under concurrency (the internal/fleet runner)
-// address sessions by explicit salt via EstimateWithSalt instead.
+// address sessions by explicit salt via WithSeedSalt instead.
 type System struct {
 	n         int
 	dist      Distribution
