@@ -3,7 +3,9 @@
 // internal/fleet worker pool and prints a throughput/accuracy report.
 // It is the load harness for the concurrent session layer: many
 // independent reader sessions in flight against shared Systems, with
-// results bit-identical for a fixed seed no matter the worker count.
+// results bit-identical for a fixed seed no matter the worker count or
+// scheduling mode. -retry and -trial-timeout reach every job as
+// rfidest.WithRetry and rfidest.WithTimeout in its Options.
 //
 // Usage examples:
 //
@@ -11,8 +13,7 @@
 //	rfidfleet -systems 16 -trials 10 -workers 4    # bounded pool
 //	rfidfleet -estimators BFCE -min-n 1e4 -max-n 1e6
 //	rfidfleet -tag-level -noise 0.001              # per-tag fidelity + noise
-//	rfidfleet -faults 0.5 -retry 2                 # lossy channels + retries
-//	rfidfleet -retry 2 -retry-backoff 0.25         # exponential air-time backoff
+//	rfidfleet -faults 0.5 -retry 2                 # lossy channels + WithRetry
 //	rfidfleet -trial-timeout 1s                    # per-trial deadline
 //	rfidfleet -interleave                          # breadth-first round scheduler
 //	rfidfleet -timeout 10s                         # cancel long batches
@@ -55,9 +56,8 @@ func run() int {
 		tagLevel     = flag.Bool("tag-level", false, "materialize tag populations (default: exact synthetic channel)")
 		noise        = flag.Float64("noise", 0, "symmetric per-slot reader error rate applied to half the systems")
 		faults       = flag.Float64("faults", 0, "channel fault severity in [0, 1]: scales burst noise, erasures, truncation and reader stalls on every system (0 = no injection)")
-		retry        = flag.Int("retry", 0, "re-run a failed or saturated trial up to this many times before degrading the job")
-		retryBackoff = flag.Float64("retry-backoff", 0, "simulated air-time backoff in seconds before retry k (doubles each attempt)")
-		trialTimeout = flag.Duration("trial-timeout", 0, "per-trial deadline; a timed-out attempt is retried like any other failure (0 = no limit)")
+		retry        = flag.Int("retry", 0, "re-run a saturated round up to this many times inside its trial (rfidest.WithRetry); a trial still saturated degrades the job")
+		trialTimeout = flag.Duration("trial-timeout", 0, "per-trial deadline; a timed-out trial fails its job (0 = no limit)")
 		interleave   = flag.Bool("interleave", false, "run the batch on the deterministic round scheduler (breadth-first across jobs)")
 		timeout      = flag.Duration("timeout", 0, "cancel the batch after this long (0 = no limit)")
 		verbose      = flag.Bool("v", false, "also print one line per job")
@@ -74,8 +74,8 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "rfidfleet: -faults must be in [0, 1], got %v\n", *faults)
 		return 2
 	}
-	if *retry < 0 || !(*retryBackoff >= 0) || *trialTimeout < 0 {
-		fmt.Fprintln(os.Stderr, "rfidfleet: need retry >= 0, retry-backoff >= 0, trial-timeout >= 0")
+	if *retry < 0 || *trialTimeout < 0 {
+		fmt.Fprintln(os.Stderr, "rfidfleet: need retry >= 0, trial-timeout >= 0")
 		return 2
 	}
 	if *metrics != "" && *metrics != "text" && *metrics != "json" {
@@ -131,8 +131,7 @@ func run() int {
 		systems: *systems, minN: *minN, maxN: *maxN, names: names,
 		eps: *eps, delta: *delta, trials: *trials, seed: *seed,
 		tagLevel: *tagLevel, noise: *noise,
-		faults: *faults, retry: *retry, retryBackoff: *retryBackoff,
-		trialTimeout: *trialTimeout,
+		faults: *faults, retry: *retry, trialTimeout: *trialTimeout,
 	})
 
 	ctx := context.Background()
@@ -215,7 +214,6 @@ type workloadSpec struct {
 	noise        float64
 	faults       float64
 	retry        int
-	retryBackoff float64
 	trialTimeout time.Duration
 }
 
@@ -223,8 +221,9 @@ type workloadSpec struct {
 // log-spaced cardinalities cycling through the three tagID distributions,
 // every other one noisy when a noise rate is set, crossed with the chosen
 // estimators. A non-zero fault severity installs the severity-scaled
-// channel-fault plan on every system; retry/backoff and the per-trial
-// deadline ride along on every job. Everything derives from seed, so a
+// channel-fault plan on every system; the retry count (as
+// rfidest.WithRetry) and the per-trial deadline (as rfidest.WithTimeout)
+// ride along in every job's Options. Everything derives from seed, so a
 // fixed command line is a fixed workload.
 func buildWorkload(spec workloadSpec) []fleet.Job {
 	dists := []rfidest.Distribution{rfidest.Uniform, rfidest.ApproxNormal, rfidest.Normal}
@@ -256,17 +255,18 @@ func buildWorkload(spec workloadSpec) []fleet.Job {
 		if spec.trialTimeout > 0 {
 			runOpts = append(runOpts, rfidest.WithTimeout(spec.trialTimeout))
 		}
+		if spec.retry > 0 {
+			runOpts = append(runOpts, rfidest.WithRetry(spec.retry, 0))
+		}
 		for _, name := range spec.names {
 			jobs = append(jobs, fleet.Job{
-				Name:                fmt.Sprintf("n=%d(%s)/%s", n, variant, name),
-				System:              sys,
-				Estimator:           name,
-				Epsilon:             spec.eps,
-				Delta:               spec.delta,
-				Trials:              spec.trials,
-				Retries:             spec.retry,
-				RetryBackoffSeconds: spec.retryBackoff,
-				Options:             runOpts,
+				Name:      fmt.Sprintf("n=%d(%s)/%s", n, variant, name),
+				System:    sys,
+				Estimator: name,
+				Epsilon:   spec.eps,
+				Delta:     spec.delta,
+				Trials:    spec.trials,
+				Options:   runOpts,
 			})
 		}
 	}

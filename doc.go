@@ -87,11 +87,13 @@
 // recovery cost. Degradation is never an error. Both mechanisms are
 // strictly passive by default (a zero plan and an unused retry budget
 // replay bit-identically to a plain run), and fault schedules are a pure
-// function of (system seed, plan, session salt). The fleet runner extends
-// the same policy to batches: jobs with retries degrade to partial
-// results (JobResult.Degraded) instead of failing, with exponential
-// backoff charged in simulated air time and optional per-trial context
-// deadlines. See internal/faults and DESIGN.md §14.
+// function of (system seed, plan, session salt). The fleet runner takes
+// WithRetry and WithTimeout through a job's Options and adds no ladder of
+// its own: a saturated trial is kept and flags its job
+// (JobResult.Degraded), a trial error fails its job but never the batch,
+// and the job's air time counts every attempt. UPE reads slot states,
+// which the fault injector does not model, so it refuses a faulted system
+// with an error. See internal/faults and DESIGN.md §14.
 //
 // # What is simulated
 //

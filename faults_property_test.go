@@ -58,6 +58,31 @@ func TestFaultsEveryInjectorEndToEnd(t *testing.T) {
 	}
 }
 
+// TestUPERefusesFaultedEngine: UPE reads slot states (empty, single,
+// collision), which the fault injector does not model. On a faulted
+// system, synthetic or tag-level, the run fails with an error before its
+// first broadcast, so it charges no air time; the same system without
+// faults still runs UPE.
+func TestUPERefusesFaultedEngine(t *testing.T) {
+	for name, opts := range map[string][]SystemOption{
+		"synthetic": {WithSeed(34), WithSynthetic()},
+		"tag-level": {WithSeed(34)},
+	} {
+		faulted := NewSystem(1000, append(opts, WithFaults(FaultSeverity(0.5)))...)
+		reg := NewMetrics()
+		if _, err := faulted.Run(context.Background(), WithEstimator("UPE"), WithObserver(reg)); err == nil {
+			t.Fatalf("%s: UPE ran on a faulted channel", name)
+		}
+		if s := reg.Snapshot(); s.ReaderBits != 0 || s.Slots != 0 || s.AirTimeSeconds.Sum != 0 {
+			t.Errorf("%s: refused run charged air: reader bits %d, slots %d, %v s",
+				name, s.ReaderBits, s.Slots, s.AirTimeSeconds.Sum)
+		}
+		if _, err := NewSystem(1000, opts...).Run(context.Background(), WithEstimator("UPE")); err != nil {
+			t.Errorf("%s: UPE without faults: %v", name, err)
+		}
+	}
+}
+
 // TestFaultsDeterministicPerSalt pins the injectors' determinism contract:
 // equal (system seed, plan, salt) replays a bit-identical estimate and a
 // bit-identical fault schedule, measured through the metrics registry.

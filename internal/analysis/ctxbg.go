@@ -10,8 +10,8 @@ import (
 // thread its caller's context instead of minting a fresh root with
 // context.Background() or context.TODO(). A silently-minted root context
 // is how per-trial deadlines and batch cancellation get severed from the
-// work they are supposed to bound (the pre-fix runJob bug: trials ran
-// under context.Background() and ignored the batch deadline entirely).
+// work they are supposed to bound (an early fleet bug: trials ran under
+// context.Background() and ignored the batch deadline entirely).
 //
 // Covered packages are the module root and everything under internal/;
 // cmd/ and examples/ are allowlisted because a process entry point is

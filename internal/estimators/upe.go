@@ -2,6 +2,7 @@ package estimators
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"rfidest/internal/channel"
@@ -50,6 +51,11 @@ func (u *UPE) Name() string {
 func (u *UPE) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
 	if r == nil {
 		return Result{}, errors.New("estimators: nil session")
+	}
+	// Refuse before the first broadcast, so a refused run costs no air
+	// time: fault injection (faults.Engine) does not model slot states.
+	if _, ok := r.Engine.(channel.OccupancyEngine); !ok {
+		return Result{}, fmt.Errorf("estimators: UPE needs slot-state frames, which a %T channel does not model", r.Engine)
 	}
 	acc.Validate()
 	start := r.Cost()

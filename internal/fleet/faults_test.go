@@ -12,10 +12,10 @@ import (
 	"rfidest/internal/obs"
 )
 
-// faultedBatch is the acceptance workload from the issue: a healthy job
-// estimating through a lossy channel with retries, an all-idle job whose
-// every attempt saturates (so it must degrade, not fail), and a clean
-// control job with no faults and no retries.
+// faultedBatch is a healthy job estimating through a lossy channel under
+// WithRetry, an all-idle job whose every round saturates (so it must
+// degrade, not fail), and a clean control job with no faults and no
+// retries.
 func faultedBatch() []Job {
 	lossy := rfidest.NewSystem(20000, rfidest.WithSeed(91),
 		rfidest.WithFaults(rfidest.FaultSeverity(0.5)))
@@ -23,19 +23,19 @@ func faultedBatch() []Job {
 	clean := rfidest.NewSystem(15000, rfidest.WithSeed(93))
 	return []Job{
 		{Name: "lossy", System: lossy, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1,
-			Trials: 3, Retries: 2, RetryBackoffSeconds: 0.25},
+			Trials: 3, Options: []rfidest.Option{rfidest.WithRetry(2, 0)}},
 		{Name: "empty", System: empty, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1,
-			Trials: 2, Retries: 1, RetryBackoffSeconds: 0.5},
+			Trials: 2, Options: []rfidest.Option{rfidest.WithRetry(1, 0)}},
 		{Name: "clean", System: clean, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1,
 			Trials: 2},
 	}
 }
 
-// TestRunFaultedBatchDegradesInsteadOfFailing is the tentpole acceptance
-// test: with faults and retries on, a mixed batch completes with zero
-// failed jobs, Degraded is set exactly on the jobs whose retries were
-// exhausted, and the observer's fault/retry counters replay
-// bit-identically across two identical runs.
+// TestRunFaultedBatchDegradesInsteadOfFailing: with faults and WithRetry
+// on, a mixed batch completes with zero failed jobs, Degraded is set
+// exactly on the jobs whose estimates stayed saturated, and the
+// observer's fault/retry counters replay bit-identically across two
+// identical runs.
 func TestRunFaultedBatchDegradesInsteadOfFailing(t *testing.T) {
 	run := func() (*Report, obs.Snapshot) {
 		reg := obs.NewRegistry()
@@ -66,22 +66,18 @@ func TestRunFaultedBatchDegradesInsteadOfFailing(t *testing.T) {
 	if empty.DegradedTrials != 2 || len(empty.Estimates) != 2 {
 		t.Fatalf("empty job: degraded trials %d / estimates %d, want 2/2", empty.DegradedTrials, len(empty.Estimates))
 	}
-	// Every attempt saturates, so each trial burns its full retry budget.
-	if empty.Retries != 2*empty.Job.Retries {
-		t.Fatalf("empty job retries = %d, want %d", empty.Retries, 2*empty.Job.Retries)
-	}
-	// One 0.5 s backoff per trial (Retries = 1, so no exponential step).
-	if empty.BackoffSeconds != 1.0 {
-		t.Fatalf("empty job backoff = %v s, want 1.0", empty.BackoffSeconds)
+	// Every round saturates, so each trial burns its one retry.
+	if empty.Retries != 2 {
+		t.Fatalf("empty job retries = %d, want 2", empty.Retries)
 	}
 	for _, est := range empty.Estimates {
-		if !est.Saturated {
-			t.Fatal("accepted empty-population estimate lost its Saturated flag")
+		if !est.Saturated || est.Retries != 1 {
+			t.Fatalf("accepted empty-population estimate: saturated=%v retries=%d, want true/1", est.Saturated, est.Retries)
 		}
 	}
 
 	clean := byName["clean"]
-	if clean.Degraded || clean.Retries != 0 || clean.BackoffSeconds != 0 {
+	if clean.Degraded || clean.Retries != 0 {
 		t.Fatalf("clean control job picked up degradation state: %+v", clean)
 	}
 
@@ -141,27 +137,17 @@ func TestRunFaultedBatchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunAttemptTimeout pins the per-attempt deadline a job sets with
+// TestRunAttemptTimeout pins the per-trial deadline a job sets with
 // rfidest.WithTimeout in Job.Options, in both scheduling modes: an expired
-// deadline fails the attempt at its first round boundary; with retries the
-// job degrades, without them it fails; a negative deadline is a per-job
-// failure from rfidest's own validation — and a generous deadline is inert.
+// deadline fails the trial at its first round boundary, and fails the job
+// with or without WithRetry; a negative deadline is a per-job failure from
+// rfidest's own validation — and a generous deadline is inert.
 func TestRunAttemptTimeout(t *testing.T) {
 	sys := rfidest.NewSystem(5000, rfidest.WithSeed(94))
 	job := Job{System: sys, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1, Trials: 2}
-	timed := func(j Job, d time.Duration) Job {
-		j.Options = []rfidest.Option{rfidest.WithTimeout(d)}
+	timed := func(j Job, d time.Duration, opts ...rfidest.Option) Job {
+		j.Options = append([]rfidest.Option{rfidest.WithTimeout(d)}, opts...)
 		return j
-	}
-	// Options hold closures, which never compare equal; drop them so the
-	// rest of the report can be compared whole.
-	noOptions := func(rep *Report) *Report {
-		c := stripWall(rep)
-		c.Jobs = append([]JobResult(nil), rep.Jobs...)
-		for i := range c.Jobs {
-			c.Jobs[i].Job.Options = nil
-		}
-		return c
 	}
 	for _, interleave := range []bool{false, true} {
 		cfg := Config{Seed: 9, Interleave: interleave}
@@ -173,12 +159,12 @@ func TestRunAttemptTimeout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(noOptions(base), noOptions(roomy)) {
+		if !reflect.DeepEqual(stripWall(base), stripWall(roomy)) {
 			t.Fatalf("interleave=%v: a generous trial timeout perturbed results", interleave)
 		}
 
-		// A deadline that expires before the first round: without retries
-		// the job fails at trial 0 ...
+		// A deadline that expires before the first round fails the job at
+		// trial 0 ...
 		rep, err := Run(context.Background(), cfg, []Job{timed(job, time.Nanosecond)})
 		if err != nil {
 			t.Fatal(err)
@@ -186,19 +172,18 @@ func TestRunAttemptTimeout(t *testing.T) {
 		if rep.Failed != 1 || !errors.Is(rep.Jobs[0].Err, context.DeadlineExceeded) || rep.Jobs[0].FailedAt != 0 {
 			t.Fatalf("interleave=%v: timeout without retries should fail the job: %+v", interleave, rep.Jobs[0])
 		}
-		// ... and with retries it degrades instead, completing no trials but
-		// poisoning neither the batch nor sibling jobs.
-		retrying := timed(job, time.Nanosecond)
-		retrying.Retries = 2
-		rep, err = Run(context.Background(), cfg, []Job{retrying, job})
+		// ... and WithRetry does not change that: an expired deadline is no
+		// saturated round, so nothing is re-run. The job fails without
+		// poisoning the batch or its sibling.
+		rep, err = Run(context.Background(), cfg, []Job{timed(job, time.Nanosecond, rfidest.WithRetry(2, 0)), job})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Failed != 0 {
-			t.Fatalf("interleave=%v: timeout with retries must not fail the job: %+v", interleave, rep.Jobs[0])
+		if rep.Failed != 1 || !errors.Is(rep.Jobs[0].Err, context.DeadlineExceeded) || rep.Jobs[0].FailedAt != 0 {
+			t.Fatalf("interleave=%v: timeout under WithRetry should fail the job: %+v", interleave, rep.Jobs[0])
 		}
-		if !rep.Jobs[0].Degraded || rep.Jobs[0].Err != nil || len(rep.Jobs[0].Estimates) != 0 {
-			t.Fatalf("interleave=%v: timeout with retries should degrade: %+v", interleave, rep.Jobs[0])
+		if rep.Jobs[0].Degraded || rep.Jobs[0].Retries != 0 || len(rep.Jobs[0].Estimates) != 0 {
+			t.Fatalf("interleave=%v: timed-out job must not degrade or retry: %+v", interleave, rep.Jobs[0])
 		}
 		pair, err := Run(context.Background(), cfg, []Job{job, job})
 		if err != nil {
@@ -220,22 +205,84 @@ func TestRunAttemptTimeout(t *testing.T) {
 	}
 }
 
-// TestRunRetryValidation: degenerate job retry parameters are rejected
-// before any trial runs.
+// TestRunRetryValidation: WithRetry arguments rfidest rejects fail that
+// job at trial 0 with rfidest's validation error, not the batch, and the
+// sibling job runs on.
 func TestRunRetryValidation(t *testing.T) {
 	sys := rfidest.NewSystem(100, rfidest.WithSeed(1))
-	bad := []Job{{System: sys, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1, Retries: -1}}
-	if _, err := Run(context.Background(), Config{}, bad); err == nil {
-		t.Fatal("negative retries accepted")
-	}
-	nanBackoff := []Job{{System: sys, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1,
-		RetryBackoffSeconds: nan()}}
-	if _, err := Run(context.Background(), Config{}, nanBackoff); err == nil {
-		t.Fatal("NaN retry backoff accepted")
+	for _, bad := range []rfidest.Option{rfidest.WithRetry(-1, 0), rfidest.WithRetry(1, nan())} {
+		rep, err := Run(context.Background(), Config{}, []Job{
+			{System: sys, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1, Options: []rfidest.Option{bad}},
+			{System: sys, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1},
+		})
+		if err != nil {
+			t.Fatalf("an invalid retry option failed the batch: %v", err)
+		}
+		if rep.Failed != 1 || rep.Jobs[0].FailedAt != 0 || !strings.Contains(rep.Jobs[0].Failure, "retry") {
+			t.Fatalf("an invalid retry option should fail its job: %+v", rep.Jobs[0])
+		}
+		if rep.Jobs[1].Err != nil || len(rep.Jobs[1].Estimates) != 1 {
+			t.Fatalf("sibling job perturbed by an invalid retry option: %+v", rep.Jobs[1])
+		}
 	}
 }
 
 func nan() float64 { z := 0.0; return z / z }
+
+// TestRunRetryAccounting: WithRetry in Job.Options is the job's one retry
+// path, and each of its counts lands once. JobResult.Retries is the sum of
+// the trials' Estimate.Retries, the registry counts each retry and each
+// saturated trial once, AirSeconds covers every attempt, and a misspelled
+// estimator fails its job under a retry option like without one.
+func TestRunRetryAccounting(t *testing.T) {
+	lossy := rfidest.NewSystem(20000, rfidest.WithSeed(91), rfidest.WithFaults(rfidest.FaultSeverity(0.5)))
+	jobs := []Job{
+		{Name: "empty", System: rfidest.NewSystem(0, rfidest.WithSeed(92)), Estimator: "BFCE",
+			Epsilon: 0.1, Delta: 0.1, Trials: 2, Options: []rfidest.Option{rfidest.WithRetry(2, 0)}},
+		{Name: "lossy", System: lossy, Estimator: "BFCE",
+			Epsilon: 0.1, Delta: 0.1, Trials: 3, Options: []rfidest.Option{rfidest.WithRetry(2, 0)}},
+		{Name: "misspelled", System: lossy, Estimator: "BFEC",
+			Epsilon: 0.1, Delta: 0.1, Trials: 2, Options: []rfidest.Option{rfidest.WithRetry(1, 0)}},
+	}
+	for _, interleave := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		rep, err := Run(context.Background(), Config{Seed: 0xacc7, Observer: reg, Interleave: interleave}, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		degradedTrials, air := 0, 0.0
+		for _, r := range rep.Jobs {
+			retries, jobAir := 0, 0.0
+			for _, est := range r.Estimates {
+				retries += est.Retries
+				jobAir += est.Seconds
+				air += est.Seconds
+			}
+			if r.Retries != retries || r.AirSeconds != jobAir {
+				t.Errorf("interleave=%v: job %s retries/air %d/%v, estimates sum to %d/%v",
+					interleave, r.Label(), r.Retries, r.AirSeconds, retries, jobAir)
+			}
+			degradedTrials += r.DegradedTrials
+		}
+		snap := reg.Snapshot()
+		if snap.Retries != int64(rep.Retries) || snap.Degraded != int64(degradedTrials) {
+			t.Errorf("interleave=%v: registry retries/degraded %d/%d, report %d/%d",
+				interleave, snap.Retries, snap.Degraded, rep.Retries, degradedTrials)
+		}
+		if rep.AirSeconds != air {
+			t.Errorf("interleave=%v: report air %v s, estimates sum to %v s", interleave, rep.AirSeconds, air)
+		}
+		// Every round of the empty job saturates: both retries of both
+		// trials run, and both trials stay saturated.
+		if empty := rep.Jobs[0]; empty.Retries != 4 || empty.DegradedTrials != 2 || empty.Err != nil {
+			t.Errorf("interleave=%v: empty job %+v, want 4 retries and 2 degraded trials", interleave, empty)
+		}
+		bad := rep.Jobs[2]
+		if bad.Err == nil || bad.FailedAt != 0 || bad.Degraded || !strings.Contains(bad.Failure, "unknown estimator") {
+			t.Errorf("interleave=%v: misspelled job should fail at trial 0: %+v", interleave, bad)
+		}
+	}
+}
 
 // TestPerEstimatorCountsDegradation: the CLI's per-estimator breakdown
 // carries the new degradation counters.

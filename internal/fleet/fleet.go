@@ -30,41 +30,18 @@ type Job struct {
 	Delta   float64 `json:"delta"`
 	// Trials is how many independent estimations to run (0 means 1).
 	Trials int `json:"trials,omitempty"`
-	// Retries is how many times a failed or saturated trial may be re-run
-	// before the job degrades (0 = no retry, the historical behaviour:
-	// the first error fails the job). Retry attempt k of trial t runs over
-	// the session addressed by Combine(seed, job, t, k), so retried
-	// batches replay bit-identically too.
-	//
-	// Deprecated: prefer Options with rfidest.WithRetry, which re-runs
-	// saturated rounds inside one session instead of re-salting whole
-	// trials. The field is kept for batches that want the historical
-	// fresh-salt retry ladder.
-	Retries int `json:"retries,omitempty"`
-	// RetryBackoffSeconds is the simulated air time charged before retry
-	// attempt k (scaled by 2^(k-1) — exponential backoff). It models the
-	// quiet period a real reader waits out after a failed round and is
-	// accounted in AirSeconds/BackoffSeconds; no wall-clock sleep happens.
-	//
-	// Deprecated: meaningful only with the deprecated Retries ladder.
-	RetryBackoffSeconds float64 `json:"retryBackoffSeconds,omitempty"`
-	// Observer, when non-nil, receives the job's session and phase spans.
-	// It is teed with the batch-wide Config.Observer; observation is
-	// passive, so attaching one never perturbs results.
-	Observer obs.Observer `json:"-"`
 	// Options are extra rfidest run options appended after the ones the
 	// runner derives from the fields above (estimator, accuracy, trial
 	// salt, observer) — the unified option path the serving layer marshals
 	// requests onto. Because options apply in order, an option here
 	// overrides its field-derived counterpart: rfidest.WithSeedSalt pins
-	// every trial and retry attempt of the job to that one session
-	// (Trials > 1 then re-runs one bit-identical session),
-	// rfidest.WithTimeout bounds each trial attempt — in pooled and
-	// interleaved mode alike; a timed-out attempt fails (or, with
-	// Retries, is retried) like any other — and rfidest.WithEstimator /
+	// every trial of the job to that one session (Trials > 1 then re-runs
+	// one bit-identical session), rfidest.WithTimeout bounds each trial,
+	// rfidest.WithRetry re-runs a trial's saturated rounds inside its
+	// session (the job's only retry path), and rfidest.WithEstimator /
 	// rfidest.WithAccuracy shadow the Estimator / Epsilon / Delta fields.
 	// Options must be pure (stateless closures): they are re-applied on
-	// every trial and attempt.
+	// every trial.
 	Options []rfidest.Option `json:"-"`
 }
 
@@ -76,35 +53,32 @@ type JobResult struct {
 	// Estimates holds one entry per completed trial, in trial order.
 	Estimates []rfidest.Estimate `json:"estimates,omitempty"`
 	// Err is the first trial error; trials after a failure are not run.
-	// FailedAt is that trial's index (-1 when Err is nil). With Retries
-	// configured, a trial that exhausts its retries degrades the job (see
-	// Degraded) instead of setting Err — only batch cancellation and
-	// retry-exempt failures land here. Err itself does not marshal;
-	// Failure carries its message on the wire.
+	// FailedAt is that trial's index (-1 when Err is nil). Batch
+	// cancellation never lands here: the job keeps the trials that
+	// completed. Err itself does not marshal; Failure carries its message
+	// on the wire.
 	Err      error  `json:"-"`
 	Failure  string `json:"failure,omitempty"`
 	FailedAt int    `json:"failedAt"`
 	// Skipped is set when cancellation struck before the job started.
 	Skipped bool `json:"skipped,omitempty"`
 
-	// Degraded reports the job returned a partial or reduced-quality
-	// result: a trial exhausted its retries (and was dropped), or a
-	// trial's accepted estimate was still saturated after retrying.
-	// DegradedTrials counts the latter.
+	// Degraded reports that at least one trial's estimate was saturated —
+	// a clamp artifact kept as a resolution bound, after any WithRetry
+	// re-runs. DegradedTrials counts those trials.
 	Degraded       bool `json:"degraded,omitempty"`
 	DegradedTrials int  `json:"degradedTrials,omitempty"`
-	// Retries is the total number of re-run attempts across the job's
-	// trials; BackoffSeconds the simulated backoff time they cost (also
-	// included in AirSeconds).
-	Retries        int     `json:"retries,omitempty"`
-	BackoffSeconds float64 `json:"backoffSeconds,omitempty"`
+	// Retries is the sum of the trials' Estimate.Retries: the saturated
+	// rounds a WithRetry in Job.Options re-ran.
+	Retries int `json:"retries,omitempty"`
 
 	// MeanAbsErr and MaxAbsErr summarize |n̂−n|/n over the completed
 	// trials against the System's ground truth (NaN-free: 0 when no trial
 	// completed).
 	MeanAbsErr float64 `json:"meanAbsErr"`
 	MaxAbsErr  float64 `json:"maxAbsErr"`
-	// AirSeconds is the total simulated air time the job consumed.
+	// AirSeconds is the total simulated air time of the completed trials,
+	// every WithRetry attempt included.
 	AirSeconds float64 `json:"airSeconds"`
 	// Transmissions is the total tag transmissions across trials, or -1
 	// when the System's engine does not meter energy.
@@ -128,7 +102,7 @@ type Report struct {
 	Failed   int `json:"failed,omitempty"`   // jobs that stopped on an error
 	Skipped  int `json:"skipped,omitempty"`  // jobs cancelled before starting
 	Degraded int `json:"degraded,omitempty"` // jobs that returned a degraded result
-	Retries  int `json:"retries,omitempty"`  // trial re-runs across all jobs
+	Retries  int `json:"retries,omitempty"`  // WithRetry re-runs across all jobs
 
 	// Accuracy of all completed trials: mean and quantiles of |n̂−n|/n.
 	MeanAbsErr float64 `json:"meanAbsErr"`
@@ -160,14 +134,14 @@ type Config struct {
 	// spans across the whole batch — typically an *obs.Registry shared by
 	// all workers. Results are bit-identical with or without it.
 	Observer obs.Observer
-	// Interleave selects the scheduler-backed batch mode: instead of a
-	// worker pool running each trial to completion, a single deterministic
+	// Interleave selects the scheduler-backed batch mode: instead of pool
+	// workers stepping each job to completion, a single deterministic
 	// round scheduler (internal/sched) advances every job one protocol
 	// round per scheduling epoch — the breadth-first schedule a fleet of
-	// readers sharing one medium would follow. Trials within a job stay
-	// sequential (trial t+1's warm accounting depends on trial t's fold),
-	// so the Report is bit-identical to the pooled mode's: same salts,
-	// same folds, same estimates. Report.SchedRounds counts the rounds the
+	// readers sharing one medium would follow. Both modes step the same
+	// per-job runner and trials within a job stay sequential, so the
+	// Report is bit-identical to the pooled mode's: same salts, same
+	// folds, same estimates. Report.SchedRounds counts the rounds the
 	// scheduler executed.
 	Interleave bool
 }
@@ -188,13 +162,6 @@ func Run(ctx context.Context, cfg Config, jobs []Job) (*Report, error) {
 		if j.Trials < 0 {
 			return nil, fmt.Errorf("fleet: job %d has negative trials", i)
 		}
-		if j.Retries < 0 {
-			return nil, fmt.Errorf("fleet: job %d has negative retries", i)
-		}
-		// Positively phrased so a NaN backoff is rejected too.
-		if !(j.RetryBackoffSeconds >= 0) {
-			return nil, fmt.Errorf("fleet: job %d has invalid retry backoff %v", i, j.RetryBackoffSeconds)
-		}
 	}
 
 	start := time.Now() //lint:allow detrand wall-clock throughput reporting; feeds only WallSeconds/Throughput, never results
@@ -208,7 +175,12 @@ func Run(ctx context.Context, cfg Config, jobs []Job) (*Report, error) {
 		err = ctx.Err()
 	} else {
 		results, err = Map(ctx, cfg.Workers, len(jobs), func(i int) JobResult {
-			return runJob(ctx, cfg, i, jobs[i])
+			j := newJobRunner(cfg, i, jobs[i])
+			for {
+				if done, _ := j.Step(ctx); done {
+					return j.res
+				}
+			}
 		})
 	}
 	wall := time.Since(start).Seconds() //lint:allow detrand wall-clock throughput reporting; feeds only WallSeconds/Throughput, never results
@@ -235,99 +207,121 @@ func saltFor(seed uint64, job, trial int) uint64 {
 	return xrand.Combine(seed, uint64(job), uint64(trial))
 }
 
-// runJob runs one job's trials sequentially, deriving each trial's
-// session salt from (seed, job index, trial index) alone.
-func runJob(ctx context.Context, cfg Config, index int, job Job) JobResult {
+// jobRunner is the one loop that runs a job's trials: each Step executes
+// one protocol round of the current trial, and a finished trial folds into
+// the JobResult. Pooled mode steps it to completion on a Map worker;
+// interleaved mode hands it to sched.Interleave. Trial t runs over the
+// session addressed by saltFor(seed, job, t), so both modes produce the
+// same JobResult.
+type jobRunner struct {
+	cfg    Config
+	index  int
+	job    Job
+	trials int
+	truth  float64
+
+	res     JobResult
+	metered bool
+
+	t  int // current trial
+	rs *rfidest.RunSession
+
+	started bool // at least one Step ran
+	done    bool // the job folded (all trials, first failure, or cancellation)
+}
+
+func newJobRunner(cfg Config, index int, job Job) *jobRunner {
 	trials := job.Trials
 	if trials == 0 {
 		trials = 1
 	}
-	res := JobResult{Job: job, Index: index, FailedAt: -1}
-	truth := float64(job.System.N())
-	metered := false
-	observer := obs.Multi(cfg.Observer, job.Observer)
-	for t := 0; t < trials; t++ {
-		if ctx.Err() != nil {
-			break // keep what completed; Run reports the cancellation
-		}
-		est, err := runTrial(ctx, cfg, index, job, t, observer, &res)
-		if err != nil {
-			if ctx.Err() != nil {
-				break // a cancelled batch never turns into per-job errors
-			}
-			if job.Retries > 0 {
-				// Retries exhausted: the job degrades to the trials that
-				// did complete instead of failing the batch.
-				res.Degraded = true
-				observer.Degraded(job.Estimator)
-				break
-			}
-			res.Err = err
-			res.Failure = err.Error()
-			res.FailedAt = t
-			break
-		}
-		if est.Saturated {
-			// The accepted estimate is still a clamp artifact after every
-			// allowed re-run — keep it (it is a genuine resolution bound)
-			// but flag the degradation.
-			res.Degraded = true
-			res.DegradedTrials++
-			observer.Degraded(job.Estimator)
-		}
-		res.Estimates = append(res.Estimates, est)
-		res.AirSeconds += est.Seconds
-		if est.TagTransmissions >= 0 {
-			metered = true
-			res.Transmissions += est.TagTransmissions
-		}
-		if truth > 0 {
-			e := stats.RelError(est.N, truth)
-			res.MeanAbsErr += e
-			if e > res.MaxAbsErr {
-				res.MaxAbsErr = e
-			}
-		}
+	return &jobRunner{
+		cfg:    cfg,
+		index:  index,
+		job:    job,
+		trials: trials,
+		truth:  float64(job.System.N()),
+		res:    JobResult{Job: job, Index: index, FailedAt: -1},
 	}
-	if len(res.Estimates) > 0 {
-		res.MeanAbsErr /= float64(len(res.Estimates))
-	}
-	if !metered {
-		res.Transmissions = -1
-	}
-	return res
 }
 
-// runTrial runs one trial, re-running failed or saturated attempts within
-// the job's retry budget. Attempt 0 uses the historical saltFor salt (so
-// retry-free batches replay bit-identically against direct salted calls);
-// attempt k > 0 extends the derivation with k. Each attempt runs under the
-// batch context (a per-attempt deadline is an rfidest.WithTimeout in
-// Job.Options). Backoff before attempt k charges RetryBackoffSeconds·2^(k−1)
-// of simulated air time; no wall-clock sleep.
-func runTrial(ctx context.Context, cfg Config, index int, job Job, t int, observer obs.Observer, res *JobResult) (rfidest.Estimate, error) {
-	backoff := job.RetryBackoffSeconds
-	for attempt := 0; ; attempt++ {
-		salt := saltFor(cfg.Seed, index, t)
-		if attempt > 0 {
-			salt = xrand.Combine(cfg.Seed, uint64(index), uint64(t), uint64(attempt))
-		}
-		opts := append([]rfidest.Option{
-			rfidest.WithEstimator(job.Estimator),
-			rfidest.WithAccuracy(job.Epsilon, job.Delta),
-			rfidest.WithSeedSalt(salt),
-			rfidest.WithObserver(observer)}, job.Options...)
-		est, err := job.System.Run(ctx, opts...)
-		done := err == nil && !est.Saturated
-		if done || attempt >= job.Retries || ctx.Err() != nil {
-			return est, err
-		}
-		res.Retries++
-		res.BackoffSeconds += backoff
-		res.AirSeconds += backoff
-		backoff *= 2
-		observer.Retry(job.Estimator, attempt+1)
+// Step implements sched.Runner: it opens the current trial's session if
+// none is in flight, then executes exactly one protocol round. Its error
+// is always nil; a trial error is the job's, kept in the JobResult.
+func (j *jobRunner) Step(ctx context.Context) (bool, error) {
+	if j.done {
+		return true, nil
 	}
+	j.started = true
+	if j.rs == nil {
+		if ctx.Err() != nil {
+			return j.finish(), nil // keep what completed; Run reports the cancellation
+		}
+		rs, err := j.job.System.StartRun(append([]rfidest.Option{
+			rfidest.WithEstimator(j.job.Estimator),
+			rfidest.WithAccuracy(j.job.Epsilon, j.job.Delta),
+			rfidest.WithSeedSalt(saltFor(j.cfg.Seed, j.index, j.t)),
+			rfidest.WithObserver(j.cfg.Observer)}, j.job.Options...)...)
+		if err != nil {
+			return j.trialDone(ctx, rfidest.Estimate{}, err), nil
+		}
+		j.rs = rs
+	}
+	if done, _ := j.rs.Step(ctx); !done {
+		return false, nil
+	}
+	est, err := j.rs.Result()
+	j.rs = nil
+	return j.trialDone(ctx, est, err), nil
+}
+
+// trialDone folds one finished trial into the JobResult and reports
+// whether the whole job is done. An error fails the job unless the batch
+// was cancelled; a saturated estimate is kept but degrades the job.
+func (j *jobRunner) trialDone(ctx context.Context, est rfidest.Estimate, err error) bool {
+	if err != nil {
+		if ctx.Err() == nil { // a cancelled batch never turns into per-job errors
+			j.res.Err = err
+			j.res.Failure = err.Error()
+			j.res.FailedAt = j.t
+		}
+		return j.finish()
+	}
+	if est.Saturated {
+		j.res.Degraded = true
+		j.res.DegradedTrials++
+	}
+	j.res.Retries += est.Retries
+	j.res.Estimates = append(j.res.Estimates, est)
+	j.res.AirSeconds += est.Seconds
+	if est.TagTransmissions >= 0 {
+		j.metered = true
+		j.res.Transmissions += est.TagTransmissions
+	}
+	if j.truth > 0 {
+		e := stats.RelError(est.N, j.truth)
+		j.res.MeanAbsErr += e
+		if e > j.res.MaxAbsErr {
+			j.res.MaxAbsErr = e
+		}
+	}
+	j.t++
+	if j.t >= j.trials {
+		return j.finish()
+	}
+	return false
+}
+
+// finish seals the JobResult and always reports done.
+func (j *jobRunner) finish() bool {
+	if len(j.res.Estimates) > 0 {
+		j.res.MeanAbsErr /= float64(len(j.res.Estimates))
+	}
+	if !j.metered {
+		j.res.Transmissions = -1
+	}
+	j.done = true
+	return true
 }
 
 // summarize folds job results into the batch-level Report.
@@ -345,7 +339,6 @@ func summarize(results []JobResult) *Report {
 			rep.Degraded++
 		}
 		rep.Retries += r.Retries
-		rep.AirSeconds += r.BackoffSeconds
 		truth := float64(0)
 		if r.Job.System != nil {
 			truth = float64(r.Job.System.N())

@@ -23,11 +23,12 @@ func stripSched(rep *Report) *Report {
 // execution must reproduce the pooled Report exactly.
 func TestInterleavedMatchesPooled(t *testing.T) {
 	jobs := mixedBatch(t)
-	// Exercise the retry path under the scheduler too.
+	// Exercise the retry path under the scheduler too: BFCE saturates on
+	// a one-tag system, so WithRetry re-runs rounds there.
 	jobs = append(jobs, Job{
-		System:    rfidest.NewSystem(15000, rfidest.WithSeed(9), rfidest.WithSynthetic()),
+		System:    rfidest.NewSystem(1, rfidest.WithSeed(9), rfidest.WithSynthetic()),
 		Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1, Trials: 2,
-		Retries: 2, RetryBackoffSeconds: 0.25,
+		Options: []rfidest.Option{rfidest.WithRetry(2, 0)},
 	})
 	ctx := context.Background()
 	pooled, err := Run(ctx, Config{Seed: 0xf1ee7, Workers: 2}, jobs)
@@ -41,6 +42,9 @@ func TestInterleavedMatchesPooled(t *testing.T) {
 	if !reflect.DeepEqual(stripSched(pooled), stripSched(inter)) {
 		t.Fatalf("interleaved report differs from pooled:\npooled %+v\ninter  %+v",
 			stripSched(pooled), stripSched(inter))
+	}
+	if pooled.Retries == 0 {
+		t.Error("no job retried; the retry path went unexercised")
 	}
 	if pooled.SchedRounds != 0 {
 		t.Errorf("pooled mode reported %d scheduler rounds", pooled.SchedRounds)

@@ -51,23 +51,20 @@ func TestSharedRegistryUnderConcurrency(t *testing.T) {
 }
 
 // TestObserverDoesNotPerturbResults pins the passivity contract at fleet
-// scale: a batch with a shared registry (and per-job observers) produces a
-// byte-for-byte identical Report to the uninstrumented batch.
+// scale: a batch with a shared registry produces a byte-for-byte identical
+// Report to the uninstrumented batch.
 func TestObserverDoesNotPerturbResults(t *testing.T) {
 	plain := mixedBatch(t)
 	instrumented := mixedBatch(t)
 	// mixedBatch builds fresh Systems each call with fixed seeds; same
 	// salted sessions either way.
-	jobReg := obs.NewRegistry()
-	for i := range instrumented {
-		instrumented[i].Observer = jobReg
-	}
 	cfg := Config{Seed: 0xf1ee7, Workers: 4}
 	want, err := Run(context.Background(), cfg, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Observer = obs.NewRegistry()
+	reg := obs.NewRegistry()
+	cfg.Observer = reg
 	got, err := Run(context.Background(), cfg, instrumented)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +74,7 @@ func TestObserverDoesNotPerturbResults(t *testing.T) {
 			t.Fatalf("job %d: estimates differ with observers attached", i)
 		}
 	}
-	if jobReg.Snapshot().Sessions == 0 {
-		t.Error("per-job observer saw no sessions")
+	if reg.Snapshot().Sessions == 0 {
+		t.Error("batch observer saw no sessions")
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestJobResultWireFormat pins the JobResult JSON schema: lowerCamel keys,
-// process-local fields (System, Observer, Options, Err) excluded, Failure
+// process-local fields (System, Options, Err) excluded, Failure
 // carrying the error text.
 func TestJobResultWireFormat(t *testing.T) {
 	res := JobResult{
@@ -40,7 +40,7 @@ func TestJobResultWireFormat(t *testing.T) {
 	if string(got) != want {
 		t.Errorf("JobResult wire format drifted:\n got  %s\n want %s", got, want)
 	}
-	for _, forbidden := range []string{"System", "Observer", "Options", `"Err"`} {
+	for _, forbidden := range []string{"System", "Options", `"Err"`} {
 		if strings.Contains(string(got), forbidden) {
 			t.Errorf("process-local field %s leaked onto the wire: %s", forbidden, got)
 		}
@@ -81,7 +81,6 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	want.Jobs = append([]JobResult(nil), rep.Jobs...)
 	for i := range want.Jobs {
 		want.Jobs[i].Job.System = nil
-		want.Jobs[i].Job.Observer = nil
 		want.Jobs[i].Job.Options = nil
 		want.Jobs[i].Err = nil
 	}

@@ -180,13 +180,15 @@ type BatchJob struct {
 	Estimator string     `json:"estimator,omitempty"` // default "BFCE"
 	Epsilon   float64    `json:"epsilon"`
 	Delta     float64    `json:"delta"`
-	Trials    int        `json:"trials,omitempty"`  // 0 means 1
-	Retries   int        `json:"retries,omitempty"` // fleet retry ladder
+	Trials    int        `json:"trials,omitempty"` // 0 means 1
+	// Retries re-runs each trial's saturated rounds up to this many times
+	// inside its session (rfidest.WithRetry(retries, 0)).
+	Retries int `json:"retries,omitempty"`
 	// Salt pins every trial of the job to one session
 	// (rfidest.WithSeedSalt); omitted, trials derive per-trial salts from
 	// the batch seed as in-process fleet runs do.
 	Salt *uint64 `json:"salt,omitempty"`
-	// TimeoutMs bounds each trial attempt (rfidest.WithTimeout).
+	// TimeoutMs bounds each trial (rfidest.WithTimeout).
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 }
 

@@ -14,8 +14,8 @@ import (
 // without breakers entirely.
 //
 // The breaker exists for the regime bounded admission cannot see: the
-// queue is healthy but the work itself is rotten — sessions saturating
-// under channel faults, timing out, or exhausting their retry ladders.
+// queue is healthy but the work itself is rotten — sessions timing out,
+// or saturating under channel faults even after their WithRetry re-runs.
 // Queueing more of that work is pure waste (every admitted request burns
 // simulated air time and a slot), so once an estimator's recent outcomes
 // are mostly bad the breaker sheds its traffic at the door with a 503 and

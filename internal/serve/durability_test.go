@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -294,5 +295,57 @@ func TestBreakerOverHTTP(t *testing.T) {
 	snap := s.Requests().Snapshot()
 	if len(snap.Breakers) != 1 || snap.Breakers[0].Trips != 1 || snap.Breakers[0].Shed == 0 {
 		t.Errorf("breaker metrics = %+v, want one tripped BFCE cell with sheds", snap.Breakers)
+	}
+}
+
+// TestBatchClientErrorsSpareBreaker: a batch job that fails on its own
+// request — an accuracy target past the slot limit — is a 4xx-class error,
+// so it must not feed its estimator's breaker, just as on /v1/estimate. A
+// batch naming an unknown estimator is refused with 400 before any breaker
+// sees the name.
+func TestBatchClientErrorsSpareBreaker(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{Now: time.Now})
+	spec := serve.SystemSpec{N: 1000, Seed: 5, Synthetic: true}
+	readyz := func() int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for i := 0; i < 10; i++ {
+		status, body := postJSON(t, ts.URL+"/v1/batch", serve.BatchRequest{Jobs: []serve.BatchJob{
+			{System: spec, Estimator: "ZOE", Epsilon: 0.05, Delta: 1e-300},
+		}})
+		var resp serve.BatchResponse
+		if err := json.Unmarshal(body, &resp); err != nil || status != http.StatusOK {
+			t.Fatalf("slot-limit batch %d: status %d: %s", i, status, body)
+		}
+		if failure := resp.Report.Jobs[0].Failure; !strings.Contains(failure, rfidest.ErrSlotLimit.Error()) {
+			t.Fatalf("slot-limit batch %d: job failure %q", i, failure)
+		}
+	}
+	if status, body := postJSON(t, ts.URL+"/v1/estimate", serve.EstimateRequest{
+		System: spec, Estimator: "ZOE", Epsilon: 0.1, Delta: 0.1,
+	}); status != http.StatusOK {
+		t.Fatalf("valid ZOE estimate after slot-limit batches: status %d: %s", status, body)
+	}
+	if status := readyz(); status != http.StatusOK {
+		t.Fatalf("readyz after slot-limit batches: status %d, want 200", status)
+	}
+
+	for i := 0; i < 10; i++ {
+		status, body := postJSON(t, ts.URL+"/v1/batch", serve.BatchRequest{Jobs: []serve.BatchJob{
+			{System: spec, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1},
+			{System: spec, Estimator: "BFEC", Epsilon: 0.1, Delta: 0.1},
+		}})
+		if status != http.StatusBadRequest || !strings.Contains(string(body), "job 1: ") {
+			t.Fatalf("unknown-estimator batch %d: status %d: %s", i, status, body)
+		}
+	}
+	if status := readyz(); status != http.StatusOK {
+		t.Fatalf("readyz after unknown-estimator batches: status %d, want 200", status)
 	}
 }

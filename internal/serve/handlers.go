@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -32,6 +33,25 @@ func validateAccuracy(epsilon, delta float64) error {
 		return fmt.Errorf("delta must be in (0, 1), got %v", delta)
 	}
 	return nil
+}
+
+// estimatorNames is the registry's name set, built once. Both work routes
+// refuse other names with 400 before the breaker gate, so a bogus name
+// neither feeds a breaker nor leaves one behind.
+var estimatorNames = func() map[string]bool {
+	names := map[string]bool{}
+	for _, name := range rfidest.Estimators() {
+		names[name] = true
+	}
+	return names
+}()
+
+// checkEstimator is the client-facing name check behind estimatorNames.
+func checkEstimator(name string) error {
+	if estimatorNames[name] {
+		return nil
+	}
+	return fmt.Errorf("%w %q (known: %s)", rfidest.ErrUnknownEstimator, name, strings.Join(rfidest.Estimators(), ", "))
 }
 
 // requestTimeout resolves a request's TimeoutMs against the server
@@ -69,6 +89,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if estimator == "" {
 		estimator = "BFCE"
 	}
+	if err := checkEstimator(estimator); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	if !s.allowEstimator(w, estimator) {
 		return
 	}
@@ -97,7 +121,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if !errors.Is(err, context.Canceled) {
 		// A client that went away says nothing about the estimator's
 		// health; everything else feeds the breaker.
-		s.brk.record(estimator, breakerOutcomeBad(est, err))
+		s.brk.record(estimator, breakerOutcomeBad(err, est.Saturated))
 	}
 	if err != nil {
 		writeError(w, httpStatus(err), err.Error())
@@ -160,10 +184,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Gate every distinct estimator in the batch before admission: if any
 	// breaker is shedding, queueing the whole batch is doomed work.
 	seen := map[string]bool{}
-	for _, bj := range req.Jobs {
+	for i, bj := range req.Jobs {
 		name := bj.Estimator
 		if name == "" {
 			name = "BFCE"
+		}
+		if err := checkEstimator(name); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("job %d: %v", i, err))
+			return
 		}
 		if seen[name] {
 			continue
@@ -198,6 +226,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if bj.TimeoutMs > 0 {
 			opts = append(opts, rfidest.WithTimeout(time.Duration(bj.TimeoutMs)*time.Millisecond))
 		}
+		if bj.Retries > 0 {
+			opts = append(opts, rfidest.WithRetry(bj.Retries, 0))
+		}
 		jobs[i] = fleet.Job{
 			Name:      bj.Name,
 			System:    s.systems.get(bj.System),
@@ -205,7 +236,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			Epsilon:   bj.Epsilon,
 			Delta:     bj.Delta,
 			Trials:    bj.Trials,
-			Retries:   bj.Retries,
 			Options:   opts,
 		}
 	}
@@ -234,7 +264,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if jr.Skipped {
 				continue
 			}
-			s.brk.record(jr.Job.Estimator, jr.Failure != "" || jr.Degraded)
+			s.brk.record(jr.Job.Estimator, breakerOutcomeBad(jr.Err, jr.Degraded))
 		}
 	}
 	if err != nil {
@@ -325,14 +355,14 @@ func (s *Server) allowEstimator(w http.ResponseWriter, estimator string) bool {
 	return false
 }
 
-// breakerOutcomeBad classifies one completed run for the breaker: bad
-// means the work itself failed or degraded (5xx-class error, or a
-// saturated estimate), never a client-side validation problem.
-func breakerOutcomeBad(est rfidest.Estimate, err error) bool {
+// breakerOutcomeBad classifies one completed run or batch job for the
+// breaker: bad means the work itself failed or degraded (5xx-class error,
+// or a saturated estimate), never a client-side validation problem.
+func breakerOutcomeBad(err error, degraded bool) bool {
 	if err != nil {
 		return httpStatus(err) >= 500
 	}
-	return est.Saturated
+	return degraded
 }
 
 // handleMonitor answers POST /v1/monitor: run the next warm round of the
@@ -398,7 +428,7 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 	est, err := entry.mon.Run(ctx, sys,
 		rfidest.WithSeedSalt(salt), rfidest.WithObserver(s.reg))
 	if !errors.Is(err, context.Canceled) {
-		s.brk.record("BFCE", breakerOutcomeBad(est, err))
+		s.brk.record("BFCE", breakerOutcomeBad(err, est.Saturated))
 	}
 	if err != nil {
 		writeError(w, httpStatus(err), err.Error())

@@ -533,15 +533,23 @@ func TestCoalescing(t *testing.T) {
 
 // TestBatchEndpointMatchesInProcessFleet: a /v1/batch request (no pinned
 // salts) reproduces the in-process fleet.Run report for the same (seed,
-// jobs) — the cross-process determinism contract.
+// jobs) — the cross-process determinism contract. A job's retries field
+// is rfidest.WithRetry in its Options; BFCE saturates on a one-tag system,
+// so that job's retries do run.
 func TestBatchEndpointMatchesInProcessFleet(t *testing.T) {
 	sys := rfidest.NewSystem(5000, rfidest.WithSynthetic(), rfidest.WithSeed(3))
+	lone := rfidest.NewSystem(1, rfidest.WithSynthetic(), rfidest.WithSeed(3))
 	rep, err := fleet.Run(context.Background(), fleet.Config{Seed: 7}, []fleet.Job{
 		{System: sys, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1, Trials: 3},
 		{System: sys, Estimator: "ZOE-batched", Epsilon: 0.1, Delta: 0.1, Trials: 2},
+		{System: lone, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1, Trials: 3,
+			Options: []rfidest.Option{rfidest.WithRetry(2, 0)}},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.Jobs[2].Retries == 0 {
+		t.Fatal("the one-tag job ran no retries; it no longer exercises the retries field")
 	}
 	_, ts := newTestServer(t, serve.Config{})
 	spec := serve.SystemSpec{N: 5000, Seed: 3, Synthetic: true}
@@ -550,6 +558,8 @@ func TestBatchEndpointMatchesInProcessFleet(t *testing.T) {
 		Jobs: []serve.BatchJob{
 			{System: spec, Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1, Trials: 3},
 			{System: spec, Estimator: "ZOE-batched", Epsilon: 0.1, Delta: 0.1, Trials: 2},
+			{System: serve.SystemSpec{N: 1, Seed: 3, Synthetic: true}, Estimator: "BFCE",
+				Epsilon: 0.1, Delta: 0.1, Trials: 3, Retries: 2},
 		},
 	})
 	if status != http.StatusOK {
@@ -560,6 +570,10 @@ func TestBatchEndpointMatchesInProcessFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, jr := range resp.Report.Jobs {
+		if jr.Retries != rep.Jobs[i].Retries || jr.AirSeconds != rep.Jobs[i].AirSeconds {
+			t.Errorf("job %d: retries/air %d/%v over HTTP, %d/%v in process",
+				i, jr.Retries, jr.AirSeconds, rep.Jobs[i].Retries, rep.Jobs[i].AirSeconds)
+		}
 		if len(jr.Estimates) != len(rep.Jobs[i].Estimates) {
 			t.Fatalf("job %d: %d estimates over HTTP, %d in process", i, len(jr.Estimates), len(rep.Jobs[i].Estimates))
 		}
