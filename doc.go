@@ -40,11 +40,12 @@
 //
 // Run is exactly a StartRun/Step loop, and both halves are public: every
 // protocol executes as a resumable round state machine, and a session can
-// be driven one protocol round at a time:
+// be driven one protocol round at a time (a broadcast, then a frame, a
+// first-busy scan, a silent frame or a bare listen):
 //
 //	rs, err := sys.StartRun(rfidest.WithSalt(7)) // same options as Run
 //	for {
-//		done, err := rs.Step(ctx) // one broadcast + one frame
+//		done, err := rs.Step(ctx) // one protocol round
 //		if done || err != nil { break }
 //	}
 //	est, err := rs.Result() // == sys.Run(ctx, rfidest.WithSalt(7))
@@ -91,9 +92,11 @@
 // WithRetry and WithTimeout through a job's Options and adds no ladder of
 // its own: a saturated trial is kept and flags its job
 // (JobResult.Degraded), a trial error fails its job but never the batch,
-// and the job's air time counts every attempt. UPE reads slot states,
-// which the fault injector does not model, so it refuses a faulted system
-// with an error. See internal/faults and DESIGN.md §14.
+// and the job's air time counts every attempt. Stalls are charged to
+// every protocol's air time. UPE reads slot states, which the fault
+// injector does not model, so on a faulted system its first round fails
+// with an error before any broadcast. See internal/faults and DESIGN.md
+// §14.
 //
 // # What is simulated
 //

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rfidest/internal/obs"
+	"rfidest/internal/timing"
 )
 
 // injectorPlans isolates each fault injector plus the combined severity
@@ -79,6 +80,47 @@ func TestUPERefusesFaultedEngine(t *testing.T) {
 		}
 		if _, err := NewSystem(1000, opts...).Run(context.Background(), WithEstimator("UPE")); err != nil {
 			t.Errorf("%s: UPE without faults: %v", name, err)
+		}
+	}
+}
+
+// TestStallOnlyFaultsCharged: a stall is air time the reader spends on
+// recovery, so under a stall-only plan every protocol's estimate must
+// replay the clean run's bit for bit while its air time grows by exactly
+// the stall cost the registry counts. UPE is left out: it refuses a
+// faulted channel.
+func TestStallOnlyFaultsCharged(t *testing.T) {
+	plan := injectorPlans()["stall"]
+	for sysName, opts := range map[string][]SystemOption{
+		"synthetic": {WithSeed(5), WithSynthetic()},
+		"tag-level": {WithSeed(5)},
+	} {
+		clean := NewSystem(20000, opts...)
+		faulted := NewSystem(20000, append(opts, WithFaults(plan))...)
+		for _, name := range Estimators() {
+			if name == "UPE" {
+				continue
+			}
+			run := func(sys *System) (Estimate, obs.Snapshot) {
+				reg := NewMetrics()
+				est, err := sys.Run(context.Background(), WithEstimator(name),
+					WithAccuracy(0.2, 0.2), WithSeedSalt(3), WithObserver(reg))
+				if err != nil {
+					t.Fatalf("%s %s: %v", sysName, name, err)
+				}
+				return est, reg.Snapshot()
+			}
+			want, _ := run(clean)
+			got, snap := run(faulted)
+			if got.N != want.N {
+				t.Errorf("%s %s: stalls changed the estimate: %v, clean %v", sysName, name, got.N, want.N)
+			}
+			stall := (float64(snap.Faults.StallSlots)*timing.C1G2.TagBitUS +
+				float64(snap.Faults.Stalls)*timing.C1G2.IntervalUS) / 1e6
+			if d := got.Seconds - want.Seconds; math.Abs(d-stall) > 1e-9 {
+				t.Errorf("%s %s: air time grew %.6f s under %d stalls costing %.6f s",
+					sysName, name, d, snap.Faults.Stalls, stall)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
 )
 
 // boolFramePackages are the packages on the frame observation path, where
@@ -23,13 +22,11 @@ var boolFramePackages = map[string]bool{
 // BoolFrame guards the word-packed frame refactor: channel frames are
 // bitset-backed BitVecs, and new []bool buffers on the observation path
 // reintroduce the slow byte-per-slot representation the refactor removed.
-// It reports every []bool type expression in frame-path packages.
-//
-// internal/channel/reference.go is carved out by name: it deliberately
-// retains the pre-packing []bool implementation as the behavioural
-// reference for equivalence tests and benchmarks. Other deliberate uses
-// (conversion bridges, non-frame flag slices) are suppressed per line with
-// //lint:allow boolframe <reason>.
+// It reports every []bool type expression in frame-path packages. Test
+// files are not linted, which is where the pre-packing []bool reference
+// implementation lives. Deliberate uses (conversion bridges, non-frame
+// flag slices) are suppressed per line with //lint:allow boolframe
+// <reason>.
 var BoolFrame = &Analyzer{
 	Name: "boolframe",
 	Doc: "forbid new []bool frame buffers on the channel observation path; " +
@@ -40,9 +37,6 @@ var BoolFrame = &Analyzer{
 
 func runBoolFrame(pass *Pass) error {
 	for _, f := range pass.Files {
-		if filepath.Base(pass.Fset.Position(f.Pos()).Filename) == "reference.go" {
-			continue // the retained []bool reference implementation
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			at, ok := n.(*ast.ArrayType)
 			if !ok || at.Len != nil {

@@ -12,19 +12,21 @@ import (
 // (x.Plan() / x.Absorb(...)) re-creates the pre-refactor world where each
 // caller improvises its own loop and silently drops what the driver
 // provides: per-round context cancellation, phase-span bookkeeping, the
-// seed-draw order that bit-identity pins, and the legacy-round dispatch.
+// seed-draw order that bit-identity pins, and the stall drain after every
+// engine call.
 //
 // A call is only a violation when it *drives*: composition is exempt. A
 // stepper that wraps another stepper forwards Plan/Absorb from inside its
-// own Plan, Absorb or RunLegacy methods (ZOE and SRC forward their rough
-// phase this way), and those forwarding frames are part of the machine,
-// not a second driver. internal/channel (the driver itself) and
+// own Plan or Absorb methods (the seven protocols that open with a LOF
+// rough phase forward to it this way, and BFCE-multi to its inner BFCE
+// runs), and those forwarding frames are part of the machine, not a
+// second driver. internal/channel (the driver itself) and
 // internal/sched (whose Runners step whole sessions, not raw steppers)
 // own the loop and are out of scope.
 var RoundLoop = &Analyzer{
 	Name: "roundloop",
 	Doc: "forbid hand-driving a round stepper: Plan/Absorb on a Plan+Absorb machine may only be called by " +
-		"the shared driver (channel.StepRound/Drive) or forwarded from another stepper's Plan/Absorb/RunLegacy; " +
+		"the shared driver (channel.StepRound/Drive) or forwarded from another stepper's Plan/Absorb; " +
 		"an improvised round loop loses cancellation, phase spans and the pinned seed-draw order",
 	AppliesTo: func(rel string) bool {
 		return rel != "internal/channel" && rel != "internal/sched"
@@ -36,9 +38,8 @@ var RoundLoop = &Analyzer{
 // legitimately call another stepper's Plan/Absorb: the call is one machine
 // delegating a round to a sub-machine, and the real driver sits above both.
 var forwardingFrames = map[string]bool{
-	"Plan":      true,
-	"Absorb":    true,
-	"RunLegacy": true,
+	"Plan":   true,
+	"Absorb": true,
 }
 
 func runRoundLoop(pass *Pass) error {

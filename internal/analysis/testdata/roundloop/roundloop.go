@@ -66,13 +66,6 @@ func (w *wrapper) Absorb(o obsv) (bool, error) {
 	return true, nil
 }
 
-// RunLegacy is the third forwarding frame: a legacy adapter may drain its
-// sub-machine inside the driver-dispatched legacy round.
-func (w *wrapper) RunLegacy(r *struct{}) (bool, error) {
-	_ = w.inner.Plan() // exempt: forwarding frame
-	return w.inner.Absorb(obsv{})
-}
-
 // planner has Plan but no Absorb: not a round machine, out of scope.
 type planner struct{}
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Frame aggregate-query benchmarks: the word-packed BitVec against the
-// retained []bool reference path (reference.go) on the paper's w = 8192
+// retained []bool reference path (reference_test.go) on the paper's w = 8192
 // geometry. CI smoke runs these via `go test -bench=Frame -benchtime=1x`;
 // results/BENCH_frame.json records a full before/after run.
 

@@ -1,5 +1,7 @@
 package channel
 
+import "rfidest/internal/obs"
+
 // SlotState is the reader-side view of one framed-Aloha slot when slots are
 // long enough (carrying a short payload rather than a single bit) for the
 // reader to distinguish collisions — the channel model of the pre-bit-slot
@@ -125,10 +127,11 @@ func (e *NoisyEngine) RunFrameOccupancy(req FrameRequest) Occupancy {
 	return occ
 }
 
-// ExecuteFrameOccupancy runs a slot-state frame and charges the clock
+// executeFrameOccupancy runs a slot-state frame and charges the clock
 // slotBits tag bits per observed slot (Aloha slots carry a short payload,
-// unlike 1-bit bit-slots).
-func (r *Reader) ExecuteFrameOccupancy(req FrameRequest, slotBits int) Occupancy {
+// unlike 1-bit bit-slots). Observers see it as a frame of len(occ) slots
+// whose non-empty slots are busy.
+func (r *Reader) executeFrameOccupancy(req FrameRequest, slotBits int) Occupancy {
 	eng, ok := r.Engine.(OccupancyEngine)
 	if !ok {
 		panic("channel: engine does not support occupancy frames")
@@ -138,5 +141,12 @@ func (r *Reader) ExecuteFrameOccupancy(req FrameRequest, slotBits int) Occupancy
 	}
 	occ := eng.RunFrameOccupancy(req)
 	r.clock.Listen(len(occ) * slotBits)
+	r.drainStall()
+	busy := len(occ) - occ.Count(Empty)
+	r.obs.Frame(r.phase, obs.FrameStats{W: req.W, Observed: len(occ), Busy: busy})
+	r.emit(TraceEvent{
+		Kind: "frame", W: req.W, K: req.K, P: req.P,
+		Observe: len(occ), Busy: busy,
+	})
 	return occ
 }

@@ -88,7 +88,7 @@ func TestOccupancyEnginesAgree(t *testing.T) {
 func TestReaderOccupancyCharging(t *testing.T) {
 	pop := tags.Generate(100, tags.T1, 45)
 	r := NewReader(NewTagEngine(pop, IdealRN), 46)
-	occ := r.ExecuteFrameOccupancy(FrameRequest{W: 128, K: 1, P: 1, Seed: 1}, 10)
+	occ := r.executeFrameOccupancy(FrameRequest{W: 128, K: 1, P: 1, Seed: 1}, 10)
 	if len(occ) != 128 {
 		t.Fatalf("observed %d slots", len(occ))
 	}
@@ -105,7 +105,7 @@ func TestReaderOccupancyPanics(t *testing.T) {
 			t.Fatal("slotBits=0 did not panic")
 		}
 	}()
-	r.ExecuteFrameOccupancy(FrameRequest{W: 8, K: 1, P: 1, Seed: 1}, 0)
+	r.executeFrameOccupancy(FrameRequest{W: 8, K: 1, P: 1, Seed: 1}, 0)
 }
 
 func TestNoisyOccupancyFlips(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 )
 
 // These tests pin the word-packed BitVec to the retained []bool reference
-// path (reference.go): for randomized frame geometries the packed engines
+// path (reference_test.go): for randomized frame geometries the packed engines
 // must produce bit-identical frames, identical transmission metering, and
 // identical aggregate queries.
 

@@ -10,12 +10,14 @@ import (
 // the air interface), a clock that prices every transmission, and a seed
 // stream for the random seeds the reader broadcasts.
 //
-// Estimators drive the session through three verbs that mirror the
-// protocol's physical actions:
+// StepRound drives the session through verbs that mirror the protocol's
+// physical actions:
 //
-//	BroadcastParams — reader transmits parameter/seed bits,
-//	ExecuteFrame    — tags answer in a run of bit-slots the reader senses,
-//	ScanFirstBusy   — reader senses slots until the first reply.
+//	BroadcastParams       — reader transmits parameter/seed bits,
+//	ExecuteFrame          — tags answer in a run of bit-slots the reader senses,
+//	scanFirstBusy         — reader senses slots until the first reply,
+//	executeFrameOccupancy — tags answer in Aloha slots the reader classifies,
+//	listenSlots           — reader senses slots outside a frame.
 //
 // Every verb charges the clock per the timing model, so Cost() after a run
 // is the protocol's overall execution time (the paper's Fig. 10 metric).
@@ -142,11 +144,11 @@ func (r *Reader) ExecuteFrame(req FrameRequest) BitVec {
 	return b
 }
 
-// ScanFirstBusy senses up to maxScan slots of the frame, stopping at the
+// scanFirstBusy senses up to maxScan slots of the frame, stopping at the
 // first busy one. It returns the index of that slot (or -1 if the whole
 // scanned prefix was idle) and charges the clock for exactly the slots
 // sensed.
-func (r *Reader) ScanFirstBusy(req FrameRequest, maxScan int) int {
+func (r *Reader) scanFirstBusy(req FrameRequest, maxScan int) int {
 	if maxScan <= 0 || maxScan > req.W {
 		maxScan = req.W
 	}
@@ -163,9 +165,9 @@ func (r *Reader) ScanFirstBusy(req FrameRequest, maxScan int) int {
 	return pos
 }
 
-// ListenSlots charges the clock for sensing n tag bit-slots outside of a
+// listenSlots charges the clock for sensing n tag bit-slots outside of a
 // full frame execution (single-slot probes, as in PET's tree walk).
-func (r *Reader) ListenSlots(n int) {
+func (r *Reader) listenSlots(n int) {
 	r.clock.Listen(n)
 	r.obs.Listen(r.phase, n)
 	r.emit(TraceEvent{Kind: "probe-slots", Bits: n})

@@ -37,7 +37,7 @@ func TestReaderChargesFrame(t *testing.T) {
 func TestReaderScanFirstBusyCharge(t *testing.T) {
 	r := newTestReader(1000)
 	req := FrameRequest{W: 1 << 16, K: 1, P: 1, Seed: 5}
-	pos := r.ScanFirstBusy(req, req.W)
+	pos := r.scanFirstBusy(req, req.W)
 	if pos < 0 {
 		t.Fatal("1000 tags at p=1 must respond somewhere")
 	}
@@ -49,7 +49,7 @@ func TestReaderScanFirstBusyCharge(t *testing.T) {
 func TestReaderScanFirstBusyMissCharge(t *testing.T) {
 	r := newTestReader(0)
 	req := FrameRequest{W: 64, K: 1, P: 1, Seed: 5}
-	if pos := r.ScanFirstBusy(req, 64); pos != -1 {
+	if pos := r.scanFirstBusy(req, 64); pos != -1 {
 		t.Fatalf("pos = %d", pos)
 	}
 	if got := r.Cost().TagSlots; got != 64 {

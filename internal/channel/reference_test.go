@@ -1,12 +1,10 @@
 package channel
 
 // This file retains the pre-packing []bool frame representation as the
-// behavioral reference for the word-packed BitVec. It is the one place
-// outside tests where []bool frame buffers are allowed (the rfidlint
-// boolframe analyzer carves this file out by name): equivalence tests
-// cross-check packed engine output and aggregate queries against these
-// implementations on randomized frames, and the frame benchmarks use them
-// as the speedup baseline. Nothing on the hot path calls into this file.
+// behavioral reference for the word-packed BitVec, for tests only:
+// equivalence tests cross-check packed engine output and aggregate queries
+// against these implementations on randomized frames, and the frame
+// benchmarks use them as the speedup baseline.
 
 // refVec is a frame in the reference representation: refVec[i] reports
 // whether slot i was busy.

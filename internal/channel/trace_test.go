@@ -15,8 +15,8 @@ func TestTraceRecordsDialogue(t *testing.T) {
 
 	r.BroadcastParams(128)
 	r.ExecuteFrame(FrameRequest{W: 512, K: 2, P: 0.5, Seed: 1})
-	r.ScanFirstBusy(FrameRequest{W: 1 << 16, K: 1, P: 1, Seed: 2}, 1<<16)
-	r.ListenSlots(3)
+	r.scanFirstBusy(FrameRequest{W: 1 << 16, K: 1, P: 1, Seed: 2}, 1<<16)
+	r.listenSlots(3)
 
 	if len(events) != 4 {
 		t.Fatalf("recorded %d events, want 4", len(events))

@@ -1,11 +1,9 @@
 package estimators
 
 import (
-	"errors"
 	"math"
 
 	"rfidest/internal/channel"
-	"rfidest/internal/stats"
 	"rfidest/internal/timing"
 )
 
@@ -25,14 +23,12 @@ import (
 // approximation.) Rounds are sized with the zero-estimator variance law
 // times a small inflation, reflecting that run statistics carry slightly
 // less information per slot.
-type ART struct {
-	// FrameSize is the frame length (default 1024).
-	FrameSize int
-	// Rough supplies the load-setting estimate; nil uses LOF (10 rounds).
-	Rough Estimator
-	// MaxRounds caps the measurement phase (default 256).
-	MaxRounds int
-}
+type ART struct{}
+
+const (
+	artFrame     = 1024 // frame length
+	artMaxRounds = 256  // cap on the measurement phase
+)
 
 // NewART returns ART with default settings.
 func NewART() *ART { return &ART{} }
@@ -46,74 +42,73 @@ const artInflation = 1.5
 
 // Estimate implements Estimator.
 func (a *ART) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	if r == nil {
-		return Result{}, errors.New("estimators: nil session")
-	}
-	acc.Validate()
-	start := r.Cost()
-	f := a.FrameSize
-	if f <= 0 {
-		f = 1024
-	}
-	maxRounds := a.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 256
-	}
-
-	rough := a.Rough
-	if rough == nil {
-		rough = NewLOF()
-	}
-	roughRes, err := rough.Estimate(r, acc)
-	if err != nil {
-		return Result{}, err
-	}
-	nRough := roughRes.Estimate
-	if nRough < 1 {
-		nRough = 1
-	}
-	// ART operates best at moderate busy probability; target b ≈ 0.5,
-	// i.e. load λ = ln 2.
-	p := math.Ln2 * float64(f) / nRough
-	if p > 1 {
-		p = 1
-	}
-
-	d := stats.D(acc.Delta)
-	need := artInflation * d * d * (math.Exp(math.Ln2) - 1) /
-		(acc.Epsilon * acc.Epsilon * math.Ln2 * math.Ln2 * float64(f))
-	rounds := int(math.Ceil(need))
-	if rounds < 1 {
-		rounds = 1
-	}
-	if rounds > maxRounds {
-		rounds = maxRounds
-	}
-
-	totalRunLen, totalRuns := 0, 0
-	for i := 0; i < rounds; i++ {
-		r.BroadcastParams(timing.SeedBits + timing.PnBits)
-		vec := r.ExecuteFrame(channel.FrameRequest{
-			W: f, K: 1, P: p, Seed: r.NextSeed(),
-		})
-		for _, run := range vec.Runs() {
-			totalRunLen += run
-			totalRuns++
-		}
-	}
-	res := Result{Rounds: rounds + roughRes.Rounds, Slots: rounds*f + roughRes.Slots, Guarded: true}
-	if totalRuns == 0 {
-		res.Estimate = 0
-	} else {
-		rBar := float64(totalRunLen) / float64(totalRuns)
-		b := 1 - 1/rBar
-		if b < 0 {
-			b = 0
-		}
-		b = math.Min(b, 1-1e-9)
-		res.Estimate = math.Log1p(-b) / math.Log1p(-p/float64(f))
-	}
-	res.Cost = r.Cost().Sub(start)
-	res.Seconds = res.Cost.Seconds(r.Profile)
-	return res, nil
+	return estimate(a, r, acc)
 }
+
+// Stepper implements Estimator. ART operates best at moderate busy
+// probability; it targets b ≈ 0.5, i.e. load λ = ln 2.
+func (a *ART) Stepper(acc Accuracy) (Stepper, error) {
+	acc.Validate()
+	return &artStepper{
+		rough:  roughLOF{rounds: roughRounds},
+		rounds: frameRounds(acc, artInflation, math.Ln2, artFrame, artMaxRounds),
+	}, nil
+}
+
+type artStepper struct {
+	rough roughLOF
+
+	rounds int
+	p      float64
+	round  int
+	runLen int // total length of the busy runs observed
+	runs   int // busy runs observed
+}
+
+func (s *artStepper) Name() string { return "ART" }
+
+func (s *artStepper) Plan() channel.RoundSpec {
+	if !s.rough.done() {
+		return s.rough.Plan()
+	}
+	return channel.RoundSpec{
+		Broadcast: timing.SeedBits + timing.PnBits,
+		Frame:     channel.FrameRequest{W: artFrame, K: 1, P: s.p},
+	}
+}
+
+func (s *artStepper) Absorb(o channel.RoundObs) (bool, error) {
+	if !s.rough.done() {
+		done, err := s.rough.Absorb(o)
+		if done {
+			s.p = min(math.Ln2*artFrame/s.rough.n(), 1)
+		}
+		return false, err
+	}
+	for _, run := range o.Frame.Runs() {
+		s.runLen += run
+		s.runs++
+	}
+	s.round++
+	return s.round >= s.rounds, nil
+}
+
+func (s *artStepper) Result(cost timing.Cost, profile timing.Profile) Result {
+	res := Result{
+		Rounds:  s.rounds + s.rough.rounds,
+		Slots:   s.rounds*artFrame + s.rough.slots,
+		Guarded: true,
+		Cost:    cost,
+		Seconds: cost.Seconds(profile),
+	}
+	if s.runs > 0 {
+		rBar := float64(s.runLen) / float64(s.runs)
+		b := max(1-1/rBar, 0)
+		b = math.Min(b, 1-1e-9)
+		res.Estimate = math.Log1p(-b) / math.Log1p(-s.p/artFrame)
+	}
+	return res
+}
+
+func (s *artStepper) Snapshot() any          { return *s }
+func (s *artStepper) Restore(snap any) error { return restore(s, snap) }

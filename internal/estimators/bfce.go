@@ -21,12 +21,7 @@ func NewBFCE() *BFCE { return &BFCE{} }
 // Name implements Estimator.
 func (b *BFCE) Name() string { return "BFCE" }
 
-// Estimate implements Estimator: it builds the round state machine
-// (Stepper) and hands it to the shared driver.
+// Estimate implements Estimator.
 func (b *BFCE) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	st, err := b.Stepper(acc)
-	if err != nil {
-		return Result{}, err
-	}
-	return Run(nil, r, st)
+	return estimate(b, r, acc)
 }

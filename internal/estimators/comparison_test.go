@@ -148,11 +148,11 @@ func TestSRCFrameSizeFormula(t *testing.T) {
 }
 
 func TestSRCRoundsRule(t *testing.T) {
-	if SRCRounds(0.2, 0) != 1 || SRCRounds(0.3, 0) != 1 {
+	if SRCRounds(0.2) != 1 || SRCRounds(0.3) != 1 {
 		t.Fatal("delta >= 0.2 must use a single round")
 	}
-	if SRCRounds(0.05, 0) != 7 {
-		t.Fatalf("delta=0.05 rounds = %d, want 7", SRCRounds(0.05, 0))
+	if SRCRounds(0.05) != 7 {
+		t.Fatalf("delta=0.05 rounds = %d, want 7", SRCRounds(0.05))
 	}
 }
 

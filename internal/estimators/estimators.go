@@ -74,6 +74,27 @@ type Estimator interface {
 	Name() string
 	// Estimate runs the protocol over session r to the accuracy target.
 	Estimate(r *channel.Reader, acc Accuracy) (Result, error)
+	// Stepper returns a fresh round machine for one run at the accuracy
+	// target. Like Estimate, it panics on a degenerate accuracy and
+	// errors on a target the protocol cannot size.
+	Stepper(acc Accuracy) (Stepper, error)
+}
+
+// sizeRounds rounds a protocol's required round count up and clamps it to
+// [1, maxRounds].
+func sizeRounds(need float64, maxRounds int) int {
+	return min(max(int(math.Ceil(need)), 1), maxRounds)
+}
+
+// frameRounds sizes a phase of f-slot frames at per-slot load lambda so
+// the pooled zero-estimator variance meets (ε, δ), times inflation for a
+// statistic that carries less information per slot:
+// ⌈inflation·d²·(e^λ−1)/(ε²·λ²·f)⌉ rounds, clamped to [1, maxRounds].
+func frameRounds(acc Accuracy, inflation, lambda float64, f, maxRounds int) int {
+	d := stats.D(acc.Delta)
+	need := inflation * d * d * (math.Exp(lambda) - 1) /
+		(acc.Epsilon * acc.Epsilon * lambda * lambda * float64(f))
+	return sizeRounds(need, maxRounds)
 }
 
 // clampRho keeps an observed idle fraction away from the degenerate 0 and 1

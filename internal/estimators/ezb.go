@@ -1,11 +1,7 @@
 package estimators
 
 import (
-	"errors"
-	"math"
-
 	"rfidest/internal/channel"
-	"rfidest/internal/stats"
 	"rfidest/internal/timing"
 )
 
@@ -18,14 +14,12 @@ import (
 // The persistence probability is set from a rough LOF estimate so the
 // per-slot load sits at the variance-minimizing λ*; R is sized so the
 // averaged zero count meets (ε, δ).
-type EZB struct {
-	// FrameSize is the frame length (default 1024).
-	FrameSize int
-	// Rough supplies the load-setting estimate; nil uses LOF (10 rounds).
-	Rough Estimator
-	// MaxRounds caps the averaging phase (default 256).
-	MaxRounds int
-}
+type EZB struct{}
+
+const (
+	ezbFrame     = 1024 // frame length
+	ezbMaxRounds = 256  // cap on the averaging phase
+)
 
 // NewEZB returns EZB with the default frame size.
 func NewEZB() *EZB { return &EZB{} }
@@ -35,67 +29,66 @@ func (e *EZB) Name() string { return "EZB" }
 
 // Estimate implements Estimator.
 func (e *EZB) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	if r == nil {
-		return Result{}, errors.New("estimators: nil session")
-	}
-	acc.Validate()
-	start := r.Cost()
-	f := e.FrameSize
-	if f <= 0 {
-		f = 1024
-	}
-	maxRounds := e.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 256
-	}
-
-	rough := e.Rough
-	if rough == nil {
-		rough = NewLOF()
-	}
-	roughRes, err := rough.Estimate(r, acc)
-	if err != nil {
-		return Result{}, err
-	}
-	nRough := roughRes.Estimate
-	if nRough < 1 {
-		nRough = 1
-	}
-	p := lambdaStarZOE * float64(f) / nRough
-	if p > 1 {
-		p = 1
-	}
-
-	// R frames so the pooled f·R observations meet (ε, δ) at the design
-	// load (same variance law as every zero estimator).
-	d := stats.D(acc.Delta)
-	need := d * d * (math.Exp(lambdaStarZOE) - 1) /
-		(acc.Epsilon * acc.Epsilon * lambdaStarZOE * lambdaStarZOE * float64(f))
-	rounds := int(math.Ceil(need))
-	if rounds < 1 {
-		rounds = 1
-	}
-	if rounds > maxRounds {
-		rounds = maxRounds
-	}
-
-	idle := 0
-	for i := 0; i < rounds; i++ {
-		r.BroadcastParams(timing.SeedBits + timing.PnBits)
-		vec := r.ExecuteFrame(channel.FrameRequest{
-			W: f, K: 1, P: p, Seed: r.NextSeed(),
-		})
-		idle += vec.CountIdle()
-	}
-	m := rounds * f
-	rho := clampRho(float64(idle)/float64(m), m)
-	res := Result{
-		Estimate: zeroEstimate(rho, p, f),
-		Rounds:   rounds + roughRes.Rounds,
-		Slots:    m + roughRes.Slots,
-		Guarded:  true,
-	}
-	res.Cost = r.Cost().Sub(start)
-	res.Seconds = res.Cost.Seconds(r.Profile)
-	return res, nil
+	return estimate(e, r, acc)
 }
+
+// Stepper implements Estimator. R frames so the pooled f·R observations
+// meet (ε, δ) at the design load (same variance law as every zero
+// estimator).
+func (e *EZB) Stepper(acc Accuracy) (Stepper, error) {
+	acc.Validate()
+	return &ezbStepper{
+		rough:  roughLOF{rounds: roughRounds},
+		rounds: frameRounds(acc, 1, lambdaStarZOE, ezbFrame, ezbMaxRounds),
+	}, nil
+}
+
+type ezbStepper struct {
+	rough roughLOF
+
+	rounds int
+	p      float64
+	round  int
+	idle   int
+}
+
+func (s *ezbStepper) Name() string { return "EZB" }
+
+func (s *ezbStepper) Plan() channel.RoundSpec {
+	if !s.rough.done() {
+		return s.rough.Plan()
+	}
+	return channel.RoundSpec{
+		Broadcast: timing.SeedBits + timing.PnBits,
+		Frame:     channel.FrameRequest{W: ezbFrame, K: 1, P: s.p},
+	}
+}
+
+func (s *ezbStepper) Absorb(o channel.RoundObs) (bool, error) {
+	if !s.rough.done() {
+		done, err := s.rough.Absorb(o)
+		if done {
+			s.p = min(lambdaStarZOE*ezbFrame/s.rough.n(), 1)
+		}
+		return false, err
+	}
+	s.idle += o.Frame.CountIdle()
+	s.round++
+	return s.round >= s.rounds, nil
+}
+
+func (s *ezbStepper) Result(cost timing.Cost, profile timing.Profile) Result {
+	m := s.rounds * ezbFrame
+	rho := clampRho(float64(s.idle)/float64(m), m)
+	return Result{
+		Estimate: zeroEstimate(rho, s.p, ezbFrame),
+		Rounds:   s.rounds + s.rough.rounds,
+		Slots:    m + s.rough.slots,
+		Guarded:  true,
+		Cost:     cost,
+		Seconds:  cost.Seconds(profile),
+	}
+}
+
+func (s *ezbStepper) Snapshot() any          { return *s }
+func (s *ezbStepper) Restore(snap any) error { return restore(s, snap) }

@@ -1,9 +1,6 @@
 package estimators
 
 import (
-	"errors"
-	"math"
-
 	"rfidest/internal/channel"
 	"rfidest/internal/stats"
 	"rfidest/internal/timing"
@@ -18,12 +15,10 @@ import (
 // nearly exponential), so R = ⌈(d/ε)²⌉ rounds meet (ε, δ) — FNEB's round
 // count is what makes it slow at tight accuracy. The frame size L is set
 // from a rough LOF estimate so the expected scan is a handful of slots.
-type FNEB struct {
-	// Rough supplies the frame-sizing estimate; nil uses LOF (10 rounds).
-	Rough Estimator
-	// MaxRounds caps the averaging phase (default 4096).
-	MaxRounds int
-}
+type FNEB struct{}
+
+// fnebMaxRounds caps the averaging phase.
+const fnebMaxRounds = 4096
 
 // NewFNEB returns FNEB with default settings.
 func NewFNEB() *FNEB { return &FNEB{} }
@@ -33,77 +28,87 @@ func (f *FNEB) Name() string { return "FNEB" }
 
 // Estimate implements Estimator.
 func (f *FNEB) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	if r == nil {
-		return Result{}, errors.New("estimators: nil session")
-	}
+	return estimate(f, r, acc)
+}
+
+// Stepper implements Estimator.
+func (f *FNEB) Stepper(acc Accuracy) (Stepper, error) {
 	acc.Validate()
-	start := r.Cost()
-	maxRounds := f.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 4096
-	}
-
-	rough := f.Rough
-	if rough == nil {
-		rough = NewLOF()
-	}
-	roughRes, err := rough.Estimate(r, acc)
-	if err != nil {
-		return Result{}, err
-	}
-	nRough := roughRes.Estimate
-	if nRough < 1 {
-		nRough = 1
-	}
-	// Frame large enough that the first reply lands well inside it:
-	// L ≈ 64·n̂_rough keeps P(first busy > L) negligible while the
-	// expected scan cost stays ~L/n ≈ 64 slots.
-	L := nextPow2(int(64 * nRough))
-
 	d := stats.D(acc.Delta)
-	rounds := int(math.Ceil((d / acc.Epsilon) * (d / acc.Epsilon)))
-	if rounds < 1 {
-		rounds = 1
-	}
-	if rounds > maxRounds {
-		rounds = maxRounds
-	}
+	return &fnebStepper{
+		rough:  roughLOF{rounds: roughRounds},
+		rounds: sizeRounds((d/acc.Epsilon)*(d/acc.Epsilon), fnebMaxRounds),
+	}, nil
+}
 
-	sumU := 0.0
-	slots := roughRes.Slots
-	hits := 0
-	for i := 0; i < rounds; i++ {
-		r.BroadcastParams(timing.SeedBits)
-		pos := r.ScanFirstBusy(channel.FrameRequest{
-			W: L, K: 1, P: 1, Seed: r.NextSeed(),
-		}, L)
-		if pos < 0 {
-			// Idle frame (only possible for an empty population): count
-			// the full scan and record the frame bound.
-			slots += L
-			sumU += float64(L)
-			continue
+type fnebStepper struct {
+	rough roughLOF
+
+	rounds int
+	L      int // frame length, sized from the rough estimate
+	round  int
+	hits   int
+	slots  int
+	sumU   float64
+}
+
+func (s *fnebStepper) Name() string { return "FNEB" }
+
+func (s *fnebStepper) Plan() channel.RoundSpec {
+	if !s.rough.done() {
+		return s.rough.Plan()
+	}
+	return channel.RoundSpec{
+		Kind:      channel.ScanRound,
+		Broadcast: timing.SeedBits,
+		Frame:     channel.FrameRequest{W: s.L, K: 1, P: 1},
+	}
+}
+
+func (s *fnebStepper) Absorb(o channel.RoundObs) (bool, error) {
+	if !s.rough.done() {
+		done, err := s.rough.Absorb(o)
+		if done {
+			// Frame large enough that the first reply lands well inside
+			// it: L ≈ 64·n̂_rough keeps P(first busy > L) negligible while
+			// the expected scan cost stays ~L/n ≈ 64 slots.
+			s.L = nextPow2(int(64 * s.rough.n()))
 		}
-		hits++
-		slots += pos + 1
+		return false, err
+	}
+	if pos := o.First; pos < 0 {
+		// Idle frame (only possible for an empty population): count the
+		// full scan and record the frame bound.
+		s.slots += s.L
+		s.sumU += float64(s.L)
+	} else {
+		s.hits++
+		s.slots += pos + 1
 		// Continuous-minimum correction: the minimum of n uniforms on
 		// [0, L) has mean L/(n+1); the slot index floors it, so add 1/2.
-		sumU += float64(pos) + 0.5
+		s.sumU += float64(pos) + 0.5
 	}
-	res := Result{Rounds: rounds + roughRes.Rounds, Slots: slots, Guarded: true}
-	if hits == 0 {
-		res.Estimate = 0
-	} else {
-		uBar := sumU / float64(rounds)
-		res.Estimate = float64(L)/uBar - 1
-		if res.Estimate < 0 {
-			res.Estimate = 0
-		}
-	}
-	res.Cost = r.Cost().Sub(start)
-	res.Seconds = res.Cost.Seconds(r.Profile)
-	return res, nil
+	s.round++
+	return s.round >= s.rounds, nil
 }
+
+func (s *fnebStepper) Result(cost timing.Cost, profile timing.Profile) Result {
+	res := Result{
+		Rounds:  s.rounds + s.rough.rounds,
+		Slots:   s.slots + s.rough.slots,
+		Guarded: true,
+		Cost:    cost,
+		Seconds: cost.Seconds(profile),
+	}
+	if s.hits > 0 {
+		uBar := s.sumU / float64(s.rounds)
+		res.Estimate = max(float64(s.L)/uBar-1, 0)
+	}
+	return res
+}
+
+func (s *fnebStepper) Snapshot() any          { return *s }
+func (s *fnebStepper) Restore(snap any) error { return restore(s, snap) }
 
 // nextPow2 returns the smallest power of two >= v (and at least 64).
 func nextPow2(v int) int {

@@ -1,10 +1,6 @@
 package estimators
 
-import (
-	"errors"
-
-	"rfidest/internal/channel"
-)
+import "rfidest/internal/channel"
 
 // LOF is the Lottery Frame estimator of Qian et al. [19]: every tag hashes
 // itself into a frame with geometrically decaying slot probabilities
@@ -13,35 +9,21 @@ import (
 // inverting gives n̂ = 2^{R̄}/φ.
 //
 // LOF converges quickly to a constant-factor estimate but needs many rounds
-// for tight ε — which is why ZOE and SRC use it (or a sibling) only as a
-// rough first phase. The paper invokes LOF with 10 rounds as ZOE's rough
-// estimator (§V-C).
-type LOF struct {
-	// FrameSize is the lottery frame length; 32 slots express
-	// cardinalities up to ~2^32 (default 32).
-	FrameSize int
-	// Rounds is the number of averaged frames (default 10, the paper's
-	// choice for ZOE's rough phase). Accuracy.Epsilon/Delta are not used
-	// to size LOF: it is a fixed-budget rough estimator.
-	Rounds int
-}
+// for tight ε — which is why seven other protocols use it only as a rough
+// first phase. The paper invokes LOF with 10 rounds as ZOE's rough
+// estimator (§V-C), and so does this LOF: 10 averaged 32-slot frames.
+// Accuracy.Epsilon/Delta are not used to size LOF: it is a fixed-budget
+// rough estimator.
+type LOF struct{}
 
 // NewLOF returns a LOF estimator with the paper's settings (32-slot frames,
 // 10 rounds).
-func NewLOF() *LOF { return &LOF{FrameSize: 32, Rounds: 10} }
+func NewLOF() *LOF { return &LOF{} }
 
 // Name implements Estimator.
 func (l *LOF) Name() string { return "LOF" }
 
-// Estimate implements Estimator: it builds the round state machine
-// (Stepper) and hands it to the shared driver.
+// Estimate implements Estimator.
 func (l *LOF) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	if r == nil {
-		return Result{}, errors.New("estimators: nil session")
-	}
-	st, err := l.Stepper(acc)
-	if err != nil {
-		return Result{}, err
-	}
-	return Run(nil, r, st)
+	return estimate(l, r, acc)
 }

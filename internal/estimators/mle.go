@@ -1,11 +1,9 @@
 package estimators
 
 import (
-	"errors"
 	"math"
 
 	"rfidest/internal/channel"
-	"rfidest/internal/stats"
 	"rfidest/internal/timing"
 )
 
@@ -23,15 +21,15 @@ import (
 // which is unimodal in n; we maximize it by golden-section search. Round
 // count is sized like the zero estimator's (the MLE is asymptotically
 // efficient, so the same Fisher-information budget applies).
-type MLE struct {
-	// FrameSize is the frame length (default 512 — smaller frames, more
-	// rounds: the protocol targets tag energy, not reader time).
-	FrameSize int
-	// Rough supplies the load-setting estimate; nil uses LOF (10 rounds).
-	Rough Estimator
-	// MaxRounds caps the measurement phase (default 512).
-	MaxRounds int
-}
+//
+// Frames are 512 slots — smaller frames, more rounds: the protocol targets
+// tag energy, not reader time.
+type MLE struct{}
+
+const (
+	mleFrame     = 512 // frame length
+	mleMaxRounds = 512 // cap on the measurement phase
+)
 
 // NewMLE returns MLE with default settings.
 func NewMLE() *MLE { return &MLE{} }
@@ -41,67 +39,65 @@ func (m *MLE) Name() string { return "MLE" }
 
 // Estimate implements Estimator.
 func (m *MLE) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	if r == nil {
-		return Result{}, errors.New("estimators: nil session")
-	}
-	acc.Validate()
-	start := r.Cost()
-	f := m.FrameSize
-	if f <= 0 {
-		f = 512
-	}
-	maxRounds := m.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 512
-	}
-
-	rough := m.Rough
-	if rough == nil {
-		rough = NewLOF()
-	}
-	roughRes, err := rough.Estimate(r, acc)
-	if err != nil {
-		return Result{}, err
-	}
-	nRough := roughRes.Estimate
-	if nRough < 1 {
-		nRough = 1
-	}
-	p := lambdaStarZOE * float64(f) / nRough
-	if p > 1 {
-		p = 1
-	}
-
-	d := stats.D(acc.Delta)
-	need := d * d * (math.Exp(lambdaStarZOE) - 1) /
-		(acc.Epsilon * acc.Epsilon * lambdaStarZOE * lambdaStarZOE * float64(f))
-	rounds := int(math.Ceil(need))
-	if rounds < 1 {
-		rounds = 1
-	}
-	if rounds > maxRounds {
-		rounds = maxRounds
-	}
-
-	idleTotal := 0
-	for i := 0; i < rounds; i++ {
-		r.BroadcastParams(timing.SeedBits + timing.PnBits)
-		vec := r.ExecuteFrame(channel.FrameRequest{
-			W: f, K: 1, P: p, Seed: r.NextSeed(),
-		})
-		idleTotal += vec.CountIdle()
-	}
-
-	res := Result{
-		Estimate: mleMaximize(idleTotal, rounds*f, p, f),
-		Rounds:   rounds + roughRes.Rounds,
-		Slots:    rounds*f + roughRes.Slots,
-		Guarded:  true,
-	}
-	res.Cost = r.Cost().Sub(start)
-	res.Seconds = res.Cost.Seconds(r.Profile)
-	return res, nil
+	return estimate(m, r, acc)
 }
+
+// Stepper implements Estimator.
+func (m *MLE) Stepper(acc Accuracy) (Stepper, error) {
+	acc.Validate()
+	return &mleStepper{
+		rough:  roughLOF{rounds: roughRounds},
+		rounds: frameRounds(acc, 1, lambdaStarZOE, mleFrame, mleMaxRounds),
+	}, nil
+}
+
+type mleStepper struct {
+	rough roughLOF
+
+	rounds int
+	p      float64
+	round  int
+	idle   int
+}
+
+func (s *mleStepper) Name() string { return "MLE" }
+
+func (s *mleStepper) Plan() channel.RoundSpec {
+	if !s.rough.done() {
+		return s.rough.Plan()
+	}
+	return channel.RoundSpec{
+		Broadcast: timing.SeedBits + timing.PnBits,
+		Frame:     channel.FrameRequest{W: mleFrame, K: 1, P: s.p},
+	}
+}
+
+func (s *mleStepper) Absorb(o channel.RoundObs) (bool, error) {
+	if !s.rough.done() {
+		done, err := s.rough.Absorb(o)
+		if done {
+			s.p = min(lambdaStarZOE*mleFrame/s.rough.n(), 1)
+		}
+		return false, err
+	}
+	s.idle += o.Frame.CountIdle()
+	s.round++
+	return s.round >= s.rounds, nil
+}
+
+func (s *mleStepper) Result(cost timing.Cost, profile timing.Profile) Result {
+	return Result{
+		Estimate: mleMaximize(s.idle, s.rounds*mleFrame, s.p, mleFrame),
+		Rounds:   s.rounds + s.rough.rounds,
+		Slots:    s.rounds*mleFrame + s.rough.slots,
+		Guarded:  true,
+		Cost:     cost,
+		Seconds:  cost.Seconds(profile),
+	}
+}
+
+func (s *mleStepper) Snapshot() any          { return *s }
+func (s *mleStepper) Restore(snap any) error { return restore(s, snap) }
 
 // mleMaximize returns argmax_n ℓ(n) for idle idle slots out of total, with
 // per-slot idle probability q(n) = (1−p/f)^n. Since all frames share (p, f)

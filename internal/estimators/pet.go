@@ -1,7 +1,6 @@
 package estimators
 
 import (
-	"errors"
 	"math"
 
 	"rfidest/internal/channel"
@@ -51,11 +50,12 @@ const petBinaryBias = 0.673
 
 // Estimate implements Estimator.
 func (p *PET) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	if r == nil {
-		return Result{}, errors.New("estimators: nil session")
-	}
+	return estimate(p, r, acc)
+}
+
+// Stepper implements Estimator.
+func (p *PET) Stepper(acc Accuracy) (Stepper, error) {
 	acc.Validate()
-	start := r.Cost()
 	depth := p.Depth
 	if depth <= 0 {
 		depth = 32
@@ -64,59 +64,79 @@ func (p *PET) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
 	if maxRounds <= 0 {
 		maxRounds = 4096
 	}
-
 	d := stats.D(acc.Delta)
 	rel := fmSigma * math.Ln2
-	rounds := int(math.Ceil((rel * d / acc.Epsilon) * (rel * d / acc.Epsilon)))
-	if rounds < 1 {
-		rounds = 1
-	}
-	if rounds > maxRounds {
-		rounds = maxRounds
-	}
-
-	sumF := 0.0
-	slots := 0
-	responded := false
-	for i := 0; i < rounds; i++ {
-		seed := r.NextSeed()
-		// One seed broadcast arms the round; each probe then announces a
-		// position (log2(depth) bits) and senses one bit-slot.
-		r.BroadcastParams(timing.SeedBits)
-		vec := r.Engine.RunFrame(channel.FrameRequest{
-			W: depth, K: 1, P: 1, Dist: channel.Geometric, Seed: seed,
-		})
-		// Binary search for the first idle position over the materialized
-		// pattern (each probe is charged individually: PET's whole point
-		// is that only these probes ever cross the air interface).
-		lo, hi := 0, depth
-		posBits := bitsFor(depth)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			r.BroadcastParams(posBits)
-			r.ListenSlots(1)
-			slots++
-			if vec.Get(mid) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo > 0 {
-			responded = true
-		}
-		sumF += float64(lo)
-	}
-	res := Result{Rounds: rounds, Slots: slots, Guarded: true}
-	if !responded {
-		res.Estimate = 0
-	} else {
-		res.Estimate = math.Exp2(sumF/float64(rounds)-petBinaryBias) / fmPhi
-	}
-	res.Cost = r.Cost().Sub(start)
-	res.Seconds = res.Cost.Seconds(r.Profile)
-	return res, nil
+	return &petStepper{
+		depth:   depth,
+		posBits: bitsFor(depth),
+		rounds:  sizeRounds((rel*d/acc.Epsilon)*(rel*d/acc.Epsilon), maxRounds),
+	}, nil
 }
+
+// petStepper alternates two kinds of round. A silent lottery frame draws
+// the tags' pattern without sensing it, and its Absorb runs the binary
+// search over the pattern; then one listen round per visited position
+// announces the position and senses its one bit-slot. PET's whole point
+// is that only these probes cross the air interface.
+type petStepper struct {
+	depth, posBits, rounds int
+
+	round     int
+	probes    int // listen rounds left in the current round's search
+	slots     int
+	sumF      float64
+	responded bool
+}
+
+func (s *petStepper) Name() string { return "PET" }
+
+func (s *petStepper) Plan() channel.RoundSpec {
+	if s.probes > 0 {
+		return channel.RoundSpec{Kind: channel.ListenRound, Broadcast: s.posBits, Listen: 1}
+	}
+	// One seed broadcast arms the round.
+	return channel.RoundSpec{
+		Kind:      channel.SilentRound,
+		Broadcast: timing.SeedBits,
+		Frame:     channel.FrameRequest{W: s.depth, K: 1, P: 1, Dist: channel.Geometric},
+	}
+}
+
+func (s *petStepper) Absorb(o channel.RoundObs) (bool, error) {
+	if s.probes > 0 {
+		s.probes--
+		s.slots++
+		return s.probes == 0 && s.round >= s.rounds, nil
+	}
+	// Binary search for the first idle position of the lottery pattern.
+	lo, hi := 0, s.depth
+	for lo < hi {
+		mid := (lo + hi) / 2
+		s.probes++
+		if o.Frame.Get(mid) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo > 0 {
+		s.responded = true
+	}
+	s.sumF += float64(lo)
+	s.round++
+	return false, nil
+}
+
+func (s *petStepper) Result(cost timing.Cost, profile timing.Profile) Result {
+	res := Result{Rounds: s.rounds, Slots: s.slots, Guarded: true, Cost: cost, Seconds: cost.Seconds(profile)}
+	if s.responded {
+		res.Estimate = math.Exp2(s.sumF/float64(s.rounds)-petBinaryBias) / fmPhi
+	}
+	return res
+}
+
+func (s *petStepper) Snapshot() any          { return *s }
+func (s *petStepper) Restore(snap any) error { return restore(s, snap) }
 
 // bitsFor returns the bits needed to address positions in [0, depth).
 func bitsFor(depth int) int {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rfidest/internal/channel"
 	"rfidest/internal/stats"
 	"rfidest/internal/tags"
 )
@@ -81,13 +82,13 @@ func TestUPECalibrationHalvesP(t *testing.T) {
 }
 
 func TestUPEAlohaSlotPricing(t *testing.T) {
-	// UPE slots cost AlohaSlotBits tag bits each.
+	// UPE slots cost channel.AlohaSlotBits tag bits each.
 	res, err := NewUPE().Estimate(newSession(10000, 307), Accuracy{0.2, 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cost.TagSlots != res.Slots*AlohaSlotBits {
-		t.Fatalf("tag bits %d != slots %d × %d", res.Cost.TagSlots, res.Slots, AlohaSlotBits)
+	if res.Cost.TagSlots != res.Slots*channel.AlohaSlotBits {
+		t.Fatalf("tag bits %d != slots %d × %d", res.Cost.TagSlots, res.Slots, channel.AlohaSlotBits)
 	}
 }
 

@@ -1,7 +1,6 @@
 package estimators
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -25,13 +24,10 @@ import (
 // For δ < 0.2 the phase is repeated m times and the median taken, where m
 // is the smallest odd integer with Σ_{i=(m+1)/2}^m C(m,i)·0.8^i·0.2^{m−i}
 // ≥ 1−δ — exactly the repetition rule §V-C states.
-type SRC struct {
-	// Rough supplies the first-phase estimate; nil uses a single-round
-	// LOF (constant-factor bracketing, as in SRC's own first phase).
-	Rough Estimator
-	// MaxRounds caps the median repetition (default 99).
-	MaxRounds int
-}
+//
+// The rough phase is a single LOF round: constant-factor bracketing, as in
+// SRC's own first phase.
+type SRC struct{}
 
 // NewSRC returns SRC configured as in the paper's comparison.
 func NewSRC() *SRC { return &SRC{} }
@@ -53,26 +49,16 @@ func SRCFrameSize(eps float64) (int, error) {
 	return int(l), nil
 }
 
-// SRCRounds returns the number of accurate-phase repetitions for δ.
-func SRCRounds(delta float64, maxRounds int) int {
+// SRCRounds returns the number of accurate-phase repetitions for δ, at
+// most 99.
+func SRCRounds(delta float64) int {
 	if delta >= 0.2 {
 		return 1
 	}
-	if maxRounds <= 0 {
-		maxRounds = 99
-	}
-	return stats.MajorityRounds(0.8, delta, maxRounds)
+	return stats.MajorityRounds(0.8, delta, 99)
 }
 
-// Estimate implements Estimator: it builds the round state machine
-// (Stepper) and hands it to the shared driver.
+// Estimate implements Estimator.
 func (s *SRC) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	if r == nil {
-		return Result{}, errors.New("estimators: nil session")
-	}
-	st, err := s.Stepper(acc)
-	if err != nil {
-		return Result{}, err
-	}
-	return Run(nil, r, st)
+	return estimate(s, r, acc)
 }

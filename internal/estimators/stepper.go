@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"rfidest/internal/channel"
 	"rfidest/internal/core"
@@ -15,13 +16,10 @@ import (
 // This file is the round-structured execution model at the estimator
 // level. A Stepper is a protocol as a resumable state machine (see
 // channel.Stepper for the round vocabulary); Run is the one driver loop
-// every protocol executes under. BFCE, ZOE, SRC and LOF step natively —
-// their Plan/Absorb transitions reproduce the old monolithic Estimate
-// methods round for round — while the remaining related-work estimators
-// (UPE, EZB, FNEB, MLE, ART, PET and the variants) ride the legacy
-// adapter: a single "round" that executes the whole run-to-completion
-// protocol through the same driver, so every protocol, converted or not,
-// hangs off one loop.
+// every protocol executes under. Every protocol steps natively — its
+// Plan/Absorb transitions reproduce the protocol's dialogue round for
+// round, charged through channel.StepRound — and every Estimate method is
+// the same thin wrapper around Run.
 
 // Stepper is a resumable estimation protocol: channel.Stepper's
 // Plan/Absorb round machine plus the estimator-level finishing moves.
@@ -45,31 +43,13 @@ type Stepper interface {
 	Restore(snap any) error
 }
 
-// Steppable is implemented by estimators that convert natively into round
-// state machines. Estimators without it run through the legacy adapter
-// (see AsStepper).
-type Steppable interface {
-	Estimator
-	// Stepper returns a fresh round machine for one run at the accuracy
-	// target. Like Estimate, it panics on a degenerate accuracy and
-	// errors on an invalid protocol configuration.
-	Stepper(acc Accuracy) (Stepper, error)
-}
-
-// AsStepper converts any registered estimator into a Stepper: natively
-// when the protocol implements Steppable, otherwise through the legacy
-// adapter, whose single round runs the old Estimate to completion. Either
-// way the result is driven by Run — one execution path for every
-// protocol, with per-round cancellation and interleaving available
-// exactly where native stepping exists.
+// AsStepper returns est's round machine for one run at the accuracy
+// target, to be driven by Run — one execution path for every protocol.
 func AsStepper(est Estimator, acc Accuracy) (Stepper, error) {
 	if est == nil {
 		return nil, errors.New("estimators: nil estimator")
 	}
-	if s, ok := est.(Steppable); ok {
-		return s.Stepper(acc)
-	}
-	return &legacyStepper{est: est, acc: acc}, nil
+	return est.Stepper(acc)
 }
 
 // Run drives st over the session r to completion and finalizes its
@@ -87,58 +67,28 @@ func Run(ctx context.Context, r *channel.Reader, st Stepper) (Result, error) {
 	return st.Result(r.Cost().Sub(start), r.Profile), nil
 }
 
-// ---------------------------------------------------------------------
-// Legacy adapter: one round = one whole run-to-completion protocol.
-
-// legacyStepper adapts an unconverted estimator to the Stepper interface.
-// Its Plan is a single Legacy round; RunLegacy executes the estimator's
-// monolithic Estimate over the session, so the driven run is bit-identical
-// to calling Estimate directly. Legacy runs are not resumable: there is
-// exactly one round, and Snapshot carries no mid-run state.
-type legacyStepper struct {
-	est  Estimator
-	acc  Accuracy
-	res  Result
-	done bool
-}
-
-func (l *legacyStepper) Name() string { return l.est.Name() }
-
-func (l *legacyStepper) Plan() channel.RoundSpec {
-	return channel.RoundSpec{Legacy: true}
-}
-
-func (l *legacyStepper) Absorb(channel.RoundObs) (bool, error) {
-	return false, errors.New("estimators: legacy stepper rounds execute via RunLegacy")
-}
-
-// RunLegacy implements channel.LegacyRunner.
-func (l *legacyStepper) RunLegacy(r *channel.Reader) (bool, error) {
-	if l.done {
-		return true, errors.New("estimators: legacy stepper re-driven after completion")
+// estimate is the body of every protocol's Estimate: a fresh round
+// machine, driven over r to completion.
+func estimate(est Estimator, r *channel.Reader, acc Accuracy) (Result, error) {
+	if r == nil {
+		return Result{}, errors.New("estimators: nil session")
 	}
-	res, err := l.est.Estimate(r, l.acc)
+	st, err := est.Stepper(acc)
 	if err != nil {
-		return false, err
+		return Result{}, err
 	}
-	l.res = res
-	l.done = true
-	return true, nil
+	return Run(nil, r, st)
 }
 
-// Result returns the inner Estimate's result untouched: the monolithic
-// protocol already measured its own cost over the same span the driver
-// did, so re-stamping would be a no-op.
-func (l *legacyStepper) Result(timing.Cost, timing.Profile) Result { return l.res }
-
-// Snapshot returns nil: a legacy run has no resumable mid-run state.
-func (l *legacyStepper) Snapshot() any { return nil }
-
-// Restore accepts only the nil snapshot Snapshot produces.
-func (l *legacyStepper) Restore(snap any) error {
-	if snap != nil {
-		return fmt.Errorf("estimators: %s runs via the legacy adapter and is not resumable", l.est.Name())
+// restore overwrites *dst with snap, which must be a Snapshot of a
+// machine of dst's own type. Every machine's state is a plain value, so
+// its Snapshot is a copy of itself and its Restore is this.
+func restore[T any](dst *T, snap any) error {
+	v, ok := snap.(T)
+	if !ok {
+		return fmt.Errorf("estimators: cannot restore a %T snapshot into a %T machine", snap, v)
 	}
+	*dst = v
 	return nil
 }
 
@@ -155,7 +105,7 @@ type bfceStepper struct {
 // keeps the machine for its diagnostics) and drive it like any protocol.
 func BFCEStepper(st *core.Stepper) Stepper { return &bfceStepper{core: st} }
 
-// Stepper implements Steppable.
+// Stepper implements Estimator.
 func (b *BFCE) Stepper(acc Accuracy) (Stepper, error) {
 	acc.Validate()
 	cfg := b.Config
@@ -185,22 +135,26 @@ func (s *bfceStepper) Result(cost timing.Cost, profile timing.Profile) Result {
 	}
 }
 
-func (s *bfceStepper) Snapshot() any { return s.core.Snapshot() }
-
-func (s *bfceStepper) Restore(snap any) error {
-	v, ok := snap.(core.Stepper)
-	if !ok {
-		return fmt.Errorf("estimators: BFCE restore from foreign snapshot %T", snap)
-	}
-	s.core.Restore(v)
-	return nil
-}
+func (s *bfceStepper) Snapshot() any          { return s.core.Snapshot() }
+func (s *bfceStepper) Restore(snap any) error { return restore(s.core, snap) }
 
 // ---------------------------------------------------------------------
-// LOF: R rounds of geometric lottery frames.
+// LOF: R rounds of geometric lottery frames, alone or as a rough phase.
 
-type lofStepper struct {
-	frame  int // frame length
+const (
+	// lofFrame is the lottery frame length: 32 slots express
+	// cardinalities up to ~2^32.
+	lofFrame = 32
+	// roughRounds is the number of averaged LOF frames in a rough phase,
+	// the paper's choice for ZOE's (§V-C), and LOF's own round count.
+	roughRounds = 10
+)
+
+// roughLOF runs LOF's lottery frames: LOF's own machine, and the rough
+// phase that EZB, FNEB, MLE, ART, ZOE and ZOE-batched (roughRounds
+// rounds) and SRC (1 round) open with. An owner forwards its Plan and
+// Absorb here until done, then reads n, rounds and slots.
+type roughLOF struct {
 	rounds int // total rounds
 
 	round     int
@@ -209,27 +163,13 @@ type lofStepper struct {
 	responded bool
 }
 
-// Stepper implements Steppable. Accuracy does not size LOF (it is a
-// fixed-budget rough estimator), matching Estimate.
-func (l *LOF) Stepper(Accuracy) (Stepper, error) {
-	f := l.FrameSize
-	if f <= 0 {
-		f = 32
-	}
-	rounds := l.Rounds
-	if rounds <= 0 {
-		rounds = 10
-	}
-	return &lofStepper{frame: f, rounds: rounds}, nil
-}
+func (s *roughLOF) done() bool { return s.round >= s.rounds }
 
-func (s *lofStepper) Name() string { return "LOF" }
-
-func (s *lofStepper) Plan() channel.RoundSpec {
+func (s *roughLOF) Plan() channel.RoundSpec {
 	return channel.RoundSpec{
 		Broadcast: timing.SeedBits,
 		Frame: channel.FrameRequest{
-			W:    s.frame,
+			W:    lofFrame,
 			K:    1,
 			P:    1,
 			Dist: channel.Geometric,
@@ -237,8 +177,8 @@ func (s *lofStepper) Plan() channel.RoundSpec {
 	}
 }
 
-func (s *lofStepper) Absorb(o channel.RoundObs) (bool, error) {
-	s.slots += s.frame
+func (s *roughLOF) Absorb(o channel.RoundObs) (bool, error) {
+	s.slots += lofFrame
 	// The observation is the number of leading busy slots (the first
 	// idle position); a fully busy frame reports its length.
 	first := o.Frame.FirstIdle()
@@ -247,36 +187,44 @@ func (s *lofStepper) Absorb(o channel.RoundObs) (bool, error) {
 	}
 	s.sumR += float64(first)
 	s.round++
-	return s.round >= s.rounds, nil
+	return s.done(), nil
 }
+
+// estimate is LOF's n̂ = 2^{R̄}/φ, or 0 when no frame drew a response.
+func (s *roughLOF) estimate() float64 {
+	if !s.responded {
+		return 0
+	}
+	return math.Exp2(s.sumR/float64(s.rounds)) / fmPhi
+}
+
+// n is the rough estimate an owner sizes its next phase from, clamped at
+// 1 so an empty population still yields a finite load.
+func (s *roughLOF) n() float64 { return max(s.estimate(), 1) }
+
+// lofStepper is LOF run as a protocol of its own.
+type lofStepper struct{ roughLOF }
+
+// Stepper implements Estimator. Accuracy does not size LOF (it is a
+// fixed-budget rough estimator), matching Estimate.
+func (l *LOF) Stepper(Accuracy) (Stepper, error) {
+	return &lofStepper{roughLOF{rounds: roughRounds}}, nil
+}
+
+func (s *lofStepper) Name() string { return "LOF" }
 
 func (s *lofStepper) Result(cost timing.Cost, profile timing.Profile) Result {
-	res := Result{Rounds: s.rounds, Slots: s.slots, Cost: cost, Seconds: cost.Seconds(profile)}
-	if s.responded {
-		res.Estimate = math.Exp2(s.sumR/float64(s.rounds)) / fmPhi
-	}
-	return res
+	return Result{Estimate: s.estimate(), Rounds: s.rounds, Slots: s.slots, Cost: cost, Seconds: cost.Seconds(profile)}
 }
 
-func (s *lofStepper) Snapshot() any { return *s }
-
-func (s *lofStepper) Restore(snap any) error {
-	v, ok := snap.(lofStepper)
-	if !ok {
-		return fmt.Errorf("estimators: LOF restore from foreign snapshot %T", snap)
-	}
-	*s = v
-	return nil
-}
+func (s *lofStepper) Snapshot() any          { return *s }
+func (s *lofStepper) Restore(snap any) error { return restore(s, snap) }
 
 // ---------------------------------------------------------------------
-// ZOE: rough sub-stepper, then m single-slot frames.
+// ZOE: rough phase, then m single-slot frames.
 
 type zoeStepper struct {
-	rough       Stepper
-	roughDone   bool
-	roughRounds int
-	roughSlots  int
+	rough roughLOF
 
 	p    float64
 	m    int
@@ -284,10 +232,8 @@ type zoeStepper struct {
 	idle int
 }
 
-// Stepper implements Steppable. The rough phase runs as a sub-stepper —
-// natively when the configured rough estimator is Steppable (the default
-// LOF is), through the legacy adapter otherwise — so a custom rough
-// estimator never blocks ZOE from stepping.
+// Stepper implements Estimator. The accurate phase's slot count m depends
+// on (ε, δ) alone, so it is sized up front.
 func (z *ZOE) Stepper(acc Accuracy) (Stepper, error) {
 	acc.Validate()
 	m, err := ZOESlots(acc)
@@ -301,21 +247,13 @@ func (z *ZOE) Stepper(acc Accuracy) (Stepper, error) {
 	if max > 0 && m > max {
 		m = max
 	}
-	roughEst := z.Rough
-	if roughEst == nil {
-		roughEst = NewLOF()
-	}
-	rough, err := AsStepper(roughEst, acc)
-	if err != nil {
-		return nil, err
-	}
-	return &zoeStepper{m: m, rough: rough}, nil
+	return &zoeStepper{rough: roughLOF{rounds: roughRounds}, m: m}, nil
 }
 
 func (s *zoeStepper) Name() string { return "ZOE" }
 
 func (s *zoeStepper) Plan() channel.RoundSpec {
-	if !s.roughDone {
+	if !s.rough.done() {
 		return s.rough.Plan()
 	}
 	// One seed broadcast per slot — ZOE's defining (and costly) trait.
@@ -326,15 +264,12 @@ func (s *zoeStepper) Plan() channel.RoundSpec {
 }
 
 func (s *zoeStepper) Absorb(o channel.RoundObs) (bool, error) {
-	if !s.roughDone {
+	if !s.rough.done() {
 		done, err := s.rough.Absorb(o)
-		if err != nil {
-			return false, err
-		}
 		if done {
-			s.finishRough()
+			s.p = min(lambdaStarZOE/s.rough.n(), 1)
 		}
-		return false, nil
+		return false, err
 	}
 	if !o.Frame.Get(0) {
 		s.idle++
@@ -343,83 +278,26 @@ func (s *zoeStepper) Absorb(o channel.RoundObs) (bool, error) {
 	return s.slot >= s.m, nil
 }
 
-// RunLegacy implements channel.LegacyRunner by forwarding a legacy rough
-// round to the sub-stepper (ZOE's own accurate rounds are always native).
-func (s *zoeStepper) RunLegacy(r *channel.Reader) (bool, error) {
-	lr, ok := s.rough.(channel.LegacyRunner)
-	if s.roughDone || !ok {
-		return false, errors.New("estimators: unexpected legacy round in ZOE")
-	}
-	done, err := lr.RunLegacy(r)
-	if err != nil {
-		return false, err
-	}
-	if done {
-		s.finishRough()
-	}
-	return false, nil
-}
-
-// finishRough loads the accurate phase from the rough estimate, exactly
-// as the monolithic Estimate did (its slot count m depends on (ε, δ)
-// alone, so Stepper sized it up front).
-func (s *zoeStepper) finishRough() {
-	roughRes := s.rough.Result(timing.Cost{}, timing.Profile{})
-	s.roughRounds = roughRes.Rounds
-	s.roughSlots = roughRes.Slots
-	nRough := roughRes.Estimate
-	if nRough < 1 {
-		nRough = 1
-	}
-	s.p = lambdaStarZOE / nRough
-	if s.p > 1 {
-		s.p = 1
-	}
-	s.roughDone = true
-}
-
 func (s *zoeStepper) Result(cost timing.Cost, profile timing.Profile) Result {
 	rho := clampRho(float64(s.idle)/float64(s.m), s.m)
 	return Result{
 		Estimate: -math.Log(rho) / s.p,
-		Rounds:   1 + s.roughRounds,
-		Slots:    s.m + s.roughSlots,
+		Rounds:   1 + s.rough.rounds,
+		Slots:    s.m + s.rough.slots,
 		Guarded:  true,
 		Cost:     cost,
 		Seconds:  cost.Seconds(profile),
 	}
 }
 
-// zoeSnap carries the stepper's own state plus the rough sub-machine's.
-type zoeSnap struct {
-	self  zoeStepper
-	rough any
-}
-
-func (s *zoeStepper) Snapshot() any {
-	self := *s
-	self.rough = nil
-	return zoeSnap{self: self, rough: s.rough.Snapshot()}
-}
-
-func (s *zoeStepper) Restore(snap any) error {
-	v, ok := snap.(zoeSnap)
-	if !ok {
-		return fmt.Errorf("estimators: ZOE restore from foreign snapshot %T", snap)
-	}
-	rough := s.rough
-	*s = v.self
-	s.rough = rough
-	return s.rough.Restore(v.rough)
-}
+func (s *zoeStepper) Snapshot() any          { return *s }
+func (s *zoeStepper) Restore(snap any) error { return restore(s, snap) }
 
 // ---------------------------------------------------------------------
-// SRC: rough sub-stepper, then median-combined zero-estimator rounds.
+// SRC: one-round rough phase, then median-combined zero-estimator rounds.
 
 type srcStepper struct {
-	rough       Stepper
-	roughDone   bool
-	roughRounds int
+	rough roughLOF
 
 	l, rounds int
 	p         float64
@@ -428,28 +306,20 @@ type srcStepper struct {
 	estimates []float64
 }
 
-// Stepper implements Steppable; the rough phase composes like ZOE's.
+// Stepper implements Estimator.
 func (src *SRC) Stepper(acc Accuracy) (Stepper, error) {
 	acc.Validate()
 	l, err := SRCFrameSize(acc.Epsilon)
 	if err != nil {
 		return nil, err
 	}
-	roughEst := src.Rough
-	if roughEst == nil {
-		roughEst = &LOF{FrameSize: 32, Rounds: 1}
-	}
-	rough, err := AsStepper(roughEst, acc)
-	if err != nil {
-		return nil, err
-	}
-	return &srcStepper{l: l, rounds: SRCRounds(acc.Delta, src.MaxRounds), rough: rough}, nil
+	return &srcStepper{rough: roughLOF{rounds: 1}, l: l, rounds: SRCRounds(acc.Delta)}, nil
 }
 
 func (s *srcStepper) Name() string { return "SRC" }
 
 func (s *srcStepper) Plan() channel.RoundSpec {
-	if !s.roughDone {
+	if !s.rough.done() {
 		return s.rough.Plan()
 	}
 	return channel.RoundSpec{
@@ -459,15 +329,13 @@ func (s *srcStepper) Plan() channel.RoundSpec {
 }
 
 func (s *srcStepper) Absorb(o channel.RoundObs) (bool, error) {
-	if !s.roughDone {
+	if !s.rough.done() {
 		done, err := s.rough.Absorb(o)
-		if err != nil {
-			return false, err
-		}
 		if done {
-			s.finishRough()
+			s.p = min(lambdaStarZOE*float64(s.l)/s.rough.n(), 1)
+			s.estimates = make([]float64, 0, s.rounds)
 		}
-		return false, nil
+		return false, err
 	}
 	s.slots += s.l
 	rho := clampRho(o.Frame.RhoIdle(), s.l)
@@ -476,78 +344,29 @@ func (s *srcStepper) Absorb(o channel.RoundObs) (bool, error) {
 	return s.round >= s.rounds, nil
 }
 
-// RunLegacy implements channel.LegacyRunner for a legacy rough estimator.
-func (s *srcStepper) RunLegacy(r *channel.Reader) (bool, error) {
-	lr, ok := s.rough.(channel.LegacyRunner)
-	if s.roughDone || !ok {
-		return false, errors.New("estimators: unexpected legacy round in SRC")
-	}
-	done, err := lr.RunLegacy(r)
-	if err != nil {
-		return false, err
-	}
-	if done {
-		s.finishRough()
-	}
-	return false, nil
-}
-
-func (s *srcStepper) finishRough() {
-	roughRes := s.rough.Result(timing.Cost{}, timing.Profile{})
-	s.roughRounds = roughRes.Rounds
-	s.slots = roughRes.Slots
-	nRough := roughRes.Estimate
-	if nRough < 1 {
-		nRough = 1
-	}
-	s.p = lambdaStarZOE * float64(s.l) / nRough
-	if s.p > 1 {
-		s.p = 1
-	}
-	s.estimates = make([]float64, 0, s.rounds)
-	s.roughDone = true
-}
-
 func (s *srcStepper) Result(cost timing.Cost, profile timing.Profile) Result {
 	return Result{
 		Estimate: stats.Median(s.estimates),
-		Rounds:   s.rounds + s.roughRounds,
-		Slots:    s.slots,
+		Rounds:   s.rounds + s.rough.rounds,
+		Slots:    s.slots + s.rough.slots,
 		Guarded:  true,
 		Cost:     cost,
 		Seconds:  cost.Seconds(profile),
 	}
 }
 
-// srcSnap carries the stepper's own state plus the rough sub-machine's.
-type srcSnap struct {
-	self  srcStepper
-	rough any
-}
-
+// Snapshot copies the estimates slice, so the snapshot and the running
+// machine never share a backing array.
 func (s *srcStepper) Snapshot() any {
-	self := *s
-	self.rough = nil
-	self.estimates = append([]float64(nil), s.estimates...)
-	return srcSnap{self: self, rough: s.rough.Snapshot()}
+	c := *s
+	c.estimates = slices.Clone(s.estimates)
+	return c
 }
 
 func (s *srcStepper) Restore(snap any) error {
-	v, ok := snap.(srcSnap)
-	if !ok {
-		return fmt.Errorf("estimators: SRC restore from foreign snapshot %T", snap)
+	if err := restore(s, snap); err != nil {
+		return err
 	}
-	rough := s.rough
-	*s = v.self
-	s.estimates = append([]float64(nil), v.self.estimates...)
-	s.rough = rough
-	return s.rough.Restore(v.rough)
+	s.estimates = slices.Clone(s.estimates)
+	return nil
 }
-
-// The native conversions the tentpole names.
-var (
-	_ Steppable = (*BFCE)(nil)
-	_ Steppable = (*ZOE)(nil)
-	_ Steppable = (*SRC)(nil)
-	_ Steppable = (*LOF)(nil)
-)

@@ -33,15 +33,23 @@ func stepN(t *testing.T, r *channel.Reader, st Stepper, n int) (int, bool) {
 func TestStepperSnapshotResume(t *testing.T) {
 	type tc struct {
 		name string
-		est  Steppable
+		est  Estimator
 		k    int // rounds to run before freezing
 	}
 	cases := []tc{
 		{"BFCE", NewBFCE(), 2},
 		{"LOF", NewLOF(), 4},
-		{"ZOE", NewZOE(), 40},      // past the rough phase, into singleton slots
-		{"SRC", NewSRC(), 3},       // mid rough phase
-		{"ZOE-early", NewZOE(), 2}, // frozen inside the rough sub-stepper
+		{"ZOE", NewZOE(), 40},                 // past the rough phase, into singleton slots
+		{"SRC", NewSRC(), 3},                  // mid accurate phase
+		{"ZOE-early", NewZOE(), 2},            // frozen inside the rough phase
+		{"UPE", NewUPE(), 2},                  // inside calibration (3 frames at this n)
+		{"EZB", NewEZB(), 11},                 // inside measurement (3 frames)
+		{"FNEB", NewFNEB(), 20},               // inside measurement
+		{"MLE", NewMLE(), 4},                  // inside the rough phase
+		{"ART", NewART(), 12},                 // inside measurement (5 frames)
+		{"PET", NewPET(), 8},                  // between two probes of the second round
+		{"BFCE-multi", NewBFCEMulti(), 4},     // between the first and second BFCE runs
+		{"ZOE-batched", NewZOEBatched(), 110}, // inside the silent coin frames
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -107,55 +115,10 @@ func TestStepperRestoreRejectsForeignSnapshot(t *testing.T) {
 	}
 }
 
-// TestAsStepperLegacy: an unconverted estimator rides the legacy adapter —
-// a single driver round that reproduces Estimate exactly.
-func TestAsStepperLegacy(t *testing.T) {
-	for _, name := range []string{"UPE", "EZB", "FNEB", "MLE", "ART", "PET"} {
-		est, err := New(name)
-		if err != nil {
-			t.Fatalf("estimator %q missing from registry: %v", name, err)
-		}
-		if _, ok := est.(Steppable); ok {
-			t.Fatalf("%s is Steppable now; move it out of the legacy test", name)
-		}
-		const n, seed = 5000, 31
-		want, err := est.Estimate(newSession(n, seed), Default)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := AsStepper(fresh, Default)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Run(context.Background(), newSession(n, seed), st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("%s via legacy adapter:\n got  %+v\n want %+v", name, got, want)
-		}
-		if snap := st.Snapshot(); snap != nil {
-			t.Errorf("%s: legacy snapshot = %v, want nil", name, snap)
-		}
-		if err := st.Restore(nil); err != nil {
-			t.Errorf("%s: Restore(nil) = %v", name, err)
-		}
-		if err := st.Restore(42); err == nil {
-			t.Errorf("%s: legacy adapter accepted a non-nil snapshot", name)
-		}
-	}
-}
-
-// TestAsStepperNative: the natively-converted protocols do NOT take the
-// legacy path — their first planned round is a real frame, not a Legacy
-// dispatch (except ZOE/SRC with a custom unconverted rough estimator,
-// which forward one legacy round for it).
+// TestAsStepperNative: every registry protocol converts into its own
+// round machine.
 func TestAsStepperNative(t *testing.T) {
-	for _, name := range []string{"BFCE", "ZOE", "SRC", "LOF"} {
+	for _, name := range Names() {
 		est, err := New(name)
 		if err != nil {
 			t.Fatal(err)
@@ -164,32 +127,9 @@ func TestAsStepperNative(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if spec := st.Plan(); spec.Legacy {
-			t.Errorf("%s plans a legacy round; expected native stepping", name)
+		if st.Name() != name {
+			t.Errorf("AsStepper(%s) built a %s machine", name, st.Name())
 		}
-	}
-}
-
-// TestZOECustomRoughViaStepper: a ZOE configured with an unconverted rough
-// estimator still runs under the driver — the outer stepper forwards the
-// rough phase as one legacy round — and matches the monolithic result.
-func TestZOECustomRoughViaStepper(t *testing.T) {
-	mk := func() *ZOE { return &ZOE{Rough: NewUPE()} }
-	const n, seed = 20000, 13
-	want, err := mk().Estimate(newSession(n, seed), Default)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := mk().Stepper(Default)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(context.Background(), newSession(n, seed), st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("ZOE{Rough: UPE} via stepper:\n got  %+v\n want %+v", got, want)
 	}
 }
 

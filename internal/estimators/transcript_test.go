@@ -58,7 +58,7 @@ func TestSRCTranscript(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := SRCRounds(Default.Delta, 0)
+	rounds := SRCRounds(Default.Delta)
 	var accurate int
 	for _, e := range events {
 		if e.Kind == "frame" && e.W == l {

@@ -1,11 +1,10 @@
 package estimators
 
 import (
-	"errors"
 	"math"
 
 	"rfidest/internal/channel"
-	"rfidest/internal/stats"
+	"rfidest/internal/core"
 	"rfidest/internal/timing"
 )
 
@@ -18,8 +17,6 @@ type BFCEMulti struct {
 	// Rounds is the number of independent estimations averaged
 	// (default 5).
 	Rounds int
-	// Inner configures the per-round estimator; nil uses paper defaults.
-	Inner *BFCE
 }
 
 // NewBFCEMulti returns the multi-round variant with 5 rounds.
@@ -30,41 +27,68 @@ func (m *BFCEMulti) Name() string { return "BFCE-multi" }
 
 // Estimate implements Estimator.
 func (m *BFCEMulti) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	if r == nil {
-		return Result{}, errors.New("estimators: nil session")
-	}
-	acc.Validate()
-	rounds := m.Rounds
-	if rounds <= 0 {
-		rounds = 5
-	}
-	inner := m.Inner
-	if inner == nil {
-		inner = NewBFCE()
-	}
-	start := r.Cost()
-	var estimates []float64
-	slots := 0
-	guarded := true
-	for i := 0; i < rounds; i++ {
-		res, err := inner.Estimate(r, acc)
-		if err != nil {
-			return Result{}, err
-		}
-		estimates = append(estimates, res.Estimate)
-		slots += res.Slots
-		guarded = guarded && res.Guarded
-	}
-	res := Result{
-		Estimate: stats.Mean(estimates),
-		Rounds:   rounds,
-		Slots:    slots,
-		Guarded:  guarded,
-	}
-	res.Cost = r.Cost().Sub(start)
-	res.Seconds = res.Cost.Seconds(r.Profile)
-	return res, nil
+	return estimate(m, r, acc)
 }
+
+// Stepper implements Estimator: R paper-default BFCE machines stepped
+// back to back. The next run's probe span opens by closing the previous
+// run's accurate span, so observers see each run's spans in order.
+func (m *BFCEMulti) Stepper(acc Accuracy) (Stepper, error) {
+	acc.Validate()
+	runs := m.Rounds
+	if runs <= 0 {
+		runs = 5
+	}
+	est, err := core.New(core.Config{Epsilon: acc.Epsilon, Delta: acc.Delta})
+	if err != nil {
+		return nil, err
+	}
+	fresh := *est.Stepper()
+	return &bfceMultiStepper{fresh: fresh, inner: fresh, runs: runs, guarded: true}, nil
+}
+
+type bfceMultiStepper struct {
+	fresh core.Stepper // an unstarted BFCE run, copied in as each run starts
+	inner core.Stepper // the run in progress
+
+	runs    int
+	run     int // runs completed
+	sum     float64
+	guarded bool
+}
+
+func (s *bfceMultiStepper) Name() string { return "BFCE-multi" }
+
+func (s *bfceMultiStepper) Plan() channel.RoundSpec { return s.inner.Plan() }
+
+func (s *bfceMultiStepper) Absorb(o channel.RoundObs) (bool, error) {
+	done, err := s.inner.Absorb(o)
+	if err != nil || !done {
+		return false, err
+	}
+	res := s.inner.Result()
+	s.sum += res.Estimate
+	s.guarded = s.guarded && res.Feasible
+	s.run++
+	s.inner = s.fresh
+	return s.run >= s.runs, nil
+}
+
+// Result averages the runs' estimates. Every slot the session sensed
+// belongs to one of the runs, so the slot count is the cost's.
+func (s *bfceMultiStepper) Result(cost timing.Cost, profile timing.Profile) Result {
+	return Result{
+		Estimate: s.sum / float64(s.runs),
+		Rounds:   s.runs,
+		Slots:    cost.TagSlots,
+		Guarded:  s.guarded,
+		Cost:     cost,
+		Seconds:  cost.Seconds(profile),
+	}
+}
+
+func (s *bfceMultiStepper) Snapshot() any          { return *s }
+func (s *bfceMultiStepper) Restore(snap any) error { return restore(s, snap) }
 
 // ZOEBatched is a what-if ablation of ZOE, not a published protocol: the
 // same m single-bit observations, but tags derive each slot's coin from a
@@ -75,10 +99,10 @@ func (m *BFCEMulti) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
 // quality. (The published ZOE broadcasts per slot because C1G2 tags lack a
 // trusted per-slot counter; the variant assumes the §IV-E.2 tag model,
 // which can XOR a counter into its prestored RN.)
-type ZOEBatched struct {
-	// MaxSlots caps the observation count (default 65536).
-	MaxSlots int
-}
+type ZOEBatched struct{}
+
+// zoeBatchedMaxSlots caps the observation count.
+const zoeBatchedMaxSlots = 65536
 
 // NewZOEBatched returns the batched ZOE ablation.
 func NewZOEBatched() *ZOEBatched { return &ZOEBatched{} }
@@ -88,59 +112,84 @@ func (z *ZOEBatched) Name() string { return "ZOE-batched" }
 
 // Estimate implements Estimator.
 func (z *ZOEBatched) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	if r == nil {
-		return Result{}, errors.New("estimators: nil session")
-	}
-	acc.Validate()
-	start := r.Cost()
+	return estimate(z, r, acc)
+}
 
-	rough, err := NewLOF().Estimate(r, acc)
-	if err != nil {
-		return Result{}, err
-	}
-	nRough := rough.Estimate
-	if nRough < 1 {
-		nRough = 1
-	}
-	p := lambdaStarZOE / nRough
-	if p > 1 {
-		p = 1
-	}
-	// Cap in float: an extreme (ε, δ) sizes m past int (see zoeSlots).
-	max := z.MaxSlots
-	if max <= 0 {
-		max = 65536
-	}
-	m := max
-	if sized := zoeSlots(acc); sized < float64(max) {
+// Stepper implements Estimator. The cap is applied in float: an extreme
+// (ε, δ) sizes m past int (see zoeSlots).
+func (z *ZOEBatched) Stepper(acc Accuracy) (Stepper, error) {
+	acc.Validate()
+	m := zoeBatchedMaxSlots
+	if sized := zoeSlots(acc); sized < float64(m) {
 		m = int(sized)
 	}
-
-	// One seed broadcast, then m back-to-back single-bit observations.
-	// Each observation is an independent per-slot coin for every tag;
-	// modelled as m W=1 frames under counter-derived seeds, but priced as
-	// one contiguous listen.
-	r.BroadcastParams(timing.SeedBits + timing.PnBits)
-	base := r.NextSeed()
-	idle := 0
-	for i := 0; i < m; i++ {
-		vec := r.Engine.RunFrame(channel.FrameRequest{
-			W: 1, K: 1, P: p, Seed: base + uint64(i),
-		})
-		if !vec.Get(0) {
-			idle++
-		}
-	}
-	r.ListenSlots(m)
-
-	rho := clampRho(float64(idle)/float64(m), m)
-	res := Result{
-		Estimate: -math.Log(rho) / p,
-		Rounds:   1 + rough.Rounds,
-		Slots:    m + rough.Slots,
-		Guarded:  true,
-	}
-	res.Cost = r.Cost().Sub(start)
-	res.Seconds = res.Cost.Seconds(r.Profile)
-	return res, nil
+	return &zoeBatchedStepper{rough: roughLOF{rounds: roughRounds}, m: m}, nil
 }
+
+// zoeBatchedStepper follows the rough phase with one seed broadcast and
+// m back-to-back single-bit observations. Each observation is an
+// independent per-slot coin for every tag, modelled as a silent W = 1
+// frame under the counter-derived seed base + i, and the m of them are
+// priced as one contiguous listen round.
+type zoeBatchedStepper struct {
+	rough roughLOF
+
+	m    int
+	p    float64
+	base uint64 // the broadcast seed, drawn with the first coin
+	slot int    // coins drawn so far
+	idle int
+}
+
+func (s *zoeBatchedStepper) Name() string { return "ZOE-batched" }
+
+func (s *zoeBatchedStepper) Plan() channel.RoundSpec {
+	coin := channel.FrameRequest{W: 1, K: 1, P: s.p}
+	switch {
+	case !s.rough.done():
+		return s.rough.Plan()
+	case s.slot == 0:
+		return channel.RoundSpec{Kind: channel.SilentRound, Broadcast: timing.SeedBits + timing.PnBits, Frame: coin}
+	case s.slot < s.m:
+		coin.Seed = s.base + uint64(s.slot)
+		return channel.RoundSpec{Kind: channel.SilentRound, ReuseSeed: true, Frame: coin}
+	default:
+		return channel.RoundSpec{Kind: channel.ListenRound, Listen: s.m}
+	}
+}
+
+func (s *zoeBatchedStepper) Absorb(o channel.RoundObs) (bool, error) {
+	switch {
+	case !s.rough.done():
+		done, err := s.rough.Absorb(o)
+		if done {
+			s.p = min(lambdaStarZOE/s.rough.n(), 1)
+		}
+		return false, err
+	case s.slot == s.m:
+		return true, nil // the listen round
+	}
+	if s.slot == 0 {
+		s.base = o.Seed
+	}
+	if !o.Frame.Get(0) {
+		s.idle++
+	}
+	s.slot++
+	return false, nil
+}
+
+func (s *zoeBatchedStepper) Result(cost timing.Cost, profile timing.Profile) Result {
+	rho := clampRho(float64(s.idle)/float64(s.m), s.m)
+	return Result{
+		Estimate: -math.Log(rho) / s.p,
+		Rounds:   1 + s.rough.rounds,
+		Slots:    s.m + s.rough.slots,
+		Guarded:  true,
+		Cost:     cost,
+		Seconds:  cost.Seconds(profile),
+	}
+}
+
+func (s *zoeBatchedStepper) Snapshot() any          { return *s }
+func (s *zoeBatchedStepper) Restore(snap any) error { return restore(s, snap) }

@@ -1,7 +1,6 @@
 package estimators
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -30,9 +29,6 @@ import (
 // its own 32-bit seed broadcast, ZOE's execution time is dominated by
 // reader→tag traffic (m × 1510 µs) — the observation that motivates BFCE.
 type ZOE struct {
-	// Rough supplies the first-phase estimate; nil uses LOF with the
-	// paper's 10 rounds.
-	Rough Estimator
 	// MaxSlots caps the accurate phase (guards against a rough estimate
 	// so bad the formula explodes). Default 65536.
 	MaxSlots int
@@ -73,15 +69,7 @@ func zoeSlots(acc Accuracy) float64 {
 	return math.Ceil(root * root)
 }
 
-// Estimate implements Estimator: it builds the round state machine
-// (Stepper) and hands it to the shared driver.
+// Estimate implements Estimator.
 func (z *ZOE) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	if r == nil {
-		return Result{}, errors.New("estimators: nil session")
-	}
-	st, err := z.Stepper(acc)
-	if err != nil {
-		return Result{}, err
-	}
-	return Run(nil, r, st)
+	return estimate(z, r, acc)
 }

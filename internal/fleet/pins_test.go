@@ -3,7 +3,10 @@ package fleet
 // Pinned fleet reports. testdata/fleet_pins.json was captured from the
 // runner that ran pooled trials through System.Run and interleaved trials
 // through a hand-written copy of that loop, before both modes were moved
-// onto jobRunner; every value must still replay exactly. No job sets a
+// onto jobRunner; every value must still replay exactly. It was captured
+// again when every protocol began stepping natively: UPE's slot-state
+// frames now reach the registries' frame and slot counters, and the
+// interleaved schedRounds counts the protocols' real rounds. No job sets a
 // retry count, and the registries' degraded counters are left out: fleet
 // used to emit its own Degraded hook for saturated trials. To regenerate
 // after an intentional behaviour change, marshal fleetPinGrid() with

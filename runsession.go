@@ -14,8 +14,8 @@ import (
 
 // RunSession is one estimation run held open between protocol rounds.
 // StartRun opens the session and pauses before the first round; each Step
-// executes exactly one round (one reader broadcast plus one observed
-// frame); Result returns the estimate once Step reports done.
+// executes exactly one protocol round (see channel.StepRound); Result
+// returns the estimate once Step reports done.
 //
 // RunSession is the one loop that executes an estimate in this package:
 // Run, RunBFCEDetail and Monitor.Run each step one to completion, so the
@@ -126,8 +126,8 @@ func (rs *RunSession) instrumented() bool { return rs.o.observer != obs.Nop }
 // Estimator returns the registry name of the protocol being run.
 func (rs *RunSession) Estimator() string { return rs.name }
 
-// Rounds returns how many rounds have been stepped so far, across retry
-// attempts. A legacy-adapted protocol counts as a single round.
+// Rounds returns how many protocol rounds have been stepped so far,
+// across retry attempts.
 func (rs *RunSession) Rounds() int { return rs.rounds }
 
 // Done reports whether the run has finished (successfully or not).

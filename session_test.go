@@ -188,3 +188,45 @@ func TestStartRunValidation(t *testing.T) {
 		t.Error("negative retries accepted")
 	}
 }
+
+// TestSessionAllocs caps the heap allocations of one synthetic session per
+// registry protocol, so an allocation added to any round machine, or to
+// the round driver they all share, fails here. The ceilings are the
+// counts measured when every protocol began stepping through
+// channel.StepRound; a change that lowers a count should lower its
+// ceiling.
+func TestSessionAllocs(t *testing.T) {
+	ceiling := map[string]float64{
+		"ART":         89,
+		"BFCE":        27,
+		"BFCE-multi":  91,
+		"EZB":         74,
+		"FNEB":        3133,
+		"LOF":         59,
+		"MLE":         84,
+		"PET":         4645,
+		"SRC":         51,
+		"UPE":         42,
+		"ZOE":         19890,
+		"ZOE-batched": 19889,
+	}
+	sys := rfidest.NewSystem(50000, rfidest.WithSeed(7), rfidest.WithSynthetic())
+	for _, name := range rfidest.Estimators() {
+		want, ok := ceiling[name]
+		if !ok {
+			t.Errorf("%s has no allocation ceiling", name)
+			continue
+		}
+		var err error
+		got := testing.AllocsPerRun(3, func() {
+			_, err = sys.Run(context.Background(), rfidest.WithEstimator(name),
+				rfidest.WithAccuracy(0.05, 0.05), rfidest.WithSeedSalt(1))
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got > want {
+			t.Errorf("%s: %v allocations per session, ceiling %v", name, got, want)
+		}
+	}
+}
