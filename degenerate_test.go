@@ -1,6 +1,7 @@
 package rfidest
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -143,5 +144,32 @@ func TestMergeRejectsInfeasibleUnion(t *testing.T) {
 		t.Fatal("mixed hash modes accepted")
 	} else if !strings.Contains(err.Error(), "hash mode") {
 		t.Fatalf("unexpected mixed-mode error: %v", err)
+	}
+}
+
+// TestPaperHashRefusesUnaddressableFrames: the paper's tag hash addresses
+// only power-of-two frames of at least 2 slots, so ZOE and ZOE-batched
+// (1-slot frames) and SRC (⌈7.72/ε²⌉ slots) cannot run on a paper-hash
+// system, behind any channel wrapper. Each run returns an error wrapping
+// ErrUnsupportedRound instead of panicking inside the tag hash.
+func TestPaperHashRefusesUnaddressableFrames(t *testing.T) {
+	systems := map[string]*System{
+		"paper-hash": NewSystem(2000, WithSeed(3), WithPaperTagHash()),
+		"noisy":      NewSystem(2000, WithSeed(3), WithPaperTagHash(), WithNoise(0.01, 0.01)),
+		"faulted":    NewSystem(2000, WithSeed(3), WithPaperTagHash(), WithFaults(FaultSeverity(0.5))),
+	}
+	for sysName, sys := range systems {
+		for _, name := range []string{"ZOE", "ZOE-batched", "SRC"} {
+			est, err := sys.Run(context.Background(), WithEstimator(name), WithAccuracy(0.2, 0.2), WithSeedSalt(1))
+			if !errors.Is(err, ErrUnsupportedRound) {
+				t.Errorf("%s on %s: err = %v, want ErrUnsupportedRound", name, sysName, err)
+			}
+			if est != (Estimate{}) {
+				t.Errorf("%s on %s: a refused run returned %+v", name, sysName, est)
+			}
+		}
+		if _, err := sys.Run(context.Background(), WithAccuracy(0.2, 0.2), WithSeedSalt(1)); err != nil {
+			t.Errorf("BFCE on %s: %v", sysName, err)
+		}
 	}
 }

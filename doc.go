@@ -141,7 +141,8 @@
 // Run(WithSalt(...)), and server-assigned salts are derived from the
 // configured seed and echoed for replay. Admission is bounded (in-flight
 // slots plus a short queue; overflow sheds with 429 and Retry-After,
-// deadlines map to 504, and an accuracy target past ErrSlotLimit is 400),
+// deadlines map to 504, and an accuracy target past ErrSlotLimit or a
+// protocol the system's channel cannot run, ErrUnsupportedRound, is 400),
 // and shutdown drains in-flight sessions at round boundaries. See
 // DESIGN.md §10.
 //

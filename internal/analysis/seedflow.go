@@ -75,6 +75,7 @@ func (f seedRetParamFact) String() string {
 var xrandRootFuncs = map[string]bool{
 	"New":           true,
 	"NewStream":     true,
+	"MakeStream":    true,
 	"NewSplitMix64": true,
 }
 

@@ -12,6 +12,7 @@ import (
 var seedRootFuncs = map[string]bool{
 	"New":           true,
 	"NewStream":     true,
+	"MakeStream":    true,
 	"NewSplitMix64": true,
 	"Combine":       true,
 }
@@ -25,7 +26,7 @@ var seedRootFuncs = map[string]bool{
 // and examples/ may hard-code seeds for reproducibility of their output.
 var SeedLit = &Analyzer{
 	Name: "seedlit",
-	Doc: "flag constant-literal root seeds passed to xrand.New*/Combine outside tests and examples; " +
+	Doc: "flag constant-literal root seeds passed to xrand.New*/MakeStream/Combine outside tests and examples; " +
 		"a pinned seed silently destroys trial independence",
 	AppliesTo: func(rel string) bool {
 		return !strings.HasPrefix(rel, "examples/") && rel != "examples"

@@ -20,6 +20,17 @@ func launder() *xrand.Rand {
 	return newEngine(42) // want `constant seed flows through newEngine`
 }
 
+// newValueEngine roots a by-value stream in its seed, the way the frame
+// engines hold theirs.
+func newValueEngine(seed uint64) xrand.Rand { // wantfact `root seed flows in through parameter 0`
+	return xrand.MakeStream(seed, 0xba115)
+}
+
+// launderValue pins the by-value root through the constructor.
+func launderValue() xrand.Rand {
+	return newValueEngine(43) // want `constant seed flows through newValueEngine`
+}
+
 // deeper forwards its seed one more hop; the parameter fact is
 // transitive.
 func deeper(seed uint64) *xrand.Rand { // wantfact `root seed flows in through parameter 0`

@@ -31,6 +31,12 @@ func pinnedSplitMix() *xrand.SplitMix64 {
 	return xrand.NewSplitMix64(1) // want `constant root seed in xrand\.NewSplitMix64`
 }
 
+// pinnedValueStream covers the by-value constructor, which hot paths use
+// to hold a stream inside a struct without a heap generator.
+func pinnedValueStream() xrand.Rand {
+	return xrand.MakeStream(3, 0xba115) // want `constant root seed in xrand\.MakeStream`
+}
+
 // derived threads a root seed through and uses literals only as
 // domain-separation tags: the house idiom, never flagged.
 func derived(rootSeed, trial uint64) uint64 {
@@ -40,6 +46,11 @@ func derived(rootSeed, trial uint64) uint64 {
 // seededStream takes its seed from the caller: never flagged.
 func seededStream(seed uint64) *xrand.Rand {
 	return xrand.NewStream(seed, 0x5eed)
+}
+
+// seededValueStream is the by-value form of seededStream: never flagged.
+func seededValueStream(seed uint64) xrand.Rand {
+	return xrand.MakeStream(seed, 0x5eed)
 }
 
 // quickCheck is a sanctioned pinned probe (e.g. a smoke-test helper),

@@ -10,8 +10,8 @@ import (
 	"math/bits"
 )
 
-// Set is a fixed-length bit vector. The zero value is unusable; construct
-// with New.
+// Set is a fixed-length bit vector. The zero value is an empty set;
+// construct with New, or Reset a Set in place.
 type Set struct {
 	n     int
 	words []uint64
@@ -25,13 +25,38 @@ func New(n int) *Set {
 	return &Set{n: n, words: make([]uint64, (n+63)/64)}
 }
 
+// Reset makes s an all-zero set of n bits in place. It reuses the backing
+// words when they can hold n bits, so a Set reset to its largest length
+// first never allocates again. It panics if n < 0.
+func (s *Set) Reset(n int) {
+	if n < 0 {
+		panic("bitset: negative length")
+	}
+	nw := (n + 63) / 64
+	if cap(s.words) < nw {
+		s.words = make([]uint64, nw)
+	} else {
+		s.words = s.words[:nw]
+		clear(s.words)
+	}
+	s.n = n
+}
+
 // Len returns the number of bits.
 func (s *Set) Len() int { return s.n }
 
 func (s *Set) check(i int) {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("bitset: index %d out of [0, %d)", i, s.n))
+	if uint(i) >= uint(s.n) {
+		panic(rangeError{i, s.n})
 	}
+}
+
+// rangeError is the panic value of an out-of-range index, formatted only
+// when printed so the accessors stay cheap enough to inline.
+type rangeError struct{ i, n int }
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("bitset: index %d out of [0, %d)", e.i, e.n)
 }
 
 // Set1 sets bit i.
@@ -209,13 +234,7 @@ func (s *Set) FirstClear() int {
 // invariant (bits at positions >= n are zero) lets it treat every word as a
 // full 64 bits, since trailing zeros only ever terminate a run.
 func (s *Set) Runs() []int {
-	// Exact-size prepass: a run starts at each 1-bit whose predecessor
-	// (carrying across word boundaries) is 0.
-	count, carry := 0, uint64(0)
-	for _, w := range s.words {
-		count += bits.OnesCount64(w &^ (w<<1 | carry))
-		carry = w >> 63
-	}
+	count := s.RunCount()
 	if count == 0 {
 		return nil
 	}
@@ -244,6 +263,18 @@ func (s *Set) Runs() []int {
 		runs = append(runs, cur)
 	}
 	return runs
+}
+
+// RunCount returns the number of maximal runs of consecutive set bits,
+// len(Runs()) without building the slice: a run starts at each set bit
+// whose predecessor (carried across word boundaries) is clear.
+func (s *Set) RunCount() int {
+	count, carry := 0, uint64(0)
+	for _, w := range s.words {
+		count += bits.OnesCount64(w &^ (w<<1 | carry))
+		carry = w >> 63
+	}
+	return count
 }
 
 // Equal reports whether s and o have identical length and bits.

@@ -327,3 +327,44 @@ func TestDeMorganProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestRunCountProperty(t *testing.T) {
+	f := func(raw []bool) bool {
+		return FromBools(raw).RunCount() == len(refRuns(raw))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResetInPlace: Reset zeroes and resizes in place, so a Set reset to
+// its largest length first serves every shorter length without
+// allocating, and the zero Set is usable once Reset.
+func TestResetInPlace(t *testing.T) {
+	var s Set
+	s.Reset(130)
+	for i := 0; i < 130; i++ {
+		s.Set1(i)
+	}
+	s.Reset(70)
+	if s.Len() != 70 || s.Count() != 0 || s.Words() != 2 {
+		t.Fatalf("after Reset(70): Len %d, Count %d, Words %d", s.Len(), s.Count(), s.Words())
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		s.Reset(130)
+		s.Truncate(32)
+		s.Reset(1)
+	}); got != 0 {
+		t.Fatalf("Reset within capacity allocated %v times", got)
+	}
+	s.Reset(1000) // past the capacity: grows
+	if s.Len() != 1000 || s.Count() != 0 {
+		t.Fatalf("after growing: Len %d, Count %d", s.Len(), s.Count())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset(-1) did not panic")
+		}
+	}()
+	s.Reset(-1)
+}

@@ -15,13 +15,14 @@ import (
 // per frame instead of O(n·k), which makes protocols that run thousands of
 // frames (ZOE) tractable in large sweeps.
 //
-// Like every engine, a BallsEngine is single-session state (its RNG and
-// energy counter advance on every frame) — one goroutine drives it for
-// its whole life. Concurrency happens one level up, with one engine per
-// session.
+// Like every engine, a BallsEngine is single-session state (its RNG,
+// frame buffer and energy counter advance on every frame) — one goroutine
+// drives it for its whole life. Concurrency happens one level up, with one
+// engine per session.
 type BallsEngine struct {
 	N   int // ground-truth population size
-	rng *xrand.Rand
+	rng xrand.Rand
+	buf frameBuf
 
 	// transmissions counts sampled tag responses so far (EnergyMeter).
 	transmissions int
@@ -33,7 +34,7 @@ func NewBallsEngine(n int, seed uint64) *BallsEngine {
 	if n < 0 {
 		panic("channel: negative population size")
 	}
-	return &BallsEngine{N: n, rng: xrand.NewStream(seed, 0xba115)}
+	return &BallsEngine{N: n, rng: xrand.MakeStream(seed, 0xba115)}
 }
 
 // Size implements Engine.
@@ -41,89 +42,79 @@ func (e *BallsEngine) Size() int { return e.N }
 
 // frameRNG derives the stream for one frame from the frame seed, so equal
 // seeds replay identical frames (matching the deterministic tag behaviour).
-func (e *BallsEngine) frameRNG(req FrameRequest) *xrand.Rand {
-	return xrand.NewStream(e.rng.Uint64(), req.Seed)
+// The stream is private to the frame: nothing reads it after the frame, so
+// a frame may stop drawing once its observed prefix is settled.
+func (e *BallsEngine) frameRNG(req FrameRequest) xrand.Rand {
+	return xrand.MakeStream(e.rng.Uint64(), req.Seed)
 }
 
-// RunFrame implements Engine.
+// RunFrame implements Engine. Responses are sampled straight into the busy
+// words of the observed prefix; no per-slot counts exist.
 func (e *BallsEngine) RunFrame(req FrameRequest) BitVec {
 	observe := req.validate()
-	rng := e.frameRNG(req)
-	counts := scatterCounts(rng, e.N*req.K, req)
-	busy := NewBitVec(observe)
-	tx := 0
-	for wi := 0; wi < busy.bits.Words(); wi++ {
-		base := wi << 6
-		end := base + 64
-		if end > observe {
-			end = observe
-		}
-		var w uint64
-		for i := base; i < end; i++ {
-			c := counts[i]
-			// Branch-free busy bit (the compiler lowers this to SETNE): a
-			// data-dependent branch here costs ~2x on random frames.
-			var bit uint64
-			if c != 0 {
-				bit = 1
-			}
-			w |= bit << uint(i-base)
-			tx += c
-		}
-		busy.bits.XorWord(wi, w)
-	}
-	e.transmissions += tx
+	busy := e.buf.bits(req.W, observe)
+	e.scatter(req, observe, frameOut{busy: busy})
 	return busy
 }
 
-// scatterCounts samples the exact multinomial occupancy of a frame: the
-// response count is Binomial(pairs, p) and responses are distributed over
-// the W slots per the slot distribution. When the number of responses is
-// large relative to the frame it switches from per-ball throwing to
-// sequential binomial splitting (bin_i ~ Bin(remaining, q_i / tail_i)),
-// which samples the identical joint law in O(W) instead of O(balls).
-func scatterCounts(rng *xrand.Rand, pairs int, req FrameRequest) []int {
-	balls := rng.Binomial(pairs, req.P)
-	counts := make([]int, req.W)
-	switch req.Dist {
-	case Uniform:
-		if balls <= 4*req.W {
-			for i := 0; i < balls; i++ {
-				counts[rng.Intn(req.W)]++
-			}
-			return counts
-		}
-		remaining := balls
-		for i := 0; i < req.W-1 && remaining > 0; i++ {
-			c := rng.Binomial(remaining, 1/float64(req.W-i))
-			counts[i] = c
-			remaining -= c
-		}
-		counts[req.W-1] += remaining
-		return counts
-	case Geometric:
-		if balls <= 4*req.W {
-			for i := 0; i < balls; i++ {
-				j := rng.GeometricHalf()
-				if j >= req.W {
-					j = req.W - 1
-				}
-				counts[j]++
-			}
-			return counts
-		}
-		// Slot j carries 2^{-(j+1)} of the mass; conditioned on not
-		// landing earlier, each ball picks slot j with probability 1/2.
-		remaining := balls
-		for j := 0; j < req.W-1 && remaining > 0; j++ {
-			c := rng.Binomial(remaining, 0.5)
-			counts[j] = c
-			remaining -= c
-		}
-		counts[req.W-1] += remaining
-		return counts
-	default:
+// RunFrameOccupancy implements OccupancyEngine, building the observed
+// prefix's slot states in place.
+func (e *BallsEngine) RunFrameOccupancy(req FrameRequest) Occupancy {
+	observe := req.validate()
+	states := e.buf.slotStates(req.W, observe)
+	e.scatter(req, observe, frameOut{states: states})
+	return states
+}
+
+// scatter samples the exact multinomial occupancy of a frame into out,
+// which sees only the observed prefix, and meters the transmissions that
+// land there. The response count is Binomial(n·k, p) and responses are
+// distributed over the W slots per the slot distribution. When the
+// number of responses is large relative to the frame it switches from
+// per-ball throwing to sequential binomial splitting (bin_i ~
+// Bin(remaining, q_i / tail_i)), which samples the identical joint law in
+// O(W) instead of O(balls) — and stops at the end of the observed prefix.
+func (e *BallsEngine) scatter(req FrameRequest, observe int, out frameOut) {
+	if req.Dist != Uniform && req.Dist != Geometric {
 		panic("channel: unknown slot distribution")
+	}
+	rng := e.frameRNG(req)
+	balls := rng.Binomial(e.N*req.K, req.P)
+	w := req.W
+	if balls <= 4*w {
+		for ; balls > 0; balls-- {
+			var slot int
+			if req.Dist == Uniform {
+				slot = rng.Intn(w)
+			} else if slot = rng.GeometricHalf(); slot >= w {
+				slot = w - 1
+			}
+			if slot < observe {
+				out.add(slot, 1)
+				e.transmissions++
+			}
+		}
+		return
+	}
+	remaining := balls
+	for i := 0; i < observe && remaining > 0; i++ {
+		c := remaining // the last slot takes every ball still unplaced
+		if i < w-1 {
+			// Uniform: each unplaced ball picks slot i with probability
+			// 1/(w-i). Geometric: slot i carries 2^{-(i+1)} of the mass,
+			// so conditioned on not landing earlier a ball stops at i with
+			// probability 1/2.
+			q := 0.5
+			if req.Dist == Uniform {
+				q = 1 / float64(w-i)
+			}
+			c = rng.Binomial(remaining, q)
+		}
+		if c > 0 {
+			out.add(i, c)
+			e.transmissions += c
+			remaining -= c
+		}
 	}
 }
 

@@ -36,6 +36,9 @@ func NewCaptureEngine(inner OccupancyEngine, captureProb float64, seed uint64) *
 // Size implements Engine.
 func (e *CaptureEngine) Size() int { return e.Inner.Size() }
 
+// CheckFrame implements FrameChecker by asking the wrapped engine.
+func (e *CaptureEngine) CheckFrame(req FrameRequest) error { return CheckFrame(e.Inner, req) }
+
 // RunFrame implements Engine. Capture does not change busy/idle.
 func (e *CaptureEngine) RunFrame(req FrameRequest) BitVec {
 	return e.Inner.RunFrame(req)

@@ -84,14 +84,11 @@ func (req FrameRequest) validate() (observe int) {
 // keeps the original implementation for cross-checking tests and
 // benchmarks.
 //
-// The zero BitVec is an empty (zero-slot) frame. Construct real frames
-// with NewBitVec or FromBools.
+// The zero BitVec is an empty (zero-slot) frame. Engines build real
+// frames in their frame buffers; FromBools packs one from a []bool.
 type BitVec struct {
 	bits *bitset.Set // bit i set ⟺ slot i busy; nil for the zero value
 }
-
-// NewBitVec returns an all-idle frame of n slots.
-func NewBitVec(n int) BitVec { return BitVec{bits: bitset.New(n)} }
 
 // FromBools packs a busy/idle bool slice into a BitVec.
 func FromBools(busy []bool) BitVec { //lint:allow boolframe conversion bridge from the reference []bool representation
@@ -119,13 +116,6 @@ func (b BitVec) Get(i int) bool { return b.bits.Get(i) }
 
 // setBusy marks slot i busy (engine-side scatter).
 func (b BitVec) setBusy(i int) { b.bits.Set1(i) }
-
-// truncate shortens the frame in place to its first n slots (the observed
-// prefix of a larger announced frame).
-func (b BitVec) truncate(n int) BitVec {
-	b.bits.Truncate(n)
-	return b
-}
 
 // or merges another reader's observation of the same frame into b — the
 // multi-reader back-end OR, one word at a time.
@@ -224,12 +214,21 @@ func (b BitVec) FirstIdle() int {
 	return b.Len()
 }
 
-// Runs returns the lengths of maximal runs of busy slots (used by ART).
+// Runs returns the lengths of maximal runs of busy slots.
 func (b BitVec) Runs() []int {
 	if b.bits == nil {
 		return nil
 	}
 	return b.bits.Runs()
+}
+
+// RunCount returns the number of maximal runs of busy slots, len(Runs())
+// without building the slice.
+func (b BitVec) RunCount() int {
+	if b.bits == nil {
+		return 0
+	}
+	return b.bits.RunCount()
 }
 
 // IdleSet returns the paper's Bloom vector B — bit i set ⟺ slot i idle —
@@ -245,7 +244,10 @@ func (b BitVec) IdleSet() *bitset.Set {
 // Engine executes frames against a (real or synthetic) tag population.
 type Engine interface {
 	// RunFrame executes one frame and returns the busy/idle observation of
-	// the first Observe slots.
+	// the first Observe slots. The returned frame may alias a buffer the
+	// engine owns: it is valid until the engine's next call, and a caller
+	// that needs it longer copies it. The round driver hands it to a
+	// Stepper under the same terms (see RoundObs).
 	RunFrame(req FrameRequest) BitVec
 	// FirstResponse returns the index of the first busy slot of the frame,
 	// scanning at most maxScan slots, or -1 if the scanned prefix is idle.

@@ -226,7 +226,8 @@ func TestTagEngineDeterministicPerSeed(t *testing.T) {
 	pop := tags.Generate(1000, tags.T1, 3)
 	e := NewTagEngine(pop, IdealRN)
 	req := FrameRequest{W: 256, K: 2, P: 0.5, Seed: 7}
-	a := e.RunFrame(req)
+	// The engine's next call reuses the frame's buffer, so keep a copy.
+	a := FromBools(e.RunFrame(req).Bools())
 	b := e.RunFrame(req)
 	if !a.Equal(b) {
 		t.Fatal("same seed produced different frames")

@@ -17,7 +17,8 @@ package channel
 // Construct it over per-reader engines whose populations may overlap; the
 // union cardinality is what estimators will recover, which is Size's
 // contract — so Size must be told the union size explicitly (the engines
-// alone cannot know the overlap).
+// alone cannot know the overlap). The readers must be distinct engines:
+// the merged frame is built in the first reader's frame buffer.
 type MergedEngine struct {
 	Readers   []Engine
 	UnionSize int
@@ -38,6 +39,16 @@ func NewMergedEngine(unionSize int, readers ...Engine) *MergedEngine {
 
 // Size implements Engine: the union cardinality (ground truth only).
 func (e *MergedEngine) Size() int { return e.UnionSize }
+
+// CheckFrame implements FrameChecker: every reader must execute the frame.
+func (e *MergedEngine) CheckFrame(req FrameRequest) error {
+	for _, r := range e.Readers {
+		if err := CheckFrame(r, req); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // RunFrame implements Engine: the OR of the readers' observations.
 //

@@ -41,6 +41,9 @@ func NewNoisyEngine(inner Engine, falseBusy, falseIdle float64, seed uint64) *No
 // Size implements Engine.
 func (e *NoisyEngine) Size() int { return e.Inner.Size() }
 
+// CheckFrame implements FrameChecker by asking the wrapped engine.
+func (e *NoisyEngine) CheckFrame(req FrameRequest) error { return CheckFrame(e.Inner, req) }
+
 // RunFrame implements Engine, flipping each observed slot with the
 // configured error rates. Flip decisions are drawn per slot in index order
 // (one Bernoulli per slot, keeping the noise stream bit-compatible with the

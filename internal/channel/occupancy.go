@@ -45,61 +45,15 @@ func (o Occupancy) Count(s SlotState) int {
 	return n
 }
 
-// stateOf maps a slot's transmission count to its observed state.
-func stateOf(count int) SlotState {
-	switch {
-	case count == 0:
-		return Empty
-	case count == 1:
-		return Single
-	default:
-		return Collision
-	}
-}
-
 // OccupancyEngine is implemented by engines that can also execute frames at
 // slot-state granularity. All engines in this package implement it.
 type OccupancyEngine interface {
 	Engine
 	// RunFrameOccupancy executes one frame and returns the empty/single/
-	// collision state of the first Observe slots.
+	// collision state of the first Observe slots. Like RunFrame's frame,
+	// the returned states may alias an engine-owned buffer and are valid
+	// until the engine's next call.
 	RunFrameOccupancy(req FrameRequest) Occupancy
-}
-
-// RunFrameOccupancy implements OccupancyEngine for the per-tag engine.
-func (e *TagEngine) RunFrameOccupancy(req FrameRequest) Occupancy {
-	observe := req.validate()
-	counts := make([]int, req.W)
-	for ti := range e.Pop.Tags {
-		tag := &e.Pop.Tags[ti]
-		for j := 0; j < req.K; j++ {
-			slot, responds := e.tagDecision(tag, req, j)
-			if responds {
-				counts[slot]++
-				if slot < observe {
-					e.transmissions++
-				}
-			}
-		}
-	}
-	occ := make(Occupancy, observe)
-	for i := range occ {
-		occ[i] = stateOf(counts[i])
-	}
-	return occ
-}
-
-// RunFrameOccupancy implements OccupancyEngine for the synthetic engine.
-func (e *BallsEngine) RunFrameOccupancy(req FrameRequest) Occupancy {
-	observe := req.validate()
-	rng := e.frameRNG(req)
-	counts := scatterCounts(rng, e.N*req.K, req)
-	occ := make(Occupancy, observe)
-	for i := range occ {
-		occ[i] = stateOf(counts[i])
-		e.transmissions += counts[i]
-	}
-	return occ
 }
 
 // RunFrameOccupancy implements OccupancyEngine for the noisy wrapper: an

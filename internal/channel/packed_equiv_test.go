@@ -7,10 +7,12 @@ import (
 	"rfidest/internal/tags"
 )
 
-// These tests pin the word-packed BitVec to the retained []bool reference
-// path (reference_test.go): for randomized frame geometries the packed engines
-// must produce bit-identical frames, identical transmission metering, and
-// identical aggregate queries.
+// These tests pin the engines to the retained reference paths
+// (reference_test.go): the []bool frame, and the per-slot counts the
+// engines scattered into before they sampled straight into their frame
+// buffers. For randomized frame geometries the engines must produce
+// bit-identical frames and slot states, identical transmission metering,
+// and identical aggregate queries.
 
 // randomReq draws a frame geometry from the full parameter space the
 // engines accept: any width, k ∈ [1,4], p ∈ (0,1], occasional observed
@@ -63,6 +65,24 @@ func assertMatchesRef(t *testing.T, trial int, vec BitVec, ref refVec) {
 	}
 }
 
+// assertOccupancyMatchesRef checks a slot-state frame and the twins'
+// transmission meters.
+func assertOccupancyMatchesRef(t *testing.T, trial int, occ, ref Occupancy, got, want EnergyMeter) {
+	t.Helper()
+	if len(occ) != len(ref) {
+		t.Fatalf("trial %d: %d slot states, ref %d", trial, len(occ), len(ref))
+	}
+	for i := range ref {
+		if occ[i] != ref[i] {
+			t.Fatalf("trial %d: slot %d is %v, ref %v", trial, i, occ[i], ref[i])
+		}
+	}
+	if got.TagTransmissions() != want.TagTransmissions() {
+		t.Fatalf("trial %d: metered %d transmissions, ref %d",
+			trial, got.TagTransmissions(), want.TagTransmissions())
+	}
+}
+
 func TestPackedTagEngineMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	pop := tags.Generate(5000, tags.T1, 61)
@@ -75,22 +95,52 @@ func TestPackedTagEngineMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: metered %d transmissions, ref %d",
 				trial, packed.TagTransmissions(), ref.TagTransmissions())
 		}
+		assertOccupancyMatchesRef(t, trial, packed.RunFrameOccupancy(req), ref.refRunFrameOccupancy(req), packed, ref)
 	}
 }
 
+// scatterCases are frame geometries in both of BallsEngine's scatter
+// regimes for the populations of TestPackedBallsEngineMatchesReference:
+// per-ball throwing while the expected response count n·k·p stays within
+// 4W, binomial splitting past it (n = 300,000 and 10⁶ split every uniform
+// case below; n = 4,000 splits the 1-slot and the unthinned geometric
+// frames).
+var scatterCases = []FrameRequest{
+	{W: 8192, K: 3, P: 0.1},                                // BFCE's accurate frame
+	{W: 8192, K: 3, P: 0.1, Observe: 1024},                 // BFCE's rough prefix
+	{W: 8192, K: 3, P: 0.002, Observe: 32},                 // BFCE's probe window
+	{W: 1024, K: 2, P: 0.9, Observe: 100},                  // a short prefix of a split frame
+	{W: 3000, K: 4, P: 0.7, Observe: 2999},                 // all but the remainder slot
+	{W: 1, K: 1, P: 0.3},                                   // ZOE's single slot
+	{W: 32, K: 1, P: 1, Dist: Geometric},                   // LOF's lottery frame
+	{W: 32, K: 1, P: 1, Dist: Geometric, Observe: 9},       // a geometric prefix
+	{W: 64, K: 1, P: 0.001, Dist: Geometric, Observe: 63},  // a thinned lottery
+	{W: 4096, K: 1, P: 0.05, Dist: Geometric, Observe: 40}, // a long geometric frame
+}
+
+// TestPackedBallsEngineMatchesReference pins the count-free scatter to the
+// per-slot counts it replaced (scatterCounts): busy bits, slot states and
+// transmissions, in both scatter regimes, with and without an observed
+// prefix, under both slot distributions.
 func TestPackedBallsEngineMatchesReference(t *testing.T) {
-	// Twin engines with equal seeds hold identical RNG state; both RunFrame
-	// paths advance it identically, so the twins stay in lockstep across
-	// the whole randomized sequence.
+	// Twin engines with equal seeds hold identical RNG state; every frame
+	// path advances it identically, so the twins stay in lockstep across
+	// the whole sequence.
 	rng := rand.New(rand.NewSource(808))
-	packed := NewBallsEngine(4000, 63)
-	ref := NewBallsEngine(4000, 63)
-	for trial := 0; trial < 60; trial++ {
-		req := randomReq(rng)
-		assertMatchesRef(t, trial, packed.RunFrame(req), ref.refRunFrame(req))
-		if packed.TagTransmissions() != ref.TagTransmissions() {
-			t.Fatalf("trial %d: metered %d transmissions, ref %d",
-				trial, packed.TagTransmissions(), ref.TagTransmissions())
+	for _, n := range []int{0, 1, 4000, 300000, 1000000} {
+		packed, ref := NewBallsEngine(n, 63), NewBallsEngine(n, 63)
+		reqs := append([]FrameRequest(nil), scatterCases...)
+		for i := 0; i < 30; i++ {
+			reqs = append(reqs, randomReq(rng))
+		}
+		for trial, req := range reqs {
+			req.Seed = rng.Uint64()
+			assertMatchesRef(t, trial, packed.RunFrame(req), ref.refRunFrame(req))
+			if packed.TagTransmissions() != ref.TagTransmissions() {
+				t.Fatalf("n=%d trial %d: metered %d transmissions, ref %d",
+					n, trial, packed.TagTransmissions(), ref.TagTransmissions())
+			}
+			assertOccupancyMatchesRef(t, trial, packed.RunFrameOccupancy(req), ref.refRunFrameOccupancy(req), packed, ref)
 		}
 	}
 }

@@ -31,7 +31,7 @@ type Reader struct {
 	Engine  Engine
 	Profile timing.Profile
 	clock   timing.Clock
-	seeds   *xrand.Rand
+	seeds   xrand.Rand
 	trace   func(TraceEvent)
 
 	obs        obs.Observer // never nil; obs.Nop when uninstrumented
@@ -45,7 +45,7 @@ func NewReader(engine Engine, seed uint64) *Reader {
 	return &Reader{
 		Engine:  engine,
 		Profile: timing.C1G2,
-		seeds:   xrand.NewStream(seed, 0x5eed),
+		seeds:   xrand.MakeStream(seed, 0x5eed),
 		obs:     obs.Nop,
 	}
 }

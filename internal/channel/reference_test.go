@@ -1,10 +1,14 @@
 package channel
 
+import "rfidest/internal/xrand"
+
 // This file retains the pre-packing []bool frame representation as the
-// behavioral reference for the word-packed BitVec, for tests only:
-// equivalence tests cross-check packed engine output and aggregate queries
-// against these implementations on randomized frames, and the frame
-// benchmarks use them as the speedup baseline.
+// behavioral reference for the word-packed BitVec, and the per-slot count
+// scatter the engines ran before they sampled straight into their frame
+// buffers, for tests only: equivalence tests cross-check engine output,
+// transmission metering and aggregate queries against these
+// implementations on randomized frames, and the frame benchmarks use them
+// as the speedup baseline.
 
 // refVec is a frame in the reference representation: refVec[i] reports
 // whether slot i was busy.
@@ -93,6 +97,32 @@ func (e *TagEngine) refRunFrame(req FrameRequest) refVec {
 	return refVec(busy[:observe])
 }
 
+// refRunFrameOccupancy executes one slot-state frame exactly as the
+// TagEngine did before it built slot states in place: per-slot counts
+// over the whole announced frame, mapped to states over the observed
+// prefix.
+func (e *TagEngine) refRunFrameOccupancy(req FrameRequest) Occupancy {
+	observe := req.validate()
+	counts := make([]int, req.W)
+	for ti := range e.Pop.Tags {
+		tag := &e.Pop.Tags[ti]
+		for j := 0; j < req.K; j++ {
+			slot, responds := e.tagDecision(tag, req, j)
+			if responds {
+				counts[slot]++
+				if slot < observe {
+					e.transmissions++
+				}
+			}
+		}
+	}
+	occ := make(Occupancy, observe)
+	for i := range occ {
+		occ[i] = stateOf(counts[i])
+	}
+	return occ
+}
+
 // refRunFrame executes one frame exactly as the pre-packing BallsEngine
 // did. It advances the engine's RNG the same way as RunFrame, so twin
 // engines with equal seeds replay identical frame sequences through either
@@ -100,11 +130,87 @@ func (e *TagEngine) refRunFrame(req FrameRequest) refVec {
 func (e *BallsEngine) refRunFrame(req FrameRequest) refVec {
 	observe := req.validate()
 	rng := e.frameRNG(req)
-	counts := scatterCounts(rng, e.N*req.K, req)
+	counts := scatterCounts(&rng, e.N*req.K, req)
 	busy := make(refVec, observe)
 	for i := range busy {
 		busy[i] = counts[i] > 0
 		e.transmissions += counts[i]
 	}
 	return busy
+}
+
+// refRunFrameOccupancy executes one slot-state frame exactly as the
+// counts-based BallsEngine did, keeping twin engines in lockstep like
+// refRunFrame.
+func (e *BallsEngine) refRunFrameOccupancy(req FrameRequest) Occupancy {
+	observe := req.validate()
+	rng := e.frameRNG(req)
+	counts := scatterCounts(&rng, e.N*req.K, req)
+	occ := make(Occupancy, observe)
+	for i := range occ {
+		occ[i] = stateOf(counts[i])
+		e.transmissions += counts[i]
+	}
+	return occ
+}
+
+// scatterCounts samples the exact multinomial occupancy of a whole frame
+// into per-slot counts: the response count is Binomial(pairs, p) and
+// responses are distributed over the W slots per the slot distribution.
+// When the number of responses is large relative to the frame it switches
+// from per-ball throwing to sequential binomial splitting (bin_i ~
+// Bin(remaining, q_i / tail_i)) over every slot, observed or not.
+func scatterCounts(rng *xrand.Rand, pairs int, req FrameRequest) []int {
+	balls := rng.Binomial(pairs, req.P)
+	counts := make([]int, req.W)
+	switch req.Dist {
+	case Uniform:
+		if balls <= 4*req.W {
+			for i := 0; i < balls; i++ {
+				counts[rng.Intn(req.W)]++
+			}
+			return counts
+		}
+		remaining := balls
+		for i := 0; i < req.W-1 && remaining > 0; i++ {
+			c := rng.Binomial(remaining, 1/float64(req.W-i))
+			counts[i] = c
+			remaining -= c
+		}
+		counts[req.W-1] += remaining
+		return counts
+	case Geometric:
+		if balls <= 4*req.W {
+			for i := 0; i < balls; i++ {
+				j := rng.GeometricHalf()
+				if j >= req.W {
+					j = req.W - 1
+				}
+				counts[j]++
+			}
+			return counts
+		}
+		remaining := balls
+		for j := 0; j < req.W-1 && remaining > 0; j++ {
+			c := rng.Binomial(remaining, 0.5)
+			counts[j] = c
+			remaining -= c
+		}
+		counts[req.W-1] += remaining
+		return counts
+	default:
+		panic("channel: unknown slot distribution")
+	}
+}
+
+// stateOf maps a slot's transmission count to its observed state.
+func stateOf(count int) SlotState {
+	switch {
+	case count == 0:
+		return Empty
+	case count == 1:
+		return Single
+	default:
+		return Collision
+	}
 }

@@ -40,8 +40,8 @@ const (
 	ScanRound
 	// SlotStateRound executes Frame at slot-state granularity, charging
 	// AlohaSlotBits tag bits per observed slot (RoundObs.Occupancy). It
-	// needs an OccupancyEngine; on any other engine StepRound fails
-	// before the round's broadcast.
+	// needs an OccupancyEngine; on any other engine StepRound fails with
+	// ErrUnsupportedRound before the round's broadcast.
 	SlotStateRound
 	// SilentRound executes Frame on the engine without sensing it: no
 	// slot is charged and no frame event fires, because the reader hears
@@ -100,8 +100,9 @@ type RoundSpec struct {
 }
 
 // RoundObs is the observation of one executed round, handed to Absorb.
-// The Frame and Occupancy buffers belong to the round: a Stepper that
-// needs them past Absorb must copy them.
+// The Frame and Occupancy buffers belong to the round: they alias the
+// engine's frame buffer, which the session's next round overwrites, so a
+// Stepper that needs them past Absorb must copy them.
 type RoundObs struct {
 	// Frame is the bit vector the reader sensed (FrameRound), or the
 	// pattern the tags answered with (SilentRound).
@@ -140,11 +141,12 @@ type LegacyRunner interface {
 }
 
 // StepRound executes one round of s over the session r: context check,
-// pending report hook, phase transition, parameter broadcast, seed
-// resolution, the round's execution (see RoundKind), Absorb. It is the
-// single place protocol rounds happen — Drive, the root run loop and the
-// interleaving scheduler all funnel through it. A nil ctx skips the
-// cancellation check.
+// the check that the channel can execute the round (see
+// ErrUnsupportedRound), pending report hook, phase transition, parameter
+// broadcast, seed resolution, the round's execution (see RoundKind),
+// Absorb. It is the single place protocol rounds happen — Drive, the root
+// run loop and the interleaving scheduler all funnel through it. A nil
+// ctx skips the cancellation check.
 func StepRound(ctx context.Context, r *Reader, s Stepper) (done bool, err error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -152,10 +154,8 @@ func StepRound(ctx context.Context, r *Reader, s Stepper) (done bool, err error)
 		}
 	}
 	spec := s.Plan()
-	if spec.Kind == SlotStateRound {
-		if _, ok := r.Engine.(OccupancyEngine); !ok {
-			return false, fmt.Errorf("channel: a slot-state round needs slot states, which a %T channel does not model", r.Engine)
-		}
+	if err := checkRound(r.Engine, spec); err != nil {
+		return false, err
 	}
 	if spec.Report != nil {
 		spec.Report(r.Observer())
@@ -189,6 +189,44 @@ func StepRound(ctx context.Context, r *Reader, s Stepper) (done bool, err error)
 		o.Frame = r.ExecuteFrame(req)
 	}
 	return s.Absorb(o) //lint:allow obspair the span deliberately outlives the round; Drive closes it on every exit
+}
+
+// ErrUnsupportedRound is wrapped by StepRound's refusal of a round the
+// session's channel cannot execute. The refusal comes before the round's
+// broadcast, so the refused round costs the session nothing.
+var ErrUnsupportedRound = errors.New("channel: unsupported round")
+
+// FrameChecker is implemented by engines that cannot execute every frame
+// geometry, and by the wrappers around them, which ask the engines they
+// wrap — so StepRound's check sees through any stack of wrappers.
+type FrameChecker interface {
+	// CheckFrame returns an error wrapping ErrUnsupportedRound if the
+	// engine cannot execute req.
+	CheckFrame(req FrameRequest) error
+}
+
+// CheckFrame reports whether eng can execute req: engines that are not
+// FrameCheckers execute every valid geometry.
+func CheckFrame(eng Engine, req FrameRequest) error {
+	if c, ok := eng.(FrameChecker); ok {
+		return c.CheckFrame(req)
+	}
+	return nil
+}
+
+// checkRound refuses a round the engine cannot execute: a slot-state
+// round on an engine without slot states, or a frame the engine's tags
+// cannot address.
+func checkRound(eng Engine, spec RoundSpec) error {
+	switch spec.Kind {
+	case ListenRound:
+		return nil
+	case SlotStateRound:
+		if _, ok := eng.(OccupancyEngine); !ok {
+			return fmt.Errorf("%w: a slot-state round needs slot states, which a %T channel does not model", ErrUnsupportedRound, eng)
+		}
+	}
+	return CheckFrame(eng, spec.Frame)
 }
 
 // Drive runs s over r to completion, one StepRound at a time, closing any

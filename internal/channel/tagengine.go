@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"fmt"
 	"math/bits"
 
 	"rfidest/internal/hash"
@@ -49,13 +50,16 @@ func (m HashMode) String() string {
 // tag-side algorithm, giving per-tag fidelity at O(n·k) per frame.
 //
 // An engine belongs to exactly one reader session and is driven by one
-// goroutine: the energy counter is written on every frame without
-// synchronization. Pop, however, is only read, so any number of sessions
-// may share one population — which is how a shared System supports
-// concurrent estimation (it builds a fresh engine per session).
+// goroutine: the frame buffer and the energy counter are written on every
+// frame without synchronization. Pop, however, is only read, so any
+// number of sessions may share one population — which is how a shared
+// System supports concurrent estimation (it builds a fresh engine per
+// session).
 type TagEngine struct {
 	Pop  *tags.Population
 	Mode HashMode
+
+	buf frameBuf
 
 	// transmissions counts tag responses executed so far (EnergyMeter).
 	// A tag whose selected slot lies beyond the observed prefix never
@@ -74,9 +78,28 @@ func (e *TagEngine) Size() int { return e.Pop.N() }
 // RunFrame implements Engine.
 func (e *TagEngine) RunFrame(req FrameRequest) BitVec {
 	observe := req.validate()
-	busy := NewBitVec(req.W)
-	e.scatter(req, observe, busy)
-	return busy.truncate(observe)
+	busy := e.buf.bits(req.W, observe)
+	e.scatter(req, observe, frameOut{busy: busy})
+	return busy
+}
+
+// RunFrameOccupancy implements OccupancyEngine, building the observed
+// prefix's slot states in place.
+func (e *TagEngine) RunFrameOccupancy(req FrameRequest) Occupancy {
+	observe := req.validate()
+	states := e.buf.slotStates(req.W, observe)
+	e.scatter(req, observe, frameOut{states: states})
+	return states
+}
+
+// CheckFrame implements FrameChecker. Paper-hash tags select a uniform
+// slot from the low log2(W) bits of RN ⊕ RS (§IV-E.2), which addresses
+// only a power-of-two frame of at least 2 slots.
+func (e *TagEngine) CheckFrame(req FrameRequest) error {
+	if e.Mode == PaperXOR && req.Dist == Uniform && (req.W < 2 || req.W&(req.W-1) != 0) {
+		return fmt.Errorf("%w: paper-hash tags need a power-of-two frame of at least 2 slots, not %d", ErrUnsupportedRound, req.W)
+	}
+	return nil
 }
 
 // FirstResponse implements Engine. It avoids materializing the frame by
@@ -111,18 +134,16 @@ func (e *TagEngine) FirstResponse(req FrameRequest, maxScan int) int {
 	return min
 }
 
-// scatter sets the bits of the slots where at least one tag responds and
-// meters transmissions within the observed prefix.
-func (e *TagEngine) scatter(req FrameRequest, observe int, busy BitVec) {
+// scatter runs every tag's responses into out and meters them. Only the
+// observed prefix is written: a response past it never reaches the
+// reader, which terminated the frame.
+func (e *TagEngine) scatter(req FrameRequest, observe int, out frameOut) {
 	for ti := range e.Pop.Tags {
 		tag := &e.Pop.Tags[ti]
 		for j := 0; j < req.K; j++ {
-			slot, responds := e.tagDecision(tag, req, j)
-			if responds {
-				busy.setBusy(slot)
-				if slot < observe {
-					e.transmissions++
-				}
+			if slot, responds := e.tagDecision(tag, req, j); responds && slot < observe {
+				out.add(slot, 1)
+				e.transmissions++
 			}
 		}
 	}

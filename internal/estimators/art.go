@@ -85,10 +85,8 @@ func (s *artStepper) Absorb(o channel.RoundObs) (bool, error) {
 		}
 		return false, err
 	}
-	for _, run := range o.Frame.Runs() {
-		s.runLen += run
-		s.runs++
-	}
+	s.runLen += o.Frame.CountBusy() // every busy slot lies in exactly one run
+	s.runs += o.Frame.RunCount()
 	s.round++
 	return s.round >= s.rounds, nil
 }

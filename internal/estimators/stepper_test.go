@@ -2,10 +2,13 @@ package estimators
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"rfidest/internal/channel"
+	"rfidest/internal/tags"
+	"rfidest/internal/timing"
 )
 
 // The snapshot/resume contract: a stepper frozen mid-run and restored into
@@ -149,5 +152,41 @@ func TestRunNilSession(t *testing.T) {
 	if _, err := Run(context.Background(), nil, st); err == nil ||
 		!strings.Contains(err.Error(), "nil session") {
 		t.Errorf("Run(nil reader): err = %v", err)
+	}
+}
+
+// TestPaperHashRefusesUnaddressableFrames pins the refusal of frames the
+// paper's tag hash cannot address: ZOE and ZOE-batched announce 1-slot
+// frames and SRC ⌈7.72/ε²⌉-slot ones, none a power of two of at least 2.
+// Each run stops at its first such round with channel.ErrUnsupportedRound
+// before the round's broadcast, so the refused round costs nothing.
+func TestPaperHashRefusesUnaddressableFrames(t *testing.T) {
+	pop := tags.Generate(2000, tags.T1, 3)
+	for _, name := range []string{"ZOE", "ZOE-batched", "SRC"} {
+		est, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := AsStepper(est, Accuracy{Epsilon: 0.2, Delta: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := channel.NewReader(channel.NewTagEngine(pop, channel.PaperXOR), 5)
+		for round := 0; ; round++ {
+			before := r.Cost()
+			done, err := channel.StepRound(nil, r, st)
+			if err != nil {
+				if !errors.Is(err, channel.ErrUnsupportedRound) {
+					t.Fatalf("%s round %d: %v, want ErrUnsupportedRound", name, round, err)
+				}
+				if spent := r.Cost().Sub(before); spent != (timing.Cost{}) {
+					t.Fatalf("%s: the refused round charged %+v", name, spent)
+				}
+				break
+			}
+			if done {
+				t.Fatalf("%s completed on paper-hash tags", name)
+			}
+		}
 	}
 }

@@ -166,6 +166,11 @@ func New(inner channel.Engine, plan Plan, seed uint64) *Engine {
 // Size implements channel.Engine.
 func (e *Engine) Size() int { return e.inner.Size() }
 
+// CheckFrame implements channel.FrameChecker by asking the wrapped engine.
+func (e *Engine) CheckFrame(req channel.FrameRequest) error {
+	return channel.CheckFrame(e.inner, req)
+}
+
 // FaultStats returns the cumulative fault counters of the session.
 func (e *Engine) FaultStats() Stats { return e.stats }
 

@@ -1,10 +1,12 @@
 package faults
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"rfidest/internal/channel"
+	"rfidest/internal/tags"
 	"rfidest/internal/timing"
 )
 
@@ -201,5 +203,18 @@ func TestEnergyPassthrough(t *testing.T) {
 	e := New(fixed{}, Plan{ErasureRate: 0.1}, 1)
 	if got := e.TagTransmissions(); got != -1 {
 		t.Fatalf("unmetered inner reported %d", got)
+	}
+}
+
+// TestCheckFrameDelegates: the injector wrapper asks the engine it wraps,
+// so a paper-hash frame it cannot address is refused through it.
+func TestCheckFrameDelegates(t *testing.T) {
+	paper := channel.NewTagEngine(tags.Generate(100, tags.T1, 3), channel.PaperXOR)
+	e := New(paper, Severity(1), 7)
+	if err := channel.CheckFrame(e, channel.FrameRequest{W: 1, K: 1, P: 1}); !errors.Is(err, channel.ErrUnsupportedRound) {
+		t.Fatalf("CheckFrame(W=1) = %v, want ErrUnsupportedRound", err)
+	}
+	if err := channel.CheckFrame(e, channel.FrameRequest{W: 64, K: 1, P: 1}); err != nil {
+		t.Fatalf("CheckFrame(W=64) = %v", err)
 	}
 }

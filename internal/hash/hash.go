@@ -12,7 +12,11 @@
 // slot, geometric "lottery" slot, and p-persistence decisions).
 package hash
 
-import "rfidest/internal/xrand"
+import (
+	"math/bits"
+
+	"rfidest/internal/xrand"
+)
 
 // Uniform64 hashes the pair (x, seed) to a uniformly distributed 64-bit
 // value. Different seeds give independent hash functions over the same key
@@ -32,7 +36,7 @@ func UniformSlot(x, seed uint64, w int) int {
 	// Multiply-shift range reduction: floor(h/2^64 * w). The bias for
 	// w << 2^64 is negligible (< w/2^64) and, unlike masking, works for
 	// arbitrary w.
-	hi, _ := mul64(h, uint64(w))
+	hi, _ := bits.Mul64(h, uint64(w))
 	return int(hi)
 }
 
@@ -61,17 +65,6 @@ func GeometricSlot(x, seed uint64, max int) int {
 		}
 	}
 	return j
-}
-
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // PaperTagHash is the tag-side hash of BFCE §IV-E.2:

@@ -33,11 +33,14 @@
 //     work in flight, not just the waiting.
 //
 //   - Failures map onto the transport: unknown estimators, malformed
-//     specs and accuracy targets past the slot limit are 400
-//     (rfidest.ErrUnknownEstimator and rfidest.ErrSlotLimit are detected
-//     with errors.Is), admission overflow is 429, deadline expiry is 504,
-//     draining is 503, and handler panics are isolated to 500 responses
-//     and counted, never taking the process down.
+//     specs, accuracy targets past the slot limit and protocols the
+//     system's channel cannot run (ZOE on paper-hash tags) are 400
+//     (rfidest.ErrUnknownEstimator, rfidest.ErrSlotLimit and
+//     rfidest.ErrUnsupportedRound are detected with errors.Is; a batch
+//     job failing with one is reported in its 200 batch), and none of
+//     them feeds a circuit breaker. Admission overflow is 429, deadline
+//     expiry is 504, draining is 503, and handler panics are isolated to
+//     500 responses and counted, never taking the process down.
 //
 //   - Shutdown drains: intake stops (work endpoints return 503, /readyz
 //     goes unready while /healthz stays live), in-flight sessions run to

@@ -584,3 +584,95 @@ func TestBatchEndpointMatchesInProcessFleet(t *testing.T) {
 		}
 	}
 }
+
+// TestUnsupportedRoundIsAClientError sends protocols a paper-hash system
+// cannot run — SRC's ⌈7.72/ε²⌉-slot frames and ZOE's 1-slot frames, which
+// the paper's tag hash cannot address — through both work routes. The
+// estimate answers 400; the batch job fails with the same 4xx-class error
+// in its report, next to its sibling job's result, as a slot-limit job
+// does. Neither feeds a breaker (a 2-outcome window would trip on two bad
+// outcomes), and the server keeps answering.
+func TestUnsupportedRoundIsAClientError(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{
+		Now:     time.Now,
+		Breaker: serve.BreakerConfig{Window: 2, MinSamples: 2},
+	})
+	paper := serve.SystemSpec{N: 2000, Seed: 3, PaperTagHash: true}
+	for i := 0; i < 3; i++ {
+		status, body := postJSON(t, ts.URL+"/v1/estimate", serve.EstimateRequest{
+			System: paper, Estimator: "SRC", Epsilon: 0.2, Delta: 0.2,
+		})
+		if status != http.StatusBadRequest || !strings.Contains(string(body), "unsupported round") {
+			t.Fatalf("estimate %d: status %d, want 400 naming the unsupported round (%s)", i, status, body)
+		}
+
+		status, body = postJSON(t, ts.URL+"/v1/batch", serve.BatchRequest{
+			Workers: 2,
+			Jobs: []serve.BatchJob{
+				{System: serve.SystemSpec{N: 2000, Seed: 3}, Estimator: "BFCE", Epsilon: 0.2, Delta: 0.2},
+				{System: paper, Estimator: "ZOE", Epsilon: 0.2, Delta: 0.2, Trials: 2},
+			},
+		})
+		var br serve.BatchResponse
+		if err := json.Unmarshal(body, &br); err != nil || status != http.StatusOK || br.Report == nil {
+			t.Fatalf("batch %d: status %d (%s)", i, status, body)
+		}
+		if jobs := br.Report.Jobs; len(jobs) != 2 || jobs[0].Failure != "" ||
+			!strings.Contains(jobs[1].Failure, rfidest.ErrUnsupportedRound.Error()) {
+			t.Fatalf("batch %d: want job 0 served and job 1 refused as an unsupported round, got %+v", i, jobs)
+		}
+	}
+
+	for _, est := range []string{"SRC", "ZOE"} {
+		status, body := postJSON(t, ts.URL+"/v1/estimate", serve.EstimateRequest{
+			System: serve.SystemSpec{N: 2000, Seed: 3}, Estimator: est, Epsilon: 0.2, Delta: 0.2,
+		})
+		if status != http.StatusOK {
+			t.Fatalf("%s on an ideal-hash system after the refusals: status %d (%s)", est, status, body)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz = %d after the refusals, want 200 (no breaker open)", resp.StatusCode)
+	}
+}
+
+// TestServedEstimateAllocs caps the heap allocations of one served
+// estimate — client request, transport, handler and the BFCE session,
+// through httptest — at the count measured once frames stopped
+// allocating. Under -race, sync.Pool drops put-back buffers at random, so
+// that build gets a ceiling above its observed spread (126-132).
+func TestServedEstimateAllocs(t *testing.T) {
+	ceiling := 120.0
+	if raceDetector {
+		ceiling = 140
+	}
+	_, ts := newTestServer(t, serve.Config{})
+	salt := uint64(1)
+	body, err := json.Marshal(serve.EstimateRequest{
+		System:  serve.SystemSpec{N: 10000, Seed: 3, Synthetic: true},
+		Epsilon: 0.1, Delta: 0.1, Salt: &salt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := ts.Client()
+	got := testing.AllocsPerRun(20, func() {
+		resp, err := client.Post(ts.URL+"/v1/estimate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+	})
+	if got > ceiling {
+		t.Errorf("%v allocations per served estimate, ceiling %v", got, ceiling)
+	}
+}

@@ -19,6 +19,8 @@
 // frame), which Mix64/NewStream provide directly.
 package xrand
 
+import "math/bits"
+
 // golden64 is the 64-bit golden ratio increment used by SplitMix64.
 const golden64 = 0x9e3779b97f4a7c15
 
@@ -74,8 +76,14 @@ type Rand struct {
 // authors' recommendation (avoids the all-zero state and decorrelates
 // adjacent seeds).
 func New(seed uint64) *Rand {
-	sm := NewSplitMix64(seed)
-	return &Rand{
+	r := seeded(seed)
+	return &r
+}
+
+// seeded returns, by value, the generator New(seed) points to.
+func seeded(seed uint64) Rand {
+	sm := SplitMix64{state: seed}
+	return Rand{
 		s0: sm.Uint64(),
 		s1: sm.Uint64(),
 		s2: sm.Uint64(),
@@ -87,7 +95,18 @@ func New(seed uint64) *Rand {
 // under the root seed. Sibling streams (differing in any word) are
 // statistically independent for simulation purposes.
 func NewStream(seed uint64, words ...uint64) *Rand {
-	return New(Combine(append([]uint64{seed}, words...)...))
+	h := Combine(seed) // Combine(seed, words...) without joining the slices
+	for _, w := range words {
+		h = Mix64(h ^ w)
+	}
+	return New(h)
+}
+
+// MakeStream returns, by value, the generator NewStream(seed, word)
+// points to. It allocates nothing, so a hot path can derive a stream per
+// frame, or hold one inside a struct, without touching the heap.
+func MakeStream(seed, word uint64) Rand {
+	return seeded(Combine(seed, word))
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -127,27 +146,14 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Uint64n with zero n")
 	}
-	// Lemire's method with full 64x64→128 multiply via math/bits-free
-	// splitting: use rejection on the low word.
+	// Lemire's method: the high word of the full 64x64→128 product, with
+	// rejection on the low word.
 	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, n)
+		hi, lo := bits.Mul64(r.Uint64(), n)
 		if lo >= n || lo >= (-n)%n {
 			return hi
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // Bernoulli returns true with probability p. Values of p outside [0, 1]

@@ -135,30 +135,47 @@ func TestUint64nBound(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct{ a, b, hi, lo uint64 }{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
+// TestUint64nPinned pins a stretch of Uint64n draws, taken before the
+// 128-bit product moved to math/bits, across bounds that never reject
+// (1, 3, 10, 8192) and bounds that reject about half the draws
+// (2^63+1, 2^64-1). Every simulated frame slot goes through this path,
+// so a drift here would move every estimate.
+func TestUint64nPinned(t *testing.T) {
+	r := NewStream(7, 0x5eed)
+	want := []uint64{
+		0x0, 0x0, 0x0, 0x0, 0x1, 0x1, 0x3, 0x3, 0x0, 0xc8c, 0x6a3, 0x601,
+		0x7b3390f34c56d809, 0x41d9e5a822def2b4, 0x4d66221ac6d1f941,
+		0xeb9a1a331181a2f0, 0xdcd96c57ccc512e, 0xf0081e1c44057c3,
 	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Fatalf("mul64(%#x,%#x) = (%#x,%#x), want (%#x,%#x)",
-				c.a, c.b, hi, lo, c.hi, c.lo)
+	i := 0
+	for _, n := range []uint64{1, 3, 10, 8192, 1<<63 + 1, math.MaxUint64} {
+		for j := 0; j < 3; j++ {
+			if got := r.Uint64n(n); got != want[i] {
+				t.Fatalf("draw %d: Uint64n(%#x) = %#x, want %#x", i, n, got, want[i])
+			}
+			i++
 		}
 	}
 }
 
-func TestMul64Property(t *testing.T) {
-	f := func(a, b uint32) bool {
-		hi, lo := mul64(uint64(a), uint64(b))
-		return hi == 0 && lo == uint64(a)*uint64(b)
+func TestMakeStreamMatchesNewStream(t *testing.T) {
+	f := func(seed, word uint64) bool {
+		a, b := MakeStream(seed, word), NewStream(seed, word)
+		for i := 0; i < 4; i++ {
+			if a.Uint64() != b.Uint64() {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		r := MakeStream(3, 4)
+		r.Uint64()
+	}); got != 0 {
+		t.Fatalf("MakeStream allocated %v times", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"rfidest/internal/channel"
 	"rfidest/internal/estimators"
 	"rfidest/internal/obs"
 )
@@ -64,6 +65,16 @@ var ErrUnknownEstimator = estimators.ErrUnknownEstimator
 // it into a protocol-level response (the serving layer's HTTP 400) test
 // for it with errors.Is.
 var ErrSlotLimit = estimators.ErrSlotLimit
+
+// ErrUnsupportedRound is the sentinel behind the error a run returns when
+// the protocol needs a round the system's channel cannot execute: a
+// paper-hash system (WithPaperTagHash) addresses only power-of-two frames
+// of at least 2 slots, so ZOE and ZOE-batched (1-slot frames) and SRC
+// (⌈7.72/ε²⌉-slot frames) cannot run on it, and UPE's slot-state frames
+// need a channel that models slot states, which a WithFaults channel does
+// not. The run stops before the round's broadcast; callers that translate it into a protocol-level
+// response (the serving layer's HTTP 400) test for it with errors.Is.
+var ErrUnsupportedRound = channel.ErrUnsupportedRound
 
 // WithEstimator selects the protocol to run, by registry name (see
 // Estimators). The default is "BFCE", the paper's estimator. An unknown

@@ -190,25 +190,28 @@ func TestStartRunValidation(t *testing.T) {
 }
 
 // TestSessionAllocs caps the heap allocations of one synthetic session per
-// registry protocol, so an allocation added to any round machine, or to
-// the round driver they all share, fails here. The ceilings are the
-// counts measured when every protocol began stepping through
-// channel.StepRound; a change that lowers a count should lower its
-// ceiling.
+// registry protocol, so an allocation added to any round machine, to the
+// round driver they all share or to the frame engine, fails here. The
+// ceilings are the counts measured once frames stopped allocating (one
+// frame buffer per engine, streams held by value); a change that lowers a
+// count should lower its ceiling. A session's allocations must not grow
+// with its round count either: the looser (0.2, 0.2) target runs far
+// fewer rounds (ZOE: 144 instead of 3,976) and must
+// allocate exactly as much.
 func TestSessionAllocs(t *testing.T) {
 	ceiling := map[string]float64{
-		"ART":         89,
-		"BFCE":        27,
-		"BFCE-multi":  91,
-		"EZB":         74,
-		"FNEB":        3133,
-		"LOF":         59,
-		"MLE":         84,
-		"PET":         4645,
-		"SRC":         51,
-		"UPE":         42,
-		"ZOE":         19890,
-		"ZOE-batched": 19889,
+		"ART":         7,
+		"BFCE":        9,
+		"BFCE-multi":  12,
+		"EZB":         7,
+		"FNEB":        6,
+		"LOF":         6,
+		"MLE":         7,
+		"PET":         7,
+		"SRC":         9,
+		"UPE":         7,
+		"ZOE":         7,
+		"ZOE-batched": 6,
 	}
 	sys := rfidest.NewSystem(50000, rfidest.WithSeed(7), rfidest.WithSynthetic())
 	for _, name := range rfidest.Estimators() {
@@ -228,5 +231,34 @@ func TestSessionAllocs(t *testing.T) {
 		if got > want {
 			t.Errorf("%s: %v allocations per session, ceiling %v", name, got, want)
 		}
+		loose := testing.AllocsPerRun(3, func() {
+			_, err = sys.Run(context.Background(), rfidest.WithEstimator(name),
+				rfidest.WithAccuracy(0.2, 0.2), rfidest.WithSeedSalt(1))
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if loose != got {
+			t.Errorf("%s: %v allocations at (0.05, 0.05) but %v at (0.2, 0.2): allocations grow with rounds", name, got, loose)
+		}
+	}
+}
+
+// TestTagLevelSessionAllocs caps one BFCE session over a materialized
+// population, the golden grid's tag-n20000-seed42 system: TagEngine frames
+// reuse the engine's buffer like synthetic ones.
+func TestTagLevelSessionAllocs(t *testing.T) {
+	sys, err := goldengrid.NewSystem("tag-n20000-seed42")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(3, func() {
+		_, err = sys.Run(context.Background(), rfidest.WithSeedSalt(1))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got > 9 {
+		t.Errorf("%v allocations per tag-level BFCE session, ceiling 9", got)
 	}
 }
