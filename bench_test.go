@@ -97,19 +97,30 @@ func BenchmarkGuarantee(b *testing.B) { benchTable(b, experiment.Guarantee, 60) 
 // ---- micro-benchmarks of the estimation hot paths. ----
 
 // BenchmarkBFCETagLevel measures one full BFCE estimation over a
-// materialized population of 100k tags (per-tag fidelity).
+// materialized population of 100k tags (per-tag fidelity), with the ideal
+// tag hash and with the paper's.
 func BenchmarkBFCETagLevel(b *testing.B) {
-	sys := rfidest.NewSystem(100000, rfidest.WithSeed(1))
-	b.ResetTimer()
-	var secs float64
-	for i := 0; i < b.N; i++ {
-		est, err := sys.Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		secs = est.Seconds
+	for _, leg := range []struct {
+		name string
+		opts []rfidest.SystemOption
+	}{
+		{"ideal", nil},
+		{"paper", []rfidest.SystemOption{rfidest.WithPaperTagHash()}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			sys := rfidest.NewSystem(100000, append(leg.opts, rfidest.WithSeed(1))...)
+			b.ResetTimer()
+			var secs float64
+			for i := 0; i < b.N; i++ {
+				est, err := sys.Run(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				secs = est.Seconds
+			}
+			b.ReportMetric(secs, "airtime-s/op")
+		})
 	}
-	b.ReportMetric(secs, "airtime-s/op")
 }
 
 // BenchmarkBFCESynthetic measures one BFCE estimation over the exact

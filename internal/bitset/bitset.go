@@ -228,46 +228,9 @@ func (s *Set) FirstClear() int {
 	return -1
 }
 
-// Runs returns the lengths of the maximal runs of consecutive set bits, in
-// position order. It scans word-at-a-time, peeling alternating zero and one
-// groups with TrailingZeros64 instead of testing single bits; the tail
-// invariant (bits at positions >= n are zero) lets it treat every word as a
-// full 64 bits, since trailing zeros only ever terminate a run.
-func (s *Set) Runs() []int {
-	count := s.RunCount()
-	if count == 0 {
-		return nil
-	}
-	runs := make([]int, 0, count)
-	cur := 0
-	for _, w := range s.words {
-		ends := w>>63 == 1 // a run crossing into the next word must not flush
-		for w != 0 {
-			if z := bits.TrailingZeros64(w); z > 0 {
-				if cur > 0 {
-					runs = append(runs, cur)
-					cur = 0
-				}
-				w >>= uint(z)
-			}
-			o := bits.TrailingZeros64(^w)
-			cur += o
-			w >>= uint(o) // o == 64 (all-ones word) shifts to 0 in Go
-		}
-		if !ends && cur > 0 {
-			runs = append(runs, cur)
-			cur = 0
-		}
-	}
-	if cur > 0 {
-		runs = append(runs, cur)
-	}
-	return runs
-}
-
-// RunCount returns the number of maximal runs of consecutive set bits,
-// len(Runs()) without building the slice: a run starts at each set bit
-// whose predecessor (carried across word boundaries) is clear.
+// RunCount returns the number of maximal runs of consecutive set bits: a
+// run starts at each set bit whose predecessor (carried across word
+// boundaries) is clear.
 func (s *Set) RunCount() int {
 	count, carry := 0, uint64(0)
 	for _, w := range s.words {

@@ -142,7 +142,7 @@ func TestBoolsRoundTrip(t *testing.T) {
 	}
 }
 
-// refFirstSet/refFirstClear/refRuns are the obvious per-bit references the
+// refFirstSet/refFirstClear/refRunCount are the obvious per-bit references the
 // word-at-a-time implementations are checked against.
 func refFirstSet(raw []bool) int {
 	for i, v := range raw {
@@ -162,33 +162,14 @@ func refFirstClear(raw []bool) int {
 	return -1
 }
 
-func refRuns(raw []bool) []int {
-	var runs []int
-	cur := 0
-	for _, v := range raw {
-		if v {
-			cur++
-		} else if cur > 0 {
-			runs = append(runs, cur)
-			cur = 0
+func refRunCount(raw []bool) int {
+	runs := 0
+	for i, v := range raw {
+		if v && (i == 0 || !raw[i-1]) {
+			runs++
 		}
-	}
-	if cur > 0 {
-		runs = append(runs, cur)
 	}
 	return runs
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestFirstSetFirstClearRunsProperty(t *testing.T) {
@@ -196,7 +177,7 @@ func TestFirstSetFirstClearRunsProperty(t *testing.T) {
 		s := FromBools(raw)
 		return s.FirstSet() == refFirstSet(raw) &&
 			s.FirstClear() == refFirstClear(raw) &&
-			equalInts(s.Runs(), refRuns(raw))
+			s.RunCount() == refRunCount(raw)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -219,8 +200,8 @@ func TestFirstSetClearEdges(t *testing.T) {
 		if s.FirstSet() != 0 {
 			t.Fatalf("n=%d: all-set FirstSet = %d", n, s.FirstSet())
 		}
-		if got := s.Runs(); !equalInts(got, []int{n}) {
-			t.Fatalf("n=%d: all-set Runs = %v", n, got)
+		if got := s.RunCount(); got != 1 {
+			t.Fatalf("n=%d: all-set RunCount = %d", n, got)
 		}
 	}
 	// A lone set bit at a word boundary.
@@ -229,11 +210,13 @@ func TestFirstSetClearEdges(t *testing.T) {
 	if s.FirstSet() != 64 {
 		t.Fatalf("FirstSet = %d", s.FirstSet())
 	}
-	if !equalInts(s.Runs(), []int{1}) {
-		t.Fatalf("Runs = %v", s.Runs())
+	if s.RunCount() != 1 {
+		t.Fatalf("RunCount = %d", s.RunCount())
 	}
 }
 
+// TestRunsAcrossWordBoundary: a run that crosses a word boundary is one
+// run, and a run ending on the last bit is counted.
 func TestRunsAcrossWordBoundary(t *testing.T) {
 	s := New(200)
 	for i := 60; i < 70; i++ { // run spanning words 0 and 1
@@ -243,8 +226,8 @@ func TestRunsAcrossWordBoundary(t *testing.T) {
 		s.Set1(i)
 	}
 	s.Set1(199) // trailing run at the very end
-	if got := s.Runs(); !equalInts(got, []int{10, 2, 1}) {
-		t.Fatalf("Runs = %v", got)
+	if got := s.RunCount(); got != 3 {
+		t.Fatalf("RunCount = %d, want 3", got)
 	}
 }
 
@@ -330,7 +313,7 @@ func TestDeMorganProperty(t *testing.T) {
 
 func TestRunCountProperty(t *testing.T) {
 	f := func(raw []bool) bool {
-		return FromBools(raw).RunCount() == len(refRuns(raw))
+		return FromBools(raw).RunCount() == refRunCount(raw)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -6,16 +6,31 @@ import (
 	"rfidest/internal/tags"
 )
 
-// BenchmarkTagEngineFrame measures one full 8192-slot BFCE-style frame
-// over 100k materialized tags (the hot path of tag-level experiments).
+// BenchmarkTagEngineFrame measures frames over 100k materialized tags
+// (the hot path of tag-level experiments): a full 8192-slot frame at
+// p = 0.01, and the three frames of a BFCE session at n = 100,000 — the
+// 32-slot probe window, the 1,024-slot rough prefix and the accurate
+// frame. Every tag runs its k decisions whatever the observed prefix, so
+// the legs differ by how many coins let a tag on to its slot hash.
 func BenchmarkTagEngineFrame(b *testing.B) {
 	pop := tags.Generate(100000, tags.T1, 1)
-	e := NewTagEngine(pop, IdealRN)
-	req := FrameRequest{W: 8192, K: 3, P: 0.01}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req.Seed = uint64(i)
-		_ = e.RunFrame(req)
+	for _, leg := range []struct {
+		name string
+		req  FrameRequest
+	}{
+		{"p=0.01", FrameRequest{W: 8192, K: 3, P: 0.01}},
+		{"probe", FrameRequest{W: 8192, K: 3, P: 8.0 / 1024, Observe: 32}},
+		{"rough", FrameRequest{W: 8192, K: 3, P: 8.0 / 1024, Observe: 1024}},
+		{"accurate", FrameRequest{W: 8192, K: 3, P: 12.0 / 1024}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			e := NewTagEngine(pop, IdealRN)
+			req := leg.req
+			for i := 0; i < b.N; i++ {
+				req.Seed = uint64(i)
+				_ = e.RunFrame(req)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,10 @@
 //   - TagEngine walks every tag and executes the tag-side algorithm
 //     literally (Algorithm 2 of the paper), including the paper's
 //     XOR/bitget hash and RN-based persistence when configured. O(n·k) per
-//     frame.
+//     frame, with what every tag shares derived once per frame (TagHash):
+//     a tag mixes its key once and flips each hash's persistence coin
+//     before its slot hash, so a silent decision costs one 64-bit mix, or
+//     a shift and compare under the paper's hash.
 //   - BallsEngine samples the exact occupancy law of the same process
 //     (Binomial-thinned balls scattered multinomially), without iterating
 //     tags. O(n·k·p + w) per frame. It is statistically exact for ideal
@@ -78,7 +81,7 @@ func (req FrameRequest) validate() (observe int) {
 //
 // The representation is word-packed (internal/bitset, bit i set ⟺ slot i
 // busy): 64 slots per uint64 word, so the aggregate queries every estimator
-// hangs off a frame — CountBusy, RhoIdle, FirstBusy, Runs — run one
+// hangs off a frame — CountBusy, RhoIdle, FirstBusy, RunCount — run one
 // popcount or TrailingZeros64 per word instead of one branch per slot. The
 // pre-packing []bool semantics are retained bit-for-bit; reference_test.go
 // keeps the original implementation for cross-checking tests and
@@ -214,16 +217,7 @@ func (b BitVec) FirstIdle() int {
 	return b.Len()
 }
 
-// Runs returns the lengths of maximal runs of busy slots.
-func (b BitVec) Runs() []int {
-	if b.bits == nil {
-		return nil
-	}
-	return b.bits.Runs()
-}
-
-// RunCount returns the number of maximal runs of busy slots, len(Runs())
-// without building the slice.
+// RunCount returns the number of maximal runs of busy slots.
 func (b BitVec) RunCount() int {
 	if b.bits == nil {
 		return 0

@@ -40,53 +40,44 @@ func TestBitVecEmptyAndAllIdle(t *testing.T) {
 	}
 }
 
-// runsEqual compares run-length slices.
-func runsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestBitVecRuns(t *testing.T) {
 	b := FromBools([]bool{true, true, false, true, false, true, true, true})
-	if runs := b.Runs(); !runsEqual(runs, []int{2, 1, 3}) {
-		t.Fatalf("runs = %v, want [2 1 3]", runs)
+	if runs := b.RunCount(); runs != 3 {
+		t.Fatalf("RunCount = %d, want 3", runs)
 	}
-	if len(FromBools([]bool{false}).Runs()) != 0 {
+	if FromBools([]bool{false}).RunCount() != 0 {
 		t.Fatal("idle-only frame must have no runs")
 	}
 }
 
-// TestBitVecRunsEdgeCases pins the trailing-run handling of Runs on both
-// the packed and the reference implementation: a run that extends to the
-// last slot must be emitted, an all-busy frame is one maximal run, and an
-// empty frame has none. (ART's run statistics depend on exactly this.)
+// TestBitVecRunsEdgeCases pins the trailing-run handling of RunCount on
+// both the packed and the reference implementation: a run that extends to
+// the last slot counts, an all-busy frame is one maximal run, and an empty
+// frame (the zero BitVec too) has none. ART's run statistic is exactly
+// this count.
 func TestBitVecRunsEdgeCases(t *testing.T) {
 	cases := []struct {
 		name string
 		bits []bool
-		want []int
+		want int
 	}{
-		{"empty frame", nil, nil},
-		{"all busy", []bool{true, true, true, true}, []int{4}},
-		{"trailing busy run", []bool{false, true, false, false, true, true}, []int{1, 2}},
-		{"single trailing slot", []bool{false, false, true}, []int{1}},
-		{"all busy across words", allBusy(130), []int{130}},
-		{"trailing run across words", append(make([]bool, 60), allBusy(10)...), []int{10}},
+		{"empty frame", nil, 0},
+		{"all busy", []bool{true, true, true, true}, 1},
+		{"trailing busy run", []bool{false, true, false, false, true, true}, 2},
+		{"single trailing slot", []bool{false, false, true}, 1},
+		{"all busy across words", allBusy(130), 1},
+		{"trailing run across words", append(make([]bool, 60), allBusy(10)...), 1},
 	}
 	for _, c := range cases {
-		if got := FromBools(c.bits).Runs(); !runsEqual(got, c.want) {
-			t.Errorf("%s: packed Runs = %v, want %v", c.name, got, c.want)
+		if got := FromBools(c.bits).RunCount(); got != c.want {
+			t.Errorf("%s: packed RunCount = %d, want %d", c.name, got, c.want)
 		}
-		if got := refVec(c.bits).runs(); !runsEqual(got, c.want) {
-			t.Errorf("%s: reference runs = %v, want %v", c.name, got, c.want)
+		if got := refVec(c.bits).runCount(); got != c.want {
+			t.Errorf("%s: reference runCount = %d, want %d", c.name, got, c.want)
 		}
+	}
+	if got := (BitVec{}).RunCount(); got != 0 {
+		t.Errorf("zero BitVec: RunCount = %d, want 0", got)
 	}
 }
 

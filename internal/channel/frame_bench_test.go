@@ -64,22 +64,6 @@ func BenchmarkFrameRhoIdleBoolRef(b *testing.B) {
 	}
 }
 
-func BenchmarkFrameRunsPacked(b *testing.B) {
-	vec, _ := benchFrame()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = vec.Runs()
-	}
-}
-
-func BenchmarkFrameRunsBoolRef(b *testing.B) {
-	_, ref := benchFrame()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ref.runs()
-	}
-}
-
 func BenchmarkFrameScatterTagPacked(b *testing.B) {
 	pop := tags.Generate(100000, tags.T1, 1)
 	e := NewTagEngine(pop, IdealRN)

@@ -8,9 +8,10 @@ import (
 )
 
 // These tests pin the engines to the retained reference paths
-// (reference_test.go): the []bool frame, and the per-slot counts the
-// engines scattered into before they sampled straight into their frame
-// buffers. For randomized frame geometries the engines must produce
+// (reference_test.go): the []bool frame, the per-slot counts the engines
+// scattered into before they sampled straight into their frame buffers,
+// and the per-tag decision TagEngine ran before it prepared each frame's
+// hashes once. For randomized frame geometries the engines must produce
 // bit-identical frames and slot states, identical transmission metering,
 // and identical aggregate queries.
 
@@ -60,8 +61,8 @@ func assertMatchesRef(t *testing.T, trial int, vec BitVec, ref refVec) {
 	if got, want := vec.FirstIdle(), ref.firstIdle(); got != want {
 		t.Fatalf("trial %d: FirstIdle = %d, ref %d", trial, got, want)
 	}
-	if got, want := vec.Runs(), ref.runs(); !runsEqual(got, want) {
-		t.Fatalf("trial %d: Runs = %v, ref %v", trial, got, want)
+	if got, want := vec.RunCount(), ref.runCount(); got != want {
+		t.Fatalf("trial %d: RunCount = %d, ref %d", trial, got, want)
 	}
 }
 
@@ -83,19 +84,102 @@ func assertOccupancyMatchesRef(t *testing.T, trial int, occ, ref Occupancy, got,
 	}
 }
 
+// tagCases are frame geometries every hash mode runs in
+// TestPackedTagEngineMatchesReference: BFCE's three frames at n = 100,000,
+// the persistence edges (nobody responds; P below 0.5/1024, which
+// paper-hash tags round to p_n = 0; everybody responds), hash counts past
+// one TagHash group, and lottery frames of any width.
+var tagCases = []FrameRequest{
+	{W: 8192, K: 3, P: 8.0 / 1024, Observe: 32},             // BFCE's probe window
+	{W: 8192, K: 3, P: 8.0 / 1024, Observe: 1024},           // BFCE's rough prefix
+	{W: 8192, K: 3, P: 12.0 / 1024},                         // BFCE's accurate frame
+	{W: 512, K: 2, P: 0},                                    // a silent frame
+	{W: 512, K: 2, P: 0.4 / 1024, Observe: 300},             // p_n rounds to 0
+	{W: 256, K: 1, P: 1},                                    // every tag responds
+	{W: 2, K: 3, P: 0.7},                                    // the narrowest paper-hash frame
+	{W: 1024, K: 9, P: 0.3, Observe: 700},                   // two hash groups
+	{W: 64, K: 12, P: 1},                                    // two full-persistence groups
+	{W: 32, K: 1, P: 1, Dist: Geometric},                    // LOF's lottery frame
+	{W: 45, K: 9, P: 0.5, Dist: Geometric, Observe: 20},     // a lottery prefix of any width
+	{W: 4096, K: 2, P: 0.002, Dist: Geometric, Observe: 40}, // a thinned lottery
+}
+
+// randomTagReq draws a frame geometry tags hashing under mode can
+// address: any width (a power of two for paper-hash uniform frames),
+// k ∈ [1, 9], persistence at either edge, below p_n's resolution or
+// anywhere in [0, 1), occasional observed prefixes and lottery frames.
+func randomTagReq(rng *rand.Rand, mode HashMode) FrameRequest {
+	req := FrameRequest{K: 1 + rng.Intn(9)}
+	if rng.Intn(4) == 0 {
+		req.Dist = Geometric
+	}
+	if mode == PaperXOR && req.Dist == Uniform {
+		req.W = 2 << rng.Intn(12)
+	} else {
+		req.W = 1 + rng.Intn(3000)
+	}
+	switch rng.Intn(6) {
+	case 0:
+		req.P = 0
+	case 1:
+		req.P = rng.Float64() * 0.5 / 1024
+	case 2:
+		req.P = 1
+	default:
+		req.P = rng.Float64()
+	}
+	if rng.Intn(3) == 0 {
+		req.Observe = 1 + rng.Intn(req.W)
+	}
+	return req
+}
+
+// TestPackedTagEngineMatchesReference pins TagEngine, in every hash mode,
+// to the per-tag decision it ran before TagHash (tagDecision): busy bits,
+// slot states, first responses under a scan limit, transmissions, and
+// SlotFor.
 func TestPackedTagEngineMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	pop := tags.Generate(5000, tags.T1, 61)
-	packed := NewTagEngine(pop, IdealRN)
-	ref := NewTagEngine(pop, IdealRN)
-	for trial := 0; trial < 60; trial++ {
-		req := randomReq(rng)
-		assertMatchesRef(t, trial, packed.RunFrame(req), ref.refRunFrame(req))
-		if packed.TagTransmissions() != ref.TagTransmissions() {
-			t.Fatalf("trial %d: metered %d transmissions, ref %d",
-				trial, packed.TagTransmissions(), ref.TagTransmissions())
-		}
-		assertOccupancyMatchesRef(t, trial, packed.RunFrameOccupancy(req), ref.refRunFrameOccupancy(req), packed, ref)
+	for _, mode := range []HashMode{IdealRN, IdealID, PaperXOR} {
+		t.Run(mode.String(), func(t *testing.T) {
+			packed, ref := NewTagEngine(pop, mode), NewTagEngine(pop, mode)
+			reqs := append([]FrameRequest(nil), tagCases...)
+			for i := 0; i < 40; i++ {
+				reqs = append(reqs, randomTagReq(rng, mode))
+			}
+			for trial, req := range reqs {
+				req.Seed = rng.Uint64()
+				assertTagFrameMatchesRef(t, trial, packed, ref, req, rng.Intn(req.W+1))
+				for j := 0; j < req.K; j++ {
+					tag := pop.Tags[rng.Intn(pop.N())]
+					got := SlotFor(tag, mode, req.Dist, req.Seed, j, req.W)
+					if want := refSlotFor(tag, mode, req.Dist, req.Seed, j, req.W); got != want {
+						t.Fatalf("trial %d %+v: SlotFor hash %d = %d, ref %d", trial, req, j, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// assertTagFrameMatchesRef runs req through twin tag engines, one on
+// TagHash and one on the reference decision: a frame, a slot-state frame
+// and a first-response scan of at most maxScan slots (0: all of them).
+func assertTagFrameMatchesRef(t *testing.T, trial int, packed, ref *TagEngine, req FrameRequest, maxScan int) {
+	t.Helper()
+	assertMatchesRef(t, trial, packed.RunFrame(req), ref.refRunFrame(req))
+	if packed.TagTransmissions() != ref.TagTransmissions() {
+		t.Fatalf("trial %d %+v: metered %d transmissions, ref %d",
+			trial, req, packed.TagTransmissions(), ref.TagTransmissions())
+	}
+	assertOccupancyMatchesRef(t, trial, packed.RunFrameOccupancy(req), ref.refRunFrameOccupancy(req), packed, ref)
+	if got, want := packed.FirstResponse(req, maxScan), ref.refFirstResponse(req, maxScan); got != want {
+		t.Fatalf("trial %d %+v: FirstResponse(%d) = %d, ref %d", trial, req, maxScan, got, want)
+	}
+	if packed.TagTransmissions() != ref.TagTransmissions() {
+		t.Fatalf("trial %d %+v: first response metered %d transmissions, ref %d",
+			trial, req, packed.TagTransmissions(), ref.TagTransmissions())
 	}
 }
 

@@ -1,14 +1,21 @@
 package channel
 
-import "rfidest/internal/xrand"
+import (
+	"math/bits"
 
-// This file retains the pre-packing []bool frame representation as the
-// behavioral reference for the word-packed BitVec, and the per-slot count
-// scatter the engines ran before they sampled straight into their frame
-// buffers, for tests only: equivalence tests cross-check engine output,
-// transmission metering and aggregate queries against these
-// implementations on randomized frames, and the frame benchmarks use them
-// as the speedup baseline.
+	"rfidest/internal/hash"
+	"rfidest/internal/tags"
+	"rfidest/internal/xrand"
+)
+
+// This file retains, for tests only, the pre-packing []bool frame
+// representation as the behavioral reference for the word-packed BitVec,
+// the per-slot count scatter the engines ran before they sampled straight
+// into their frame buffers, and the per-tag decision TagEngine ran before
+// it prepared each frame's hashes once (TagHash): equivalence tests
+// cross-check engine output, transmission metering and aggregate queries
+// against these implementations on randomized frames, and the frame
+// benchmarks use them as the speedup baseline.
 
 // refVec is a frame in the reference representation: refVec[i] reports
 // whether slot i was busy.
@@ -57,22 +64,112 @@ func (b refVec) firstIdle() int {
 	return len(b)
 }
 
-// runs is the reference Runs.
-func (b refVec) runs() []int {
-	var runs []int
-	cur := 0
-	for _, busy := range b {
-		if busy {
-			cur++
-		} else if cur > 0 {
-			runs = append(runs, cur)
-			cur = 0
+// runCount is the reference RunCount: a run starts at each busy slot
+// whose predecessor is idle.
+func (b refVec) runCount() int {
+	runs := 0
+	for i, busy := range b {
+		if busy && (i == 0 || !b[i-1]) {
+			runs++
 		}
 	}
-	if cur > 0 {
-		runs = append(runs, cur)
-	}
 	return runs
+}
+
+// refSlotFor is the slot a tag selects for hash j of a frame, computed per
+// tag from the frame seed, as the TagEngine did before TagHash.
+func refSlotFor(tag tags.Tag, mode HashMode, dist SlotDist, seed uint64, j, w int) int {
+	switch mode {
+	case PaperXOR:
+		rs := uint32(xrand.Combine(seed, uint64(j)))
+		if dist == Geometric {
+			return hash.GeometricSlot(uint64(tag.RN^rs), seed, w-1)
+		}
+		return hash.PaperTagHashW(tag.RN, rs, w)
+	case IdealID, IdealRN:
+		key := uint64(tag.RN)
+		if mode == IdealID {
+			key = tag.ID
+		}
+		seedJ := xrand.Combine(seed, uint64(j))
+		if dist == Geometric {
+			return hash.GeometricSlot(key, seedJ, w-1)
+		}
+		return hash.UniformSlot(key, seedJ, w)
+	default:
+		panic("channel: unknown hash mode")
+	}
+}
+
+// tagDecision runs the tag-side algorithm for hash j exactly as the
+// TagEngine did before TagHash: which slot the tag selects and whether it
+// actually responds there (p-persistence), every seed re-derived per tag.
+func (e *TagEngine) tagDecision(tag *tags.Tag, req FrameRequest, j int) (slot int, responds bool) {
+	slot = refSlotFor(*tag, e.Mode, req.Dist, req.Seed, j, req.W)
+	switch e.Mode {
+	case PaperXOR:
+		rs := uint32(xrand.Combine(req.Seed, uint64(j)))
+		pn := int(req.P*1024 + 0.5)
+		// The 10 persistence bits must come from RN bits the slot hash does
+		// not use (otherwise responders concentrate on a slot subset):
+		// slot uses the low log2(w) bits, so rotate the window above them.
+		base := uint(bits.Len(uint(req.W)) - 1)
+		span := uint(1)
+		if base < 22 {
+			span = 23 - base
+		} else {
+			base = 22
+		}
+		rot := base + (uint(rs>>27)+uint(j))%span
+		responds = hash.PaperPersistence(tag.RN, rot, pn)
+		return slot, responds
+	case IdealID, IdealRN:
+		key := uint64(tag.RN)
+		if e.Mode == IdealID {
+			key = tag.ID
+		}
+		if req.P >= 1 {
+			return slot, true
+		}
+		if req.P <= 0 {
+			return slot, false
+		}
+		// Persistence from an independent hash stream (the tag's "coin").
+		responds = hash.UniformFloat(key, xrand.Combine(req.Seed, uint64(j), 0x9e37)) < req.P
+		return slot, responds
+	default:
+		panic("channel: unknown hash mode")
+	}
+}
+
+// refFirstResponse scans a frame for its first busy slot exactly as the
+// TagEngine did before TagHash, metering the first slot's transmissions.
+func (e *TagEngine) refFirstResponse(req FrameRequest, maxScan int) int {
+	req.Observe = 0
+	req.validate()
+	if maxScan <= 0 || maxScan > req.W {
+		maxScan = req.W
+	}
+	min := -1
+	txAtMin := 0
+	for ti := range e.Pop.Tags {
+		tag := &e.Pop.Tags[ti]
+		for j := 0; j < req.K; j++ {
+			slot, responds := e.tagDecision(tag, req, j)
+			if !responds || slot >= maxScan {
+				continue
+			}
+			switch {
+			case min == -1 || slot < min:
+				min = slot
+				txAtMin = 1
+			case slot == min:
+				txAtMin++
+			}
+		}
+	}
+	e.transmissions += txAtMin
+	return min
 }
 
 // refRunFrame executes one frame exactly as the pre-packing TagEngine did,

@@ -49,6 +49,12 @@ func (m HashMode) String() string {
 // TagEngine executes frames by iterating every tag and running the
 // tag-side algorithm, giving per-tag fidelity at O(n·k) per frame.
 //
+// Each frame's hash seeds, persistence threshold and paper-hash rotations
+// are derived once per frame (TagHash); a tag then mixes its key once and
+// flips each hash's persistence coin before its slot hash, so a silent
+// decision costs one mix (ideal modes) or one shift and compare
+// (PaperXOR).
+//
 // An engine belongs to exactly one reader session and is driven by one
 // goroutine: the frame buffer and the energy counter are written on every
 // frame without synchronization. Pop, however, is only read, so any
@@ -92,11 +98,17 @@ func (e *TagEngine) RunFrameOccupancy(req FrameRequest) Occupancy {
 	return states
 }
 
-// CheckFrame implements FrameChecker. Paper-hash tags select a uniform
-// slot from the low log2(W) bits of RN ⊕ RS (§IV-E.2), which addresses
-// only a power-of-two frame of at least 2 slots.
+// CheckFrame implements FrameChecker.
 func (e *TagEngine) CheckFrame(req FrameRequest) error {
-	if e.Mode == PaperXOR && req.Dist == Uniform && (req.W < 2 || req.W&(req.W-1) != 0) {
+	return checkTagFrame(e.Mode, req)
+}
+
+// checkTagFrame refuses a frame tags hashing under mode cannot address.
+// Paper-hash tags select a uniform slot from the low log2(W) bits of
+// RN ⊕ RS (§IV-E.2), which addresses only a power-of-two frame of at least
+// 2 slots.
+func checkTagFrame(mode HashMode, req FrameRequest) error {
+	if mode == PaperXOR && req.Dist == Uniform && (req.W < 2 || req.W&(req.W-1) != 0) {
 		return fmt.Errorf("%w: paper-hash tags need a power-of-two frame of at least 2 slots, not %d", ErrUnsupportedRound, req.W)
 	}
 	return nil
@@ -112,82 +124,120 @@ func (e *TagEngine) FirstResponse(req FrameRequest, maxScan int) int {
 	if maxScan <= 0 || maxScan > req.W {
 		maxScan = req.W
 	}
-	min := -1
-	txAtMin := 0
-	for ti := range e.Pop.Tags {
-		tag := &e.Pop.Tags[ti]
-		for j := 0; j < req.K; j++ {
-			slot, responds := e.tagDecision(tag, req, j)
-			if !responds || slot >= maxScan {
-				continue
-			}
-			switch {
-			case min == -1 || slot < min:
-				min = slot
-				txAtMin = 1
-			case slot == min:
-				txAtMin++
-			}
-		}
+	r := responses{limit: maxScan, first: true}
+	e.run(req, &r)
+	e.transmissions += r.n
+	if r.n == 0 {
+		return -1
 	}
-	e.transmissions += txAtMin
-	return min
+	return r.limit - 1
 }
 
 // scatter runs every tag's responses into out and meters them. Only the
 // observed prefix is written: a response past it never reaches the
 // reader, which terminated the frame.
 func (e *TagEngine) scatter(req FrameRequest, observe int, out frameOut) {
-	for ti := range e.Pop.Tags {
-		tag := &e.Pop.Tags[ti]
-		for j := 0; j < req.K; j++ {
-			if slot, responds := e.tagDecision(tag, req, j); responds && slot < observe {
-				out.add(slot, 1)
-				e.transmissions++
-			}
+	r := responses{out: out, limit: observe}
+	e.run(req, &r)
+	e.transmissions += r.n
+}
+
+// run delivers every tag's responses to frame req into r, preparing the
+// frame's hashes hashGroup at a time. Each tag flips a hash's persistence
+// coin before its slot hash.
+func (e *TagEngine) run(req FrameRequest, r *responses) {
+	for j0 := 0; j0 < req.K; j0 += hashGroup {
+		h := prepareTagHash(e.Mode, req, j0)
+		if h.mode == PaperXOR {
+			h.runPaper(e.Pop.Tags, r)
+		} else {
+			h.runIdeal(e.Pop.Tags, r)
 		}
 	}
 }
 
-// SlotFor returns the slot that a tag selects for hash j of a frame, under
-// the given hash mode — the same computation the engine's tags perform.
-// Reader-side protocols that precompute expected slots (missing-tag
-// detection) use it so their view of the hash is the engine's by
-// construction.
-func SlotFor(tag tags.Tag, mode HashMode, dist SlotDist, seed uint64, j, w int) int {
+// responses is where a frame's tags deliver the responses that reach the
+// reader: a slot below limit is received, n counts the received responses.
+// A first-response scan keeps only the earliest slot: each earlier slot
+// lowers limit to just past itself and restarts the count, so at the end
+// limit−1 is the first busy slot and n its transmissions.
+type responses struct {
+	out   frameOut
+	limit int
+	n     int
+	first bool
+}
+
+// hit receives one tag's response in slot.
+func (r *responses) hit(slot int) {
+	if slot >= r.limit {
+		return
+	}
+	if !r.first {
+		r.out.add(slot, 1)
+	} else if slot+1 < r.limit {
+		r.limit, r.n = slot+1, 0
+	}
+	r.n++
+}
+
+// hashGroup is how many of a frame's hashes one TagHash holds. Every
+// protocol in the repository announces k ≤ 8 (BFCE's k = 3; the k ablation
+// stops at 8), so a frame is one group; a frame with more hashes visits
+// the population once per group.
+const hashGroup = 8
+
+// TagHash is the tag side of a frame, prepared once per frame: for each of
+// up to hashGroup consecutive hashes, the seed of the slot hash and of the
+// persistence coin (ideal modes), or RS and the persistence rotation
+// (PaperXOR), plus the frame's persistence threshold. It is Algorithm 2's
+// tag side: the engines' frames and the reader-side precomputations that
+// need the tags' slots (SlotFor, missing-tag detection) all run it.
+type TagHash struct {
+	mode HashMode
+	dist SlotDist
+	w    int
+	seed uint64 // frame seed: paper-hash geometric slots hash RN ⊕ RS under it
+
+	thresh uint64 // ideal modes: hash j responds iff Uniform64(key, coin_j)>>11 < thresh
+	pn     int    // PaperXOR: the persistence numerator p_n
+	mask   uint32 // PaperXOR uniform frames: W − 1
+
+	j0     int // the first hash held, hashes[0]
+	n      int // hashes held
+	hashes [hashGroup]preparedHash
+}
+
+// preparedHash is one hash's share of a TagHash.
+type preparedHash struct {
+	slot uint64 // ideal modes: the slot hash's seed; PaperXOR: RS
+	coin uint64 // ideal modes: the coin's seed; PaperXOR: the rotation
+}
+
+// PrepareTagHash prepares the tag side of frame req's first hashes, up to
+// hashGroup of them, for tags hashing under mode. It panics, like the
+// engines, on a frame those tags cannot address (see CheckFrame).
+func PrepareTagHash(mode HashMode, req FrameRequest) TagHash {
+	return prepareTagHash(mode, req, 0)
+}
+
+// prepareTagHash prepares hashes j0 .. j0+hashGroup−1 of frame req, or up
+// to its last.
+func prepareTagHash(mode HashMode, req FrameRequest, j0 int) TagHash {
+	if err := checkTagFrame(mode, req); err != nil {
+		panic(err)
+	}
+	h := TagHash{mode: mode, dist: req.Dist, w: req.W, seed: req.Seed, j0: j0, n: min(req.K-j0, hashGroup)}
 	switch mode {
 	case PaperXOR:
-		rs := uint32(xrand.Combine(seed, uint64(j)))
-		if dist == Geometric {
-			return hash.GeometricSlot(uint64(tag.RN^rs), seed, w-1)
+		if req.P > 0 {
+			h.pn = int(req.P*1024 + 0.5)
 		}
-		return hash.PaperTagHashW(tag.RN, rs, w)
-	case IdealID, IdealRN:
-		key := uint64(tag.RN)
-		if mode == IdealID {
-			key = tag.ID
-		}
-		seedJ := xrand.Combine(seed, uint64(j))
-		if dist == Geometric {
-			return hash.GeometricSlot(key, seedJ, w-1)
-		}
-		return hash.UniformSlot(key, seedJ, w)
-	default:
-		panic("channel: unknown hash mode")
-	}
-}
-
-// tagDecision runs the tag-side algorithm for hash j: which slot the tag
-// selects and whether it actually responds there (p-persistence).
-func (e *TagEngine) tagDecision(tag *tags.Tag, req FrameRequest, j int) (slot int, responds bool) {
-	slot = SlotFor(*tag, e.Mode, req.Dist, req.Seed, j, req.W)
-	switch e.Mode {
-	case PaperXOR:
-		rs := uint32(xrand.Combine(req.Seed, uint64(j)))
-		pn := int(req.P*1024 + 0.5)
-		// The 10 persistence bits must come from RN bits the slot hash does
-		// not use (otherwise responders concentrate on a slot subset):
-		// slot uses the low log2(w) bits, so rotate the window above them.
+		h.mask = uint32(req.W - 1)
+		// The 10 persistence bits must come from RN bits the slot hash
+		// does not use (otherwise responders concentrate on a slot
+		// subset): the slot uses the low log2(W) bits, so rotate the
+		// window above them.
 		base := uint(bits.Len(uint(req.W)) - 1)
 		span := uint(1)
 		if base < 22 {
@@ -195,24 +245,97 @@ func (e *TagEngine) tagDecision(tag *tags.Tag, req FrameRequest, j int) (slot in
 		} else {
 			base = 22
 		}
-		rot := base + (uint(rs>>27)+uint(j))%span
-		responds = hash.PaperPersistence(tag.RN, rot, pn)
-		return slot, responds
-	case IdealID, IdealRN:
-		key := uint64(tag.RN)
-		if e.Mode == IdealID {
-			key = tag.ID
+		for i := range h.n {
+			j := j0 + i
+			rs := uint32(xrand.Combine(req.Seed, uint64(j)))
+			h.hashes[i] = preparedHash{slot: uint64(rs), coin: uint64(base + (uint(rs>>27)+uint(j))%span)}
 		}
-		if req.P >= 1 {
-			return slot, true
+	case IdealRN, IdealID:
+		// Persistence comes from an independent hash stream (the tag's
+		// "coin").
+		h.thresh = hash.FloatThreshold(req.P)
+		for i := range h.n {
+			j := uint64(j0 + i)
+			h.hashes[i] = preparedHash{slot: xrand.Combine(req.Seed, j), coin: xrand.Combine(req.Seed, j, 0x9e37)}
 		}
-		if req.P <= 0 {
-			return slot, false
-		}
-		// Persistence from an independent hash stream (the tag's "coin").
-		responds = hash.UniformFloat(key, xrand.Combine(req.Seed, uint64(j), 0x9e37)) < req.P
-		return slot, responds
 	default:
 		panic("channel: unknown hash mode")
 	}
+	return h
+}
+
+// runPaper delivers the responses of PaperXOR tags to r: a coin is 10
+// bits of RN compared with p_n, a slot the low bits of RN ⊕ RS.
+func (h *TagHash) runPaper(pop []tags.Tag, r *responses) {
+	hs, pn := h.hashes[:h.n], h.pn
+	for ti := range pop {
+		rn := pop[ti].RN
+		for i := range hs {
+			if hash.PaperPersistenceAt(rn, uint(hs[i].coin), pn) {
+				r.hit(h.paperSlot(rn, hs[i].slot))
+			}
+		}
+	}
+}
+
+// runIdeal delivers the responses of IdealRN and IdealID tags to r: each
+// tag premixes its key once, and each hash finishes it under the coin's
+// seed, then, if the tag responds, under the slot's seed.
+func (h *TagHash) runIdeal(pop []tags.Tag, r *responses) {
+	hs, thresh := h.hashes[:h.n], h.thresh
+	for ti := range pop {
+		key := hash.KeyOf(h.keyInput(&pop[ti]))
+		for i := range hs {
+			if key.Uniform64(hs[i].coin)>>11 < thresh {
+				r.hit(h.idealSlot(key, hs[i].slot))
+			}
+		}
+	}
+}
+
+// Slot returns the slot tag selects for the frame's hash j, one of the
+// hashes h holds, whether or not its persistence coin lets it respond.
+func (h *TagHash) Slot(tag *tags.Tag, j int) int {
+	seed := h.hashes[:h.n][j-h.j0].slot
+	if h.mode == PaperXOR {
+		return h.paperSlot(tag.RN, seed)
+	}
+	return h.idealSlot(hash.KeyOf(h.keyInput(tag)), seed)
+}
+
+// keyInput is what an ideal-mode tag hashes: its RN, or under IdealID its
+// ID.
+func (h *TagHash) keyInput(tag *tags.Tag) uint64 {
+	if h.mode == IdealID {
+		return tag.ID
+	}
+	return uint64(tag.RN)
+}
+
+// idealSlot is the ideal modes' slot for a premixed key under a slot seed.
+func (h *TagHash) idealSlot(key hash.Key, seed uint64) int {
+	if h.dist == Geometric {
+		return key.GeometricSlot(seed, h.w-1)
+	}
+	return hash.Reduce(key.Uniform64(seed), h.w)
+}
+
+// paperSlot is PaperXOR's slot for a tag's RN under RS: bitget(RN ⊕ RS,
+// log2(W):1) in a uniform frame, a geometric slot of RN ⊕ RS under the
+// frame seed in a lottery frame.
+func (h *TagHash) paperSlot(rn uint32, rs uint64) int {
+	x := rn ^ uint32(rs)
+	if h.dist == Geometric {
+		return hash.GeometricSlot(uint64(x), h.seed, h.w-1)
+	}
+	return int(x & h.mask)
+}
+
+// SlotFor returns the slot that a tag selects for hash j of a frame, under
+// the given hash mode — the engine's own TagHash. Reader-side protocols
+// that precompute expected slots use it (or PrepareTagHash, once per
+// frame) so their view of the hash is the engine's by construction.
+func SlotFor(tag tags.Tag, mode HashMode, dist SlotDist, seed uint64, j, w int) int {
+	h := prepareTagHash(mode, FrameRequest{W: w, K: j + 1, Dist: dist, Seed: seed}, j)
+	return h.Slot(&tag, j)
 }

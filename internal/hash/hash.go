@@ -13,6 +13,7 @@
 package hash
 
 import (
+	"math"
 	"math/bits"
 
 	"rfidest/internal/xrand"
@@ -22,7 +23,26 @@ import (
 // value. Different seeds give independent hash functions over the same key
 // space, which is how protocols obtain their k "independent hash functions".
 func Uniform64(x, seed uint64) uint64 {
-	return xrand.Mix64(xrand.Mix64(x^0x51_7c_c1_b7_27_22_0a_95) ^ seed)
+	return xrand.Mix64(xrand.Mix64(x^premixSalt) ^ seed)
+}
+
+// premixSalt is XORed into a key before its seed-free mix.
+const premixSalt = 0x51_7c_c1_b7_27_22_0a_95
+
+// Key is a key premixed for Uniform64: the seed-free half of the hash. A
+// caller that hashes one key under several seeds — a tag's k slot hashes
+// and k persistence coins in one frame — mixes the key once with KeyOf and
+// finishes each seed with Key.Uniform64.
+type Key uint64
+
+// KeyOf premixes x, so that KeyOf(x).Uniform64(seed) == Uniform64(x, seed).
+func KeyOf(x uint64) Key {
+	return Key(xrand.Mix64(x ^ premixSalt))
+}
+
+// Uniform64 finishes the hash of the premixed key under seed.
+func (k Key) Uniform64(seed uint64) uint64 {
+	return xrand.Mix64(uint64(k) ^ seed)
 }
 
 // UniformSlot maps (x, seed) to a slot index in [0, w). w must be positive.
@@ -32,12 +52,36 @@ func UniformSlot(x, seed uint64, w int) int {
 	if w <= 0 {
 		panic("hash: UniformSlot with non-positive w")
 	}
-	h := Uniform64(x, seed)
-	// Multiply-shift range reduction: floor(h/2^64 * w). The bias for
-	// w << 2^64 is negligible (< w/2^64) and, unlike masking, works for
-	// arbitrary w.
+	return Reduce(Uniform64(x, seed), w)
+}
+
+// Reduce maps a uniform 64-bit hash h to a slot in [0, w) by multiply-shift
+// range reduction, floor(h/2^64 · w). The bias for w << 2^64 is negligible
+// (< w/2^64) and, unlike masking, it works for arbitrary w. w must be
+// positive; UniformSlot checks it, callers that checked w once per frame
+// call Reduce directly.
+func Reduce(h uint64, w int) int {
 	hi, _ := bits.Mul64(h, uint64(w))
 	return int(hi)
+}
+
+// FloatThreshold returns the integer t with
+//
+//	UniformFloat(x, s) < p  ⟺  Uniform64(x, s)>>11 < t
+//
+// for every x and s, so a persistence coin compares the hash's top 53 bits
+// without a float conversion. p ≤ 0 (and NaN) give 0, which no hash
+// passes; p ≥ 1 gives 2^53, which every hash passes.
+func FloatThreshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	// UniformFloat is u/2^53 for the integer u = Uniform64>>11, and p·2^53
+	// is exact, so u/2^53 < p ⟺ u < p·2^53 ⟺ u < ⌈p·2^53⌉.
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // UniformFloat maps (x, seed) to a float in [0, 1) with 53 bits of
@@ -54,14 +98,20 @@ func UniformFloat(x, seed uint64) float64 {
 // the hash bits. The result is capped at max (the last frame slot absorbs
 // the tail), matching how a finite lottery frame is used in practice.
 func GeometricSlot(x, seed uint64, max int) int {
-	h := Uniform64(x, seed)
+	return KeyOf(x).GeometricSlot(seed, max)
+}
+
+// GeometricSlot is GeometricSlot(x, seed, max) for the premixed key
+// k = KeyOf(x).
+func (k Key) GeometricSlot(seed uint64, max int) int {
+	h := k.Uniform64(seed)
 	j := 0
 	for j < max && h&1 == 0 {
 		h >>= 1
 		j++
 		if j%64 == 0 {
 			// Extremely unlikely with max <= 64; rehash for longer runs.
-			h = Uniform64(x, seed+uint64(j))
+			h = k.Uniform64(seed + uint64(j))
 		}
 	}
 	return j
@@ -103,7 +153,14 @@ func PaperTagHashW(rn, rs uint32, w int) int {
 // typo for "not larger than p_n−1"; PaperPersistenceLiteral preserves the
 // literal text for the bias study.
 func PaperPersistence(rn uint32, rot uint, pn int) bool {
-	v := (rn >> (rot % 23)) & 0x3ff // 10 bits
+	return PaperPersistenceAt(rn, rot%23, pn)
+}
+
+// PaperPersistenceAt is PaperPersistence for a rotation already reduced
+// below 23, as a frame prepares it once per hash: the tag responds iff the
+// 10 bits of RN from bit rot up are at most pn−1.
+func PaperPersistenceAt(rn uint32, rot uint, pn int) bool {
+	v := (rn >> (rot & 31)) & 0x3ff // 10 bits; rot < 23, so the mask only spares a range check
 	return int(v) < pn
 }
 

@@ -2,6 +2,7 @@ package hash
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -12,6 +13,62 @@ func TestUniform64SeedsDiffer(t *testing.T) {
 	}
 	if Uniform64(123, 1) != Uniform64(123, 1) {
 		t.Fatal("hash is not deterministic")
+	}
+}
+
+// TestKeyOfSplitsUniform64: premixing a key once and finishing it under
+// each seed is Uniform64, and the slot helpers built on it agree with the
+// per-call ones.
+func TestKeyOfSplitsUniform64(t *testing.T) {
+	f := func(x, seed uint64, wRaw uint16, maxRaw uint8) bool {
+		w, max := 1+int(wRaw), int(maxRaw)
+		k := KeyOf(x)
+		return k.Uniform64(seed) == Uniform64(x, seed) &&
+			Reduce(k.Uniform64(seed), w) == UniformSlot(x, seed, w) &&
+			k.GeometricSlot(seed, max) == GeometricSlot(x, seed, max)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFloatThresholdMatchesUniformFloat: comparing the hash's top 53 bits
+// with FloatThreshold(p) decides exactly as UniformFloat < p, at the
+// edges of [0, 1], at NaN, and where p·2^53 is or is not an integer — the
+// hashes tried include those just below, at and above the threshold.
+func TestFloatThresholdMatchesUniformFloat(t *testing.T) {
+	ps := []float64{0, math.Copysign(0, -1), 5e-324, 1.0 / (1 << 53), 3.0 / (1 << 54), 0.4 / 1024, 8.0 / 1024,
+		0.1, 0.5, math.Nextafter(1, 0), 1, math.NaN()}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 200; i++ {
+		ps = append(ps, rng.Float64())
+	}
+	for _, p := range ps {
+		th := FloatThreshold(p)
+		hs := []uint64{0, ^uint64(0)}
+		for _, u := range []uint64{th - 1, th, th + 1} {
+			if u < 1<<53 {
+				hs = append(hs, u<<11, u<<11|0x7ff)
+			}
+		}
+		for _, h := range hs {
+			want := float64(h>>11)/(1<<53) < p
+			if got := h>>11 < th; got != want {
+				t.Fatalf("p=%v h=%#x: threshold %d decides %v, UniformFloat < p is %v", p, h, th, got, want)
+			}
+		}
+	}
+}
+
+// TestPaperPersistenceAtMatches: with the rotation reduced below 23 once,
+// PaperPersistenceAt decides as PaperPersistence does for any rotation.
+func TestPaperPersistenceAtMatches(t *testing.T) {
+	f := func(rn uint32, rot uint16, pnRaw uint16) bool {
+		pn := int(pnRaw % 1026)
+		return PaperPersistenceAt(rn, uint(rot)%23, pn) == PaperPersistence(rn, uint(rot), pn)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // The mechanism inverts BFCE's: because the reader knows the expected set,
 // it can precompute the exact slot each expected tag selects under a
-// broadcast seed (channel.SlotFor — the same computation the tags run).
+// broadcast seed (channel.TagHash — the same computation the tags run).
 // Tags respond deterministically (persistence 1, one hash). Then:
 //
 //   - a slot expected to hold exactly one tag (a "singleton slot") that is
@@ -102,22 +102,20 @@ func Detect(r *channel.Reader, expected []tags.Tag, cfg Config) (Result, error) 
 	slotOf := make([]int, len(expected))
 	occupancy := make([]int, cfg.W)
 	for round := 0; round < cfg.Rounds; round++ {
-		seed := r.NextSeed()
+		req := channel.FrameRequest{W: cfg.W, K: 1, P: 1, Seed: r.NextSeed()}
 		r.BroadcastParams(timing.SeedBits + timing.PnBits)
 
-		// Reader-side precomputation of every expected tag's slot.
-		for i := range occupancy {
-			occupancy[i] = 0
-		}
-		for i, tag := range expected {
-			s := channel.SlotFor(tag, cfg.Mode, channel.Uniform, seed, 0, cfg.W)
+		// Reader-side precomputation of every expected tag's slot, with
+		// the frame's tag hash prepared once.
+		clear(occupancy)
+		h := channel.PrepareTagHash(cfg.Mode, req)
+		for i := range expected {
+			s := h.Slot(&expected[i], 0)
 			slotOf[i] = s
 			occupancy[s]++
 		}
 
-		vec := r.ExecuteFrame(channel.FrameRequest{
-			W: cfg.W, K: 1, P: 1, Seed: seed,
-		})
+		vec := r.ExecuteFrame(req)
 		res.Slots += cfg.W
 
 		for i, tag := range expected {

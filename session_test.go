@@ -245,20 +245,26 @@ func TestSessionAllocs(t *testing.T) {
 }
 
 // TestTagLevelSessionAllocs caps one BFCE session over a materialized
-// population, the golden grid's tag-n20000-seed42 system: TagEngine frames
-// reuse the engine's buffer like synthetic ones.
+// population, the golden grid's tag-n20000-seed42 system and its
+// paper-hash twin: TagEngine frames reuse the engine's buffer like
+// synthetic ones, and a frame's tag hash lives on the stack.
 func TestTagLevelSessionAllocs(t *testing.T) {
-	sys, err := goldengrid.NewSystem("tag-n20000-seed42")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := testing.AllocsPerRun(3, func() {
-		_, err = sys.Run(context.Background(), rfidest.WithSeedSalt(1))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got > 9 {
-		t.Errorf("%v allocations per tag-level BFCE session, ceiling 9", got)
+	for key, ceiling := range map[string]float64{
+		"tag-n20000-seed42":       9,
+		"paperhash-n20000-seed42": 9,
+	} {
+		sys, err := goldengrid.NewSystem(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(3, func() {
+			_, err = sys.Run(context.Background(), rfidest.WithSeedSalt(1))
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if got > ceiling {
+			t.Errorf("%s: %v allocations per tag-level BFCE session, ceiling %v", key, got, ceiling)
+		}
 	}
 }
