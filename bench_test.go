@@ -124,14 +124,20 @@ func BenchmarkBFCETagLevel(b *testing.B) {
 }
 
 // BenchmarkBFCESynthetic measures one BFCE estimation over the exact
-// synthetic channel (no per-tag iteration).
+// synthetic channel (no per-tag iteration) at three sizes: n = 10³, near
+// the accuracy floor, where the p_o search finds a numerator past 900 of
+// 1023 or none; n = 3·10⁴; and n = 10⁶, where the balls engine throws
+// some 50,000 responses per session.
 func BenchmarkBFCESynthetic(b *testing.B) {
-	sys := rfidest.NewSystem(1000000, rfidest.WithSeed(2), rfidest.WithSynthetic())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Run(context.Background()); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{1000, 30000, 1000000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			sys := rfidest.NewSystem(n, rfidest.WithSeed(2), rfidest.WithSynthetic())
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.Run(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

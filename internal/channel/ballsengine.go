@@ -69,53 +69,80 @@ func (e *BallsEngine) RunFrameOccupancy(req FrameRequest) Occupancy {
 // scatter samples the exact multinomial occupancy of a frame into out,
 // which sees only the observed prefix, and meters the transmissions that
 // land there. The response count is Binomial(n·k, p) and responses are
-// distributed over the W slots per the slot distribution. When the
-// number of responses is large relative to the frame it switches from
-// per-ball throwing to sequential binomial splitting (bin_i ~
-// Bin(remaining, q_i / tail_i)), which samples the identical joint law in
-// O(W) instead of O(balls) — and stops at the end of the observed prefix.
+// distributed over the W slots per the slot distribution: one by one
+// while there are at most 4W of them (throwBalls), past that by
+// sequential binomial splitting (splitBalls), which samples the identical
+// joint law in O(W) instead of O(balls). A one-slot frame takes every
+// response in either regime, so it draws no slot at all: nothing reads
+// the frame's stream after the frame, and one saturating add leaves the
+// state the responses' adds one by one did.
 func (e *BallsEngine) scatter(req FrameRequest, observe int, out frameOut) {
 	if req.Dist != Uniform && req.Dist != Geometric {
 		panic("channel: unknown slot distribution")
 	}
 	rng := e.frameRNG(req)
 	balls := rng.Binomial(e.N*req.K, req.P)
-	w := req.W
-	if balls <= 4*w {
-		for ; balls > 0; balls-- {
-			var slot int
-			if req.Dist == Uniform {
-				slot = rng.Intn(w)
-			} else if slot = rng.GeometricHalf(); slot >= w {
-				slot = w - 1
-			}
-			if slot < observe {
-				out.add(slot, 1)
-				e.transmissions++
+	switch {
+	case balls == 0: // a silent frame
+	case req.W == 1:
+		out.add(0, balls)
+		e.transmissions += balls
+	case balls <= 4*req.W:
+		e.transmissions += throwBalls(&rng, balls, req, out)
+	default:
+		e.transmissions += splitBalls(&rng, balls, req, observe, out)
+	}
+}
+
+// ballBatch is how many slots throwBalls draws at a time, into a buffer
+// on its stack.
+const ballBatch = 256
+
+// throwBalls draws a slot for each of balls responses, a batch at a time
+// (uniform slots with the generator held in registers), and returns how
+// many of them landed in out's observed prefix.
+func throwBalls(rng *xrand.Rand, balls int, req FrameRequest, out frameOut) (landed int) {
+	var buf [ballBatch]uint64
+	for balls > 0 {
+		slots := buf[:min(balls, ballBatch)]
+		if req.Dist == Uniform {
+			rng.FillUint64n(slots, uint64(req.W))
+		} else {
+			for i := range slots {
+				slots[i] = uint64(min(rng.GeometricHalf(), req.W-1))
 			}
 		}
-		return
+		landed += out.addEach(slots)
+		balls -= len(slots)
 	}
+	return landed
+}
+
+// splitBalls places balls responses slot by slot, bin_i ~
+// Bin(remaining, q_i / tail_i), and returns how many it placed. It stops
+// at the end of the observed prefix.
+func splitBalls(rng *xrand.Rand, balls int, req FrameRequest, observe int, out frameOut) (landed int) {
 	remaining := balls
 	for i := 0; i < observe && remaining > 0; i++ {
 		c := remaining // the last slot takes every ball still unplaced
-		if i < w-1 {
+		if i < req.W-1 {
 			// Uniform: each unplaced ball picks slot i with probability
 			// 1/(w-i). Geometric: slot i carries 2^{-(i+1)} of the mass,
 			// so conditioned on not landing earlier a ball stops at i with
 			// probability 1/2.
 			q := 0.5
 			if req.Dist == Uniform {
-				q = 1 / float64(w-i)
+				q = 1 / float64(req.W-i)
 			}
 			c = rng.Binomial(remaining, q)
 		}
 		if c > 0 {
 			out.add(i, c)
-			e.transmissions += c
+			landed += c
 			remaining -= c
 		}
 	}
+	return landed
 }
 
 // FirstResponse implements Engine. The first busy slot is the minimum of

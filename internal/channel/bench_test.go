@@ -47,15 +47,38 @@ func BenchmarkTagEnginePaperXORFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkBallsEngineFrame measures the synthetic engine on the same
-// frame (the fast path large sweeps rely on).
+// BenchmarkBallsEngineFrame measures the synthetic engine (the fast path
+// large sweeps rely on): the full p = 0.01 frame at n = 100,000; the
+// three frames of a BFCE session at n = 10⁶ — the 32-slot probe window and
+// the 1,024-slot rough prefix at p = 8/1024 (about 23,000 responses
+// thrown one by one, for 32 and 1,024 heard slots) and the accurate frame
+// at p_o = 2/1024; and UPE's slot-state measurement frame at n = 10⁶
+// (1,024 slots at p = 1/256, about 3,900 responses).
 func BenchmarkBallsEngineFrame(b *testing.B) {
-	e := NewBallsEngine(100000, 3)
-	req := FrameRequest{W: 8192, K: 3, P: 0.01}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req.Seed = uint64(i)
-		_ = e.RunFrame(req)
+	for _, leg := range []struct {
+		name   string
+		n      int
+		req    FrameRequest
+		states bool
+	}{
+		{"p=0.01", 100000, FrameRequest{W: 8192, K: 3, P: 0.01}, false},
+		{"probe", 1000000, FrameRequest{W: 8192, K: 3, P: 8.0 / 1024, Observe: 32}, false},
+		{"rough", 1000000, FrameRequest{W: 8192, K: 3, P: 8.0 / 1024, Observe: 1024}, false},
+		{"accurate", 1000000, FrameRequest{W: 8192, K: 3, P: 2.0 / 1024}, false},
+		{"upe-states", 1000000, FrameRequest{W: 1024, K: 1, P: 1.0 / 256}, true},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			e := NewBallsEngine(leg.n, 3)
+			req := leg.req
+			for i := 0; i < b.N; i++ {
+				req.Seed = uint64(i)
+				if leg.states {
+					_ = e.RunFrameOccupancy(req)
+				} else {
+					_ = e.RunFrame(req)
+				}
+			}
+		})
 	}
 }
 

@@ -50,3 +50,27 @@ func (o frameOut) add(slot, c int) {
 	}
 	o.states[slot] = min(o.states[slot]+SlotState(min(c, 2)), Collision)
 }
+
+// addEach records one response in each of slots that falls inside the
+// observed prefix and returns how many did: one loop per frame kind, so
+// nothing branches on the kind per response.
+func (o frameOut) addEach(slots []uint64) (landed int) {
+	if o.states == nil {
+		observe := uint64(o.busy.Len())
+		for _, s := range slots {
+			if s < observe {
+				o.busy.setBusy(int(s))
+				landed++
+			}
+		}
+		return landed
+	}
+	states, observe := o.states, uint64(len(o.states))
+	for _, s := range slots {
+		if s < observe {
+			states[s] = min(states[s]+1, Collision)
+			landed++
+		}
+	}
+	return landed
+}

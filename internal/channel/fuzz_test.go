@@ -10,7 +10,8 @@ import (
 // FuzzTagFrameMatchesReference: for any hash mode, slot distribution,
 // frame width, hash count, persistence, observed prefix, scan limit and
 // seed, TagEngine's frames, slot states, first responses, transmissions
-// and SlotFor agree with the per-tag reference decision (tagDecision).
+// and the slots a prepared TagHash reports agree with the per-tag
+// reference decision (tagDecision).
 func FuzzTagFrameMatchesReference(f *testing.F) {
 	f.Add(uint8(0), false, uint16(8191), uint8(2), 8.0/1024, uint16(32), uint16(0), uint64(1))
 	f.Add(uint8(1), true, uint16(31), uint8(0), 1.0, uint16(0), uint16(5), uint64(2))
@@ -34,11 +35,14 @@ func FuzzTagFrameMatchesReference(f *testing.F) {
 		maxScan := int(scanRaw) % (req.W + 2)
 		packed, ref := NewTagEngine(pop, mode), NewTagEngine(pop, mode)
 		assertTagFrameMatchesRef(t, 0, packed, ref, req, maxScan)
-		for j := 0; j < req.K; j++ {
+		for j, h := 0, PrepareTagHash(mode, req); j < req.K; j++ {
+			if j == h.j0+h.n {
+				h = prepareTagHash(mode, req, j) // the next group of hashes
+			}
 			tag := pop.Tags[(int(seed>>8)+j)%pop.N()]
-			got := SlotFor(tag, mode, req.Dist, req.Seed, j, req.W)
+			got := h.Slot(&tag, j)
 			if want := refSlotFor(tag, mode, req.Dist, req.Seed, j, req.W); got != want {
-				t.Fatalf("%v %+v: SlotFor hash %d = %d, ref %d", mode, req, j, got, want)
+				t.Fatalf("%v %+v: TagHash slot of hash %d = %d, ref %d", mode, req, j, got, want)
 			}
 		}
 	})

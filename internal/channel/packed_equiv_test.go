@@ -137,7 +137,7 @@ func randomTagReq(rng *rand.Rand, mode HashMode) FrameRequest {
 // TestPackedTagEngineMatchesReference pins TagEngine, in every hash mode,
 // to the per-tag decision it ran before TagHash (tagDecision): busy bits,
 // slot states, first responses under a scan limit, transmissions, and
-// SlotFor.
+// the slots a prepared TagHash reports.
 func TestPackedTagEngineMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	pop := tags.Generate(5000, tags.T1, 61)
@@ -151,11 +151,14 @@ func TestPackedTagEngineMatchesReference(t *testing.T) {
 			for trial, req := range reqs {
 				req.Seed = rng.Uint64()
 				assertTagFrameMatchesRef(t, trial, packed, ref, req, rng.Intn(req.W+1))
-				for j := 0; j < req.K; j++ {
+				for j, h := 0, PrepareTagHash(mode, req); j < req.K; j++ {
+					if j == h.j0+h.n {
+						h = prepareTagHash(mode, req, j) // the next group of hashes
+					}
 					tag := pop.Tags[rng.Intn(pop.N())]
-					got := SlotFor(tag, mode, req.Dist, req.Seed, j, req.W)
+					got := h.Slot(&tag, j)
 					if want := refSlotFor(tag, mode, req.Dist, req.Seed, j, req.W); got != want {
-						t.Fatalf("trial %d %+v: SlotFor hash %d = %d, ref %d", trial, req, j, got, want)
+						t.Fatalf("trial %d %+v: TagHash slot of hash %d = %d, ref %d", trial, req, j, got, want)
 					}
 				}
 			}
@@ -187,15 +190,23 @@ func assertTagFrameMatchesRef(t *testing.T, trial int, packed, ref *TagEngine, r
 // regimes for the populations of TestPackedBallsEngineMatchesReference:
 // per-ball throwing while the expected response count n·k·p stays within
 // 4W, binomial splitting past it (n = 300,000 and 10⁶ split every uniform
-// case below; n = 4,000 splits the 1-slot and the unthinned geometric
-// frames).
+// case below but UPE's frame; n = 4,000 splits the first 1-slot frame and
+// the unthinned geometric frames). The thinned 1-slot frames put ZOE's
+// load, n·p ≈ 1.59, and about 3 responses on the slot at n = 4,000, where
+// a frame of 2–4 responses must saturate its slot as adding them one by
+// one did.
 var scatterCases = []FrameRequest{
 	{W: 8192, K: 3, P: 0.1},                                // BFCE's accurate frame
 	{W: 8192, K: 3, P: 0.1, Observe: 1024},                 // BFCE's rough prefix
 	{W: 8192, K: 3, P: 0.002, Observe: 32},                 // BFCE's probe window
 	{W: 1024, K: 2, P: 0.9, Observe: 100},                  // a short prefix of a split frame
 	{W: 3000, K: 4, P: 0.7, Observe: 2999},                 // all but the remainder slot
+	{W: 1024, K: 1, P: 1.0 / 256},                          // UPE's measurement frame, per ball at every n
 	{W: 1, K: 1, P: 0.3},                                   // ZOE's single slot
+	{W: 1, K: 1, P: 1.59 / 4000},                           // ZOE's load at n = 4,000
+	{W: 1, K: 1, P: 1.59 / 4000},                           // again, on another seed
+	{W: 1, K: 1, P: 3.0 / 4000},                            // three responses on average
+	{W: 1, K: 2, P: 1.0 / 4000, Dist: Geometric},           // a one-slot lottery
 	{W: 32, K: 1, P: 1, Dist: Geometric},                   // LOF's lottery frame
 	{W: 32, K: 1, P: 1, Dist: Geometric, Observe: 9},       // a geometric prefix
 	{W: 64, K: 1, P: 0.001, Dist: Geometric, Observe: 63},  // a thinned lottery
@@ -205,12 +216,14 @@ var scatterCases = []FrameRequest{
 // TestPackedBallsEngineMatchesReference pins the count-free scatter to the
 // per-slot counts it replaced (scatterCounts): busy bits, slot states and
 // transmissions, in both scatter regimes, with and without an observed
-// prefix, under both slot distributions.
+// prefix, under both slot distributions, and on one-slot frames, which
+// draw no slot.
 func TestPackedBallsEngineMatchesReference(t *testing.T) {
 	// Twin engines with equal seeds hold identical RNG state; every frame
 	// path advances it identically, so the twins stay in lockstep across
 	// the whole sequence.
 	rng := rand.New(rand.NewSource(808))
+	crowded := 0 // one-slot slot-state frames that carried 2–4 responses
 	for _, n := range []int{0, 1, 4000, 300000, 1000000} {
 		packed, ref := NewBallsEngine(n, 63), NewBallsEngine(n, 63)
 		reqs := append([]FrameRequest(nil), scatterCases...)
@@ -224,8 +237,15 @@ func TestPackedBallsEngineMatchesReference(t *testing.T) {
 				t.Fatalf("n=%d trial %d: metered %d transmissions, ref %d",
 					n, trial, packed.TagTransmissions(), ref.TagTransmissions())
 			}
+			before := packed.TagTransmissions()
 			assertOccupancyMatchesRef(t, trial, packed.RunFrameOccupancy(req), ref.refRunFrameOccupancy(req), packed, ref)
+			if tx := packed.TagTransmissions() - before; req.W == 1 && tx >= 2 && tx <= 4 {
+				crowded++
+			}
 		}
+	}
+	if crowded < 2 {
+		t.Fatalf("%d one-slot frames carried 2–4 responses, want at least 2", crowded)
 	}
 }
 

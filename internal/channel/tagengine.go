@@ -192,7 +192,7 @@ const hashGroup = 8
 // persistence coin (ideal modes), or RS and the persistence rotation
 // (PaperXOR), plus the frame's persistence threshold. It is Algorithm 2's
 // tag side: the engines' frames and the reader-side precomputations that
-// need the tags' slots (SlotFor, missing-tag detection) all run it.
+// need the tags' slots (missing-tag detection) all run it.
 type TagHash struct {
 	mode HashMode
 	dist SlotDist
@@ -329,13 +329,4 @@ func (h *TagHash) paperSlot(rn uint32, rs uint64) int {
 		return hash.GeometricSlot(uint64(x), h.seed, h.w-1)
 	}
 	return int(x & h.mask)
-}
-
-// SlotFor returns the slot that a tag selects for hash j of a frame, under
-// the given hash mode — the engine's own TagHash. Reader-side protocols
-// that precompute expected slots use it (or PrepareTagHash, once per
-// frame) so their view of the hash is the engine's by construction.
-func SlotFor(tag tags.Tag, mode HashMode, dist SlotDist, seed uint64, j, w int) int {
-	h := prepareTagHash(mode, FrameRequest{W: w, K: j + 1, Dist: dist, Seed: seed}, j)
-	return h.Slot(&tag, j)
 }

@@ -1,16 +1,29 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"rfidest/internal/channel"
 	"rfidest/internal/tags"
 )
 
-// BenchmarkOptimalPn measures the brute-force minimal-p search of §IV-D.
+// BenchmarkOptimalPn measures the minimal-p search of §IV-D at BFCE's
+// defaults, (0.05, 0.05), across rough lower bounds: one below the
+// accuracy floor (no feasible numerator), and three whose p_o is 394,
+// 119 and 3 out of 1024.
 func BenchmarkOptimalPn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _ = OptimalPn(250000, 3, 8192, 1024, 0.05, 0.05)
+	for _, leg := range []struct {
+		nLow float64
+		pn   int // the p_o numerator; 0 when none is feasible
+	}{{500, 0}, {1500, 394}, {5000, 119}, {250000, 3}} {
+		b.Run(fmt.Sprintf("nLow=%g", leg.nLow), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if pn, _ := OptimalPn(leg.nLow, 3, 8192, 1024, 0.05, 0.05); pn != leg.pn {
+					b.Fatalf("p_o = %d/1024, want %d/1024", pn, leg.pn)
+				}
+			}
+		})
 	}
 }
 

@@ -89,9 +89,29 @@ func Feasible(n float64, k int, p float64, w int, eps, d float64) bool {
 // numerator is feasible, which happens when nLow is below the protocol's
 // accuracy floor (λ cannot reach the feasible window even at p close to 1)
 // or beyond its scalability ceiling (λ overshoots it even at p = 1/pdenom).
+//
+// The scan starts where feasibility can begin. F1 = −√w·(1−e^{−ελ})/
+// √(e^λ−1), and since 1−e^{−x} ≤ x and e^λ−1 ≥ λ, |F1| ≤ ε·√(wλ): no λ
+// below d²/(ε²w) meets f1 ≤ −d. Every numerator under that load,
+// λ = k·(pn/pdenom)·nLow/w, is infeasible, so skipping them returns the
+// same minimal p_o as scanning from 1. The start is shaded down by 10⁻⁹,
+// orders of magnitude above F1's rounding error there, and the two
+// inequalities leave more slack still, so rounding cannot skip a
+// numerator the scan would accept.
 func OptimalPn(nLow float64, k, w, pdenom int, eps, delta float64) (pn int, ok bool) {
 	d := stats.D(delta)
-	for pn = 1; pn < pdenom; pn++ {
+	pn = 1
+	if nLow > 0 {
+		lambdaMin := d * d / (eps * eps * float64(w))
+		start := math.Floor(lambdaMin * (1 - 1e-9) * float64(w) * float64(pdenom) / (float64(k) * nLow))
+		if start >= float64(pdenom) {
+			return 0, false
+		}
+		if start > 1 {
+			pn = int(start)
+		}
+	}
+	for ; pn < pdenom; pn++ {
 		if Feasible(nLow, k, float64(pn)/float64(pdenom), w, eps, d) {
 			return pn, true
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rfidest/internal/stats"
+	"rfidest/internal/xrand"
 )
 
 func TestLambda(t *testing.T) {
@@ -137,6 +138,61 @@ func TestOptimalPnInfeasible(t *testing.T) {
 	// Beyond the ceiling neither.
 	if _, ok := OptimalPn(5e8, 3, 8192, 1024, 0.05, 0.05); ok {
 		t.Fatal("nLow=5e8 must be infeasible")
+	}
+}
+
+// optimalPnLinear is OptimalPn as §IV-D states it: scan every numerator
+// from 1 up. It is the oracle for OptimalPn, which starts the same scan
+// at its proven lower bound.
+func optimalPnLinear(nLow float64, k, w, pdenom int, eps, delta float64) (pn int, ok bool) {
+	d := stats.D(delta)
+	for pn = 1; pn < pdenom; pn++ {
+		if Feasible(nLow, k, float64(pn)/float64(pdenom), w, eps, d) {
+			return pn, true
+		}
+	}
+	return 0, false
+}
+
+// TestOptimalPnMatchesLinearScan checks that starting the scan at the
+// F1 bound never changes p_o: 10⁵ rough lower bounds, log-uniform over
+// [1, 10⁹], spread over k ∈ {1, 3, 4}, w ∈ {1024, 8192} and every
+// accuracy the registry, the benchmark and the tests run, and the
+// degenerate bounds 0, −1, the smallest subnormal, NaN and +Inf.
+func TestOptimalPnMatchesLinearScan(t *testing.T) {
+	accuracies := [][2]float64{
+		{0.01, 0.01}, {0.05, 0.05}, {0.05, 0.1}, {0.05, 0.15}, {0.05, 0.2},
+		{0.05, 0.25}, {0.05, 0.3}, {0.1, 0.05}, {0.1, 0.1}, {0.15, 0.05},
+		{0.2, 0.05}, {0.2, 0.1}, {0.2, 0.2}, {0.25, 0.05}, {0.3, 0.05},
+		{0.3, 0.3},
+	}
+	type geometry struct{ k, w int }
+	var geometries []geometry
+	for _, k := range []int{1, 3, 4} {
+		for _, w := range []int{1024, 8192} {
+			geometries = append(geometries, geometry{k, w})
+		}
+	}
+	check := func(nLow float64, g geometry, acc [2]float64) {
+		t.Helper()
+		gotPn, gotOK := OptimalPn(nLow, g.k, g.w, 1024, acc[0], acc[1])
+		wantPn, wantOK := optimalPnLinear(nLow, g.k, g.w, 1024, acc[0], acc[1])
+		if gotPn != wantPn || gotOK != wantOK {
+			t.Fatalf("OptimalPn(%v, k=%d, w=%d, %v) = (%d, %v), linear scan (%d, %v)",
+				nLow, g.k, g.w, acc, gotPn, gotOK, wantPn, wantOK)
+		}
+	}
+	for _, g := range geometries {
+		for _, acc := range accuracies {
+			for _, nLow := range []float64{0, -1, 5e-324, math.NaN(), math.Inf(1)} {
+				check(nLow, g, acc)
+			}
+		}
+	}
+	rng := xrand.New(0x0b7)
+	for i := 0; i < 100000; i++ {
+		nLow := math.Pow(10, 9*rng.Float64())
+		check(nLow, geometries[i%len(geometries)], accuracies[(i/len(geometries))%len(accuracies)])
 	}
 }
 

@@ -30,12 +30,17 @@ func (r *Rand) Geometric(p float64) int {
 	if p == 1 {
 		return 0
 	}
-	// Inversion: g = floor(ln(u) / ln(1-p)).
+	return r.geometric(math.Log1p(-p))
+}
+
+// geometric is Geometric's inversion for p in (0, 1), given lq =
+// ln(1−p): g = floor(ln(u) / ln(1−p)).
+func (r *Rand) geometric(lq float64) int {
 	u := r.Float64()
 	for u == 0 {
 		u = r.Float64()
 	}
-	return int(math.Floor(math.Log(u) / math.Log1p(-p)))
+	return int(math.Floor(math.Log(u) / lq))
 }
 
 // GeometricHalf returns a slot index j >= 0 with P(j = t) = 2^{-(t+1)},
@@ -79,12 +84,14 @@ func (r *Rand) Binomial(n int, p float64) int {
 }
 
 // binomialInversion counts successes by skipping over failures with
-// geometric jumps; O(np) expected time, exact.
+// geometric jumps; O(np) expected time, exact. Every jump shares one
+// ln(1−p).
 func (r *Rand) binomialInversion(n int, p float64) int {
+	lq := math.Log1p(-p)
 	count := 0
 	i := 0
 	for {
-		i += r.Geometric(p) + 1
+		i += r.geometric(lq) + 1
 		if i > n {
 			return count
 		}
@@ -94,6 +101,8 @@ func (r *Rand) binomialInversion(n int, p float64) int {
 
 // binomialBTRS implements the BTRS algorithm (Hörmann, "The generation of
 // binomial random variates", JSCS 1993), exact for np >= 10 and p <= 0.5.
+// Most draws end in the squeeze, so the acceptance test's constants (two
+// Lgamma and a Log) are worked out only when a draw first needs them.
 func (r *Rand) binomialBTRS(n int, p float64) int {
 	nf := float64(n)
 	spq := math.Sqrt(nf * p * (1 - p))
@@ -102,10 +111,8 @@ func (r *Rand) binomialBTRS(n int, p float64) int {
 	c := nf*p + 0.5
 	vr := 0.92 - 4.2/b
 	urvr := 0.86 * vr
-	alpha := (2.83 + 5.1/b) * spq
-	lpq := math.Log(p / (1 - p))
-	m := math.Floor((nf + 1) * p)
-	h := lgamma(m+1) + lgamma(nf-m+1)
+	var alpha, lpq, m, h float64
+	slow := false
 
 	for {
 		v := r.Float64()
@@ -126,6 +133,13 @@ func (r *Rand) binomialBTRS(n int, p float64) int {
 		if k < 0 || k > nf {
 			continue
 		}
+		if !slow {
+			alpha = (2.83 + 5.1/b) * spq
+			lpq = math.Log(p / (1 - p))
+			m = math.Floor((nf + 1) * p)
+			h = lgamma(m+1) + lgamma(nf-m+1)
+			slow = true
+		}
 		v = v * alpha / (a/(us*us) + b)
 		if math.Log(v) <= h-lgamma(k+1)-lgamma(nf-k+1)+(k-m)*lpq {
 			return int(k)
@@ -143,14 +157,4 @@ func sign(x float64) float64 {
 func lgamma(x float64) float64 {
 	v, _ := math.Lgamma(x)
 	return v
-}
-
-// Multinomial throws balls balls uniformly into bins bins and returns the
-// occupancy vector. It runs in O(balls) time.
-func (r *Rand) Multinomial(balls, bins int) []int {
-	occ := make([]int, bins)
-	for i := 0; i < balls; i++ {
-		occ[r.Intn(bins)]++
-	}
-	return occ
 }

@@ -156,6 +156,42 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	}
 }
 
+// FillUint64n fills dst with uniform values in [0, n), the values
+// len(dst) calls of Uint64n(n) would return, and leaves the generator
+// where those calls would. It keeps the generator's state in locals for
+// the whole run and works out Lemire's rejection threshold once: 2^64 mod
+// n, which is zero for a power-of-two n, so such runs reject nothing.
+// Since the threshold is below n, accepting lo >= threshold is
+// Uint64n's test. It panics if n == 0.
+func (r *Rand) FillUint64n(dst []uint64, n uint64) {
+	if n == 0 {
+		panic("xrand: FillUint64n with zero n")
+	}
+	var thresh uint64
+	if n&(n-1) != 0 {
+		thresh = -n % n
+	}
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	for i := range dst {
+		for {
+			// Uint64, on the local state.
+			x := rotl(s1*5, 7) * 9
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = rotl(s3, 45)
+			if hi, lo := bits.Mul64(x, n); lo >= thresh {
+				dst[i] = hi
+				break
+			}
+		}
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+}
+
 // Bernoulli returns true with probability p. Values of p outside [0, 1]
 // are clamped.
 func (r *Rand) Bernoulli(p float64) bool {

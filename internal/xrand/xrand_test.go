@@ -158,6 +158,39 @@ func TestUint64nPinned(t *testing.T) {
 	}
 }
 
+// TestFillUint64nMatchesUint64n checks the batched bounded draw against
+// Uint64n draw for draw, and the generator state it leaves, for bounds
+// that never reject (1, powers of two), bounds that rarely do (3, 8191)
+// and 2^63+1, which rejects about half the draws.
+func TestFillUint64nMatchesUint64n(t *testing.T) {
+	bounds := []uint64{1, 3, 8191, 1 << 63, 1<<63 + 1, math.MaxUint64}
+	for e := 1; e < 64; e += 5 {
+		bounds = append(bounds, 1<<e)
+	}
+	var dst [300]uint64
+	for bi, n := range bounds {
+		for _, size := range []int{0, 1, 7, 256, 300} {
+			a, b := NewStream(99, uint64(bi), uint64(size)), NewStream(99, uint64(bi), uint64(size))
+			batch := dst[:size]
+			a.FillUint64n(batch, n)
+			for i, got := range batch {
+				if want := b.Uint64n(n); got != want {
+					t.Fatalf("n=%#x size %d: draw %d = %#x, Uint64n %#x", n, size, i, got, want)
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("n=%#x size %d: generator state differs after the run", n, size)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FillUint64n(_, 0) did not panic")
+		}
+	}()
+	New(1).FillUint64n(dst[:1], 0)
+}
+
 func TestMakeStreamMatchesNewStream(t *testing.T) {
 	f := func(seed, word uint64) bool {
 		a, b := MakeStream(seed, word), NewStream(seed, word)
