@@ -61,7 +61,7 @@ type Analyzer struct {
 	// AppliesTo reports whether the analyzer covers the package at the
 	// given module-relative path ("." for the module root, or e.g.
 	// "internal/fleet"). A nil AppliesTo covers every package. Scoping is
-	// applied by Lint; Check (and the analysistest harness) run the
+	// applied by Lint; CheckPackage (and the analysistest harness) run the
 	// analyzer unconditionally so its behaviour is testable outside the
 	// packages it normally covers.
 	AppliesTo func(rel string) bool
@@ -87,7 +87,7 @@ type Pass struct {
 	Path string
 	Rel  string
 	// Graph is the call graph over the analysis scope: the whole loaded
-	// package set under Lint, just this package under Check.
+	// package set under Lint, just this package under CheckPackage.
 	Graph *CallGraph
 	// Facts is the run-shared fact store. Under Lint, facts exported
 	// while analyzing a dependency are visible here by the time any of
@@ -143,12 +143,6 @@ func (p *Pass) FactsOn(obj types.Object) []Fact {
 	return p.Facts.get(p.Analyzer.Name, Symbol(obj))
 }
 
-// SymbolFacts is FactsOn addressed by symbol string, for consumers that
-// walk the call graph rather than the syntax.
-func (p *Pass) SymbolFacts(sym string) []Fact {
-	return p.Facts.get(p.Analyzer.Name, sym)
-}
-
 // Diagnostic is one finding, located and attributed to its analyzer.
 type Diagnostic struct {
 	Pos      token.Position
@@ -178,19 +172,11 @@ type Result struct {
 	Graph       *CallGraph
 }
 
-// Check runs one analyzer over one loaded package, applies //lint:allow
-// suppressions, and returns the surviving findings sorted by position.
-// Unlike Lint it ignores the analyzer's AppliesTo scope.
-func Check(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	res, err := CheckPackage(a, pkg)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diagnostics, nil
-}
-
-// CheckPackage is Check exposing the fact store and call graph of the
-// (single-package) run alongside the findings.
+// CheckPackage runs one analyzer over one loaded package, applies
+// //lint:allow suppressions, and returns the surviving findings sorted by
+// position, with the fact store and call graph of the (single-package)
+// run alongside them. Unlike Lint it ignores the analyzer's AppliesTo
+// scope.
 func CheckPackage(a *Analyzer, pkg *Package) (*Result, error) {
 	graph := NewCallGraph()
 	graph.AddPackage(pkg)

@@ -25,7 +25,7 @@
 // reports and compares each changed file against a <file>.golden sibling.
 //
 // The analyzer's AppliesTo scope is deliberately ignored (see
-// analysis.Check), so testdata packages can live under internal/analysis
+// analysis.CheckPackage), so testdata packages can live under internal/analysis
 // regardless of which packages the analyzer covers in production.
 package analysistest
 

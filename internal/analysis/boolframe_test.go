@@ -21,7 +21,7 @@ func TestBoolFrameScope(t *testing.T) {
 		"internal/fleet":      true,
 		"internal/missing":    true,
 		"internal/bitset":     false, // owns the packed type and its []bool bridges
-		"internal/bloom":      false,
+		"internal/stats":      false,
 		"internal/workload":   false,
 		"cmd/rfidest":         false,
 		"examples/quickstart": false,

@@ -15,7 +15,7 @@ func TestDetRandScope(t *testing.T) {
 	for rel, covered := range map[string]bool{
 		".":                   true,
 		"internal/channel":    true,
-		"internal/bloom":      true,
+		"internal/stats":      true,
 		"internal/xrand":      true,
 		"internal/fleet":      true, // covered; exemptions are per-line //lint:allow
 		"internal/analysis":   true,

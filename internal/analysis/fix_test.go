@@ -104,11 +104,11 @@ func TestFixIdempotence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diags, err := Check(ErrDrop, pkg)
+		res, err := CheckPackage(ErrDrop, pkg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fixed, applied, err := ApplyFixes(diags, pkg.Src)
+		fixed, applied, err := ApplyFixes(res.Diagnostics, pkg.Src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,10 +40,11 @@ func TestSeededViolationsAreExclusive(t *testing.T) {
 			t.Fatalf("load testdata/%s: %v", target, err)
 		}
 		for _, a := range analysis.All() {
-			diags, err := analysis.Check(a, pkg)
+			res, err := analysis.CheckPackage(a, pkg)
 			if err != nil {
 				t.Fatalf("%s on testdata/%s: %v", a.Name, target, err)
 			}
+			diags := res.Diagnostics
 			if a.Name == target {
 				if len(diags) == 0 {
 					t.Errorf("%s reported nothing on its own testdata", a.Name)

@@ -65,12 +65,6 @@ func (s *Set) Set1(i int) {
 	s.words[i>>6] |= 1 << uint(i&63)
 }
 
-// Clear clears bit i.
-func (s *Set) Clear(i int) {
-	s.check(i)
-	s.words[i>>6] &^= 1 << uint(i&63)
-}
-
 // Get reports bit i.
 func (s *Set) Get(i int) bool {
 	s.check(i)
@@ -108,15 +102,6 @@ func (s *Set) sameLen(o *Set) {
 	}
 }
 
-// And sets s to s AND o, in place, and returns s.
-func (s *Set) And(o *Set) *Set {
-	s.sameLen(o)
-	for i := range s.words {
-		s.words[i] &= o.words[i]
-	}
-	return s
-}
-
 // Or sets s to s OR o, in place, and returns s.
 func (s *Set) Or(o *Set) *Set {
 	s.sameLen(o)
@@ -135,26 +120,6 @@ func (s *Set) AndCount(o *Set) int {
 		c += bits.OnesCount64(w & o.words[i])
 	}
 	return c
-}
-
-// OrCount returns the number of positions set in s or o, without
-// allocating.
-func (s *Set) OrCount(o *Set) int {
-	s.sameLen(o)
-	c := 0
-	for i, w := range s.words {
-		c += bits.OnesCount64(w | o.words[i])
-	}
-	return c
-}
-
-// Xor sets s to s XOR o, in place, and returns s.
-func (s *Set) Xor(o *Set) *Set {
-	s.sameLen(o)
-	for i := range s.words {
-		s.words[i] ^= o.words[i]
-	}
-	return s
 }
 
 // Not flips every bit of s in place and returns s. Bits beyond Len stay

@@ -15,7 +15,7 @@ func TestSetGetClear(t *testing.T) {
 		if !s.Get(i) {
 			t.Fatalf("bit %d not set", i)
 		}
-		s.Clear(i)
+		s.XorWord(i>>6, 1<<uint(i&63))
 		if s.Get(i) {
 			t.Fatalf("bit %d not cleared", i)
 		}
@@ -44,7 +44,7 @@ func TestBoundsPanics(t *testing.T) {
 		func() { s.Get(-1) },
 		func() { s.Get(10) },
 		func() { s.Set1(10) },
-		func() { s.Clear(-1) },
+		func() { s.Set1(-1) },
 		func() { New(-1) },
 	} {
 		func() {
@@ -70,14 +70,8 @@ func TestAndOrCounts(t *testing.T) {
 	if got := a.AndCount(b); got != 22 {
 		t.Fatalf("AndCount = %d", got)
 	}
-	if got := a.OrCount(b); got != 85 {
-		t.Fatalf("OrCount = %d", got)
-	}
-	// In-place versions agree with the counting versions.
-	and := a.Clone().And(b)
-	or := a.Clone().Or(b)
-	if and.Count() != 22 || or.Count() != 85 {
-		t.Fatalf("in-place And/Or = %d/%d", and.Count(), or.Count())
+	if got := a.Clone().Or(b).Count(); got != 85 {
+		t.Fatalf("in-place Or count = %d", got)
 	}
 }
 
@@ -87,7 +81,7 @@ func TestLengthMismatchPanics(t *testing.T) {
 			t.Fatal("length mismatch did not panic")
 		}
 	}()
-	New(10).And(New(11))
+	New(10).Or(New(11))
 }
 
 func TestCloneIndependent(t *testing.T) {
@@ -250,17 +244,20 @@ func TestNotMasksTail(t *testing.T) {
 }
 
 func TestXorAndXorWord(t *testing.T) {
+	// XORing b into a word by word gives the symmetric difference.
 	a, b := New(100), New(100)
 	a.Set1(1)
 	a.Set1(70)
 	b.Set1(70)
 	b.Set1(99)
-	a.Xor(b)
+	for i := 0; i < a.Words(); i++ {
+		a.XorWord(i, b.Word(i))
+	}
 	want := New(100)
 	want.Set1(1)
 	want.Set1(99)
 	if !a.Equal(want) {
-		t.Fatal("Xor wrong")
+		t.Fatal("word-wise Xor wrong")
 	}
 	// XorWord ignores mask bits beyond Len.
 	s := New(70)
@@ -304,7 +301,7 @@ func TestDeMorganProperty(t *testing.T) {
 			n = len(y)
 		}
 		a, b := FromBools(x[:n]), FromBools(y[:n])
-		return a.OrCount(b)+a.AndCount(b) == a.Count()+b.Count()
+		return a.Clone().Or(b).Count()+a.AndCount(b) == a.Count()+b.Count()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -179,7 +179,3 @@ func (r *Reader) Cost() timing.Cost { return r.clock.Cost() }
 // Seconds returns the air time accumulated so far under the session's
 // profile.
 func (r *Reader) Seconds() float64 { return r.clock.Seconds(r.Profile) }
-
-// ResetClock clears the accumulated cost (the engine and seed stream are
-// untouched). Harnesses use it to charge repeated trials separately.
-func (r *Reader) ResetClock() { r.clock.Reset() }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rfidest/internal/tags"
-	"rfidest/internal/timing"
 )
 
 func newTestReader(n int) *Reader {
@@ -64,15 +63,6 @@ func TestReaderSecondsMatchesProfile(t *testing.T) {
 	want := (32*37.76 + 2*302 + 100*18.88) / 1e6
 	if math.Abs(r.Seconds()-want) > 1e-12 {
 		t.Fatalf("Seconds = %v, want %v", r.Seconds(), want)
-	}
-}
-
-func TestReaderResetClock(t *testing.T) {
-	r := newTestReader(10)
-	r.BroadcastParams(32)
-	r.ResetClock()
-	if r.Cost() != (timing.Cost{}) {
-		t.Fatal("ResetClock did not clear")
 	}
 }
 

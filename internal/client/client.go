@@ -168,14 +168,6 @@ func (c *Client) Estimate(ctx context.Context, req serve.EstimateRequest) (serve
 	return resp, err
 }
 
-// Batch calls POST /v1/batch.
-func (c *Client) Batch(ctx context.Context, req serve.BatchRequest) (serve.BatchResponse, error) {
-	defer c.calls.Add(1)
-	var resp serve.BatchResponse
-	err := c.call(ctx, "/v1/batch", req, &resp)
-	return resp, err
-}
-
 // Monitor calls POST /v1/monitor: one warm round of the named loop.
 func (c *Client) Monitor(ctx context.Context, req serve.MonitorRequest) (serve.MonitorResponse, error) {
 	defer c.calls.Add(1)

@@ -9,6 +9,16 @@ import (
 	"rfidest/internal/timing"
 )
 
+// PDenom is the persistence-probability denominator: p is quantized to
+// p_n/PDenom (paper: 2^10, §IV).
+const PDenom = 1024
+
+// The probe phase's fixed geometry (§IV).
+const (
+	probeWindow    = 32  // bit-slots observed per probe round
+	maxProbeRounds = 768 // safety bound on probe adjustments
+)
+
 // Config carries BFCE's protocol parameters. DefaultConfig returns the
 // paper's settings; zero-valued fields of a custom Config are filled with
 // the defaults by Normalize.
@@ -18,30 +28,23 @@ type Config struct {
 	C       float64 // rough lower-bound coefficient (paper: 0.5, range [0.1, 0.9])
 	Epsilon float64 // confidence interval ε of the (ε, δ) requirement
 	Delta   float64 // error probability δ of the (ε, δ) requirement
-	PDenom  int     // persistence-probability denominator (paper: 2^10)
 
-	InitialPn      int // probe starting numerator (paper: 2^3)
-	ProbeWindow    int // bit-slots observed per probe round (paper: 32)
-	RoughSlots     int // bit-slots observed in the rough phase (paper: 1024)
-	MaxProbeRounds int // safety bound on probe adjustments
+	InitialPn  int // probe starting numerator (paper: 2^3)
+	RoughSlots int // bit-slots observed in the rough phase (paper: 1024)
 }
 
 // DefaultConfig returns the configuration used throughout the paper:
-// w = 8192, k = 3, c = 0.5, (ε, δ) = (0.05, 0.05), p quantized to /1024,
-// probe starting at 8/1024 over 32-slot windows, rough phase cut at 1024
-// slots.
+// w = 8192, k = 3, c = 0.5, (ε, δ) = (0.05, 0.05), probe starting at
+// 8/1024, rough phase cut at 1024 slots.
 func DefaultConfig() Config {
 	return Config{
-		W:              8192,
-		K:              3,
-		C:              0.5,
-		Epsilon:        0.05,
-		Delta:          0.05,
-		PDenom:         1024,
-		InitialPn:      8,
-		ProbeWindow:    32,
-		RoughSlots:     1024,
-		MaxProbeRounds: 768,
+		W:          8192,
+		K:          3,
+		C:          0.5,
+		Epsilon:    0.05,
+		Delta:      0.05,
+		InitialPn:  8,
+		RoughSlots: 1024,
 	}
 }
 
@@ -64,20 +67,11 @@ func (c Config) Normalize() (Config, error) {
 	if c.Delta == 0 { //lint:allow floatcmp exact zero-value check for an unset field; no arithmetic feeds it
 		c.Delta = def.Delta
 	}
-	if c.PDenom == 0 {
-		c.PDenom = def.PDenom
-	}
 	if c.InitialPn == 0 {
 		c.InitialPn = def.InitialPn
 	}
-	if c.ProbeWindow == 0 {
-		c.ProbeWindow = def.ProbeWindow
-	}
 	if c.RoughSlots == 0 {
 		c.RoughSlots = def.RoughSlots
-	}
-	if c.MaxProbeRounds == 0 {
-		c.MaxProbeRounds = def.MaxProbeRounds
 	}
 	switch {
 	case c.W <= 0:
@@ -93,16 +87,12 @@ func (c Config) Normalize() (Config, error) {
 		return c, errors.New("core: Epsilon must be in (0, 1)")
 	case !stats.InUnitInterval(c.Delta):
 		return c, errors.New("core: Delta must be in (0, 1)")
-	case c.PDenom < 2:
-		return c, errors.New("core: PDenom must be at least 2")
-	case c.InitialPn < 1 || c.InitialPn >= c.PDenom:
+	case c.InitialPn < 1 || c.InitialPn >= PDenom:
 		return c, errors.New("core: InitialPn out of [1, PDenom)")
-	case c.ProbeWindow < 1 || c.ProbeWindow > c.W:
-		return c, errors.New("core: ProbeWindow out of [1, W]")
+	case c.W < probeWindow:
+		return c, errors.New("core: W shorter than the 32-slot probe window")
 	case c.RoughSlots < 1 || c.RoughSlots > c.W:
 		return c, errors.New("core: RoughSlots out of [1, W]")
-	case c.MaxProbeRounds < 1:
-		return c, errors.New("core: MaxProbeRounds must be positive")
 	}
 	return c, nil
 }
@@ -148,9 +138,6 @@ func MustNew(cfg Config) *Estimator {
 	}
 	return e
 }
-
-// Config returns the estimator's normalized configuration.
-func (e *Estimator) Config() Config { return e.cfg }
 
 // Name implements the estimator registry convention.
 func (e *Estimator) Name() string { return "BFCE" }

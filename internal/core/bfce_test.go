@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rfidest/internal/channel"
+	"rfidest/internal/obs"
 	"rfidest/internal/stats"
 	"rfidest/internal/tags"
 	"rfidest/internal/timing"
@@ -26,11 +27,9 @@ func TestConfigValidation(t *testing.T) {
 		{C: 1.5},
 		{Epsilon: 1.0},
 		{Delta: -0.1},
-		{PDenom: 1},
 		{InitialPn: 2000},
-		{ProbeWindow: 9000},
+		{W: 16, RoughSlots: 16}, // shorter than the probe window
 		{RoughSlots: 9000},
-		{MaxProbeRounds: -3},
 	}
 	for i, c := range bad {
 		if _, err := c.Normalize(); err == nil {
@@ -188,13 +187,44 @@ func TestProbeAdaptsUpward(t *testing.T) {
 
 func TestEmptyPopulation(t *testing.T) {
 	// n = 0 must terminate (probe exhausts upward) and estimate ~0.
-	cfg := Config{MaxProbeRounds: 16}
-	res := run(t, 0, tags.T1, 8, cfg)
+	res := run(t, 0, tags.T1, 8, Config{})
 	if !res.Saturated {
 		t.Fatal("empty population must saturate")
 	}
 	if res.Estimate > 50 {
 		t.Fatalf("estimate for empty population = %v", res.Estimate)
+	}
+}
+
+func TestProbeCapSettles(t *testing.T) {
+	// Probe windows that alternate all idle (p_n += 2) and all busy
+	// (p_n −= 1) never settle on their own; the cap must end the probe on
+	// its 768th frame, at 8 + 384·2 − 383 = 393, and hand over to rough.
+	idle := channel.FromBools(make([]bool, 32))
+	full := make([]bool, 32)
+	for i := range full {
+		full[i] = true
+	}
+	busy := channel.FromBools(full)
+	st := MustNew(Config{}).Stepper()
+	for frame := 1; frame <= 768; frame++ {
+		if ph := st.Plan().Phase; ph != obs.PhaseProbe {
+			t.Fatalf("frame %d planned phase %v, want probe", frame, ph)
+		}
+		obsv := channel.RoundObs{Frame: busy}
+		if frame%2 == 1 {
+			obsv.Frame = idle
+		}
+		if done, err := st.Absorb(obsv); done || err != nil {
+			t.Fatalf("frame %d: done=%v err=%v", frame, done, err)
+		}
+	}
+	res := st.Result()
+	if res.ProbeRounds != 767 || res.PsNum != 393 {
+		t.Fatalf("probe settled with ProbeRounds=%d PsNum=%d, want 767 and 393", res.ProbeRounds, res.PsNum)
+	}
+	if ph := st.Plan().Phase; ph != obs.PhaseRough {
+		t.Fatalf("after the probe cap the stepper planned %v, want rough", ph)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"rfidest/internal/bitset"
 	"rfidest/internal/channel"
@@ -69,8 +68,8 @@ func NewDiffer(cfg Config, pn int, seed uint64) (*Differ, error) {
 	if err != nil {
 		return nil, err
 	}
-	if pn < 1 || pn >= cfg.PDenom {
-		return nil, fmt.Errorf("core: pn %d out of [1, %d)", pn, cfg.PDenom)
+	if pn < 1 || pn >= PDenom {
+		return nil, fmt.Errorf("core: pn %d out of [1, %d)", pn, PDenom)
 	}
 	return &Differ{cfg: cfg, pn: pn, seed: seed}, nil
 }
@@ -87,7 +86,7 @@ func (d *Differ) Take(r *channel.Reader) (*Snapshot, error) {
 	vec := r.ExecuteFrame(channel.FrameRequest{
 		W:    d.cfg.W,
 		K:    d.cfg.K,
-		P:    float64(d.pn) / float64(d.cfg.PDenom),
+		P:    float64(d.pn) / float64(PDenom),
 		Seed: d.seed,
 	})
 	return &Snapshot{
@@ -95,7 +94,7 @@ func (d *Differ) Take(r *channel.Reader) (*Snapshot, error) {
 		W:    d.cfg.W,
 		K:    d.cfg.K,
 		Pn:   d.pn,
-		Den:  d.cfg.PDenom,
+		Den:  PDenom,
 		Seed: d.seed,
 		Cost: r.Cost().Sub(start),
 	}, nil
@@ -175,16 +174,4 @@ func Arrivals(a, b *Snapshot) (float64, error) {
 		arr = 0
 	}
 	return arr, nil
-}
-
-// DifferentialStd returns the predicted standard deviation of the Union
-// estimator at union cardinality n (per-slot idle probability e^{-λ},
-// w observations): σ(n̂)/n = sqrt((e^λ − 1)/(w·λ²)). Use it to decide
-// whether a measured arrival/departure count is signal or noise.
-func DifferentialStd(n float64, k, w, pn, den int) float64 {
-	lambda := Lambda(n, k, float64(pn)/float64(den), w)
-	if lambda <= 0 {
-		return math.Inf(1)
-	}
-	return n * math.Sqrt((math.Expm1(lambda))/(float64(w)*lambda*lambda))
 }

@@ -181,20 +181,3 @@ func TestSnapshotCompatibilityChecks(t *testing.T) {
 		t.Fatal("differing geometry accepted")
 	}
 }
-
-func TestDifferentialStd(t *testing.T) {
-	// Relative std shrinks as lambda grows toward the optimum.
-	lo := DifferentialStd(50000, 3, 8192, 2, 1024)
-	hi := DifferentialStd(50000, 3, 8192, 16, 1024)
-	if hi >= lo {
-		t.Fatalf("std did not shrink with stronger persistence: %v vs %v", hi, lo)
-	}
-	if !math.IsInf(DifferentialStd(0, 3, 8192, 8, 1024), 1) {
-		t.Fatal("zero cardinality must report infinite std")
-	}
-	// Sanity of scale: at λ≈0.29, relative std ≈ sqrt((e^λ-1)/(w·λ²)) ≈ 2.2%.
-	rel := DifferentialStd(100000, 3, 8192, 8, 1024) / 100000
-	if rel < 0.01 || rel > 0.04 {
-		t.Fatalf("relative std %v out of expected band", rel)
-	}
-}

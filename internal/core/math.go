@@ -142,22 +142,6 @@ func FallbackPn(nLow float64, k, w, pdenom int) int {
 // estimator: the root of λe^λ = 2(e^λ − 1), ≈ 1.5936.
 const LambdaStar = 1.5936242600400401
 
-// RelStd predicts the relative standard deviation of the estimate at an
-// operating point: by the delta method on n̂ = −w·ln(ρ̄)/(k·p) with
-// Var(ρ̄) = e^{-λ}(1−e^{-λ})/w,
-//
-//	σ(n̂)/n = sqrt( (e^λ − 1) / (w·λ²) ).
-//
-// Callers use it to convert a measured deviation into sigmas, or to size a
-// custom w for a target precision. It returns +Inf at λ ≤ 0.
-func RelStd(n float64, k int, p float64, w int) float64 {
-	lambda := Lambda(n, k, p, w)
-	if lambda <= 0 {
-		return math.Inf(1)
-	}
-	return math.Sqrt(math.Expm1(lambda) / (float64(w) * lambda * lambda))
-}
-
 // Gamma is γ = −ln(ρ̄)/(k·p), the per-w-slot estimation factor of §IV-B:
 // n̂ = γ·w.
 func Gamma(rho, p float64, k int) float64 {

@@ -221,25 +221,6 @@ func TestLambdaStarRoot(t *testing.T) {
 	}
 }
 
-func TestRelStdShape(t *testing.T) {
-	// Minimized near λ* ≈ 1.594; infinite at λ = 0; matches the empirical
-	// spread of the estimator (see Fig. 8's CDF: sd/n ≈ 1%).
-	atStar := RelStd(LambdaStar*8192/3, 3, 1, 8192)
-	below := RelStd(0.3*8192/3, 3, 1, 8192)
-	above := RelStd(6*8192/3, 3, 1, 8192)
-	if atStar >= below || atStar >= above {
-		t.Fatalf("RelStd not minimized near lambda*: %v vs %v, %v", atStar, below, above)
-	}
-	if !math.IsInf(RelStd(0, 3, 0.5, 8192), 1) {
-		t.Fatal("RelStd at zero lambda must be +Inf")
-	}
-	// Numeric check at λ = 1: sqrt((e−1)/8192) ≈ 0.01448.
-	got := RelStd(8192.0/3, 3, 1, 8192)
-	if math.Abs(got-0.01448) > 0.0002 {
-		t.Fatalf("RelStd(λ=1) = %v", got)
-	}
-}
-
 func TestGammaBoundsMatchPaper(t *testing.T) {
 	// §IV-B: 0.000326 ≤ γ ≤ 2365.9 for k=3 over the /1024 grid.
 	min, max := GammaBounds(3, 1024)

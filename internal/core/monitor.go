@@ -74,8 +74,8 @@ func (m *Monitor) Snapshot() Snap { return m.snap }
 // typically one taken from another Monitor (or an earlier process) over
 // the same deployment.
 func (m *Monitor) Restore(s Snap) error {
-	if s.Pn < 0 || s.Pn >= m.est.cfg.PDenom {
-		return fmt.Errorf("core: snapshot Pn %d outside [0, %d)", s.Pn, m.est.cfg.PDenom)
+	if s.Pn < 0 || s.Pn >= PDenom {
+		return fmt.Errorf("core: snapshot Pn %d outside [0, %d)", s.Pn, PDenom)
 	}
 	// Positively phrased so NaN fails it too. An infinite N would hand the
 	// next fast round an infinite lower bound, for which no p_o is feasible.

@@ -64,9 +64,9 @@ func newFastStepper(cfg Config, warmPn int, warmN float64) *Stepper {
 	if s.res.LowerBound < 1 {
 		s.res.LowerBound = 1
 	}
-	po, feasible := OptimalPn(s.res.LowerBound, cfg.K, cfg.W, cfg.PDenom, cfg.Epsilon, cfg.Delta)
+	po, feasible := OptimalPn(s.res.LowerBound, cfg.K, cfg.W, PDenom, cfg.Epsilon, cfg.Delta)
 	if !feasible {
-		po = FallbackPn(s.res.LowerBound, cfg.K, cfg.W, cfg.PDenom)
+		po = FallbackPn(s.res.LowerBound, cfg.K, cfg.W, PDenom)
 	}
 	s.res.Feasible = feasible
 	s.res.PoNum = po
@@ -83,8 +83,8 @@ func (s *Stepper) Plan() channel.RoundSpec {
 			Frame: channel.FrameRequest{
 				W:       cfg.W,
 				K:       cfg.K,
-				P:       float64(s.probePn) / float64(cfg.PDenom),
-				Observe: cfg.ProbeWindow,
+				P:       float64(s.probePn) / float64(PDenom),
+				Observe: probeWindow,
 			},
 		}
 		if s.round == 0 && !s.seeded {
@@ -112,7 +112,7 @@ func (s *Stepper) Plan() channel.RoundSpec {
 			Frame: channel.FrameRequest{
 				W:       cfg.W,
 				K:       cfg.K,
-				P:       float64(s.res.PsNum) / float64(cfg.PDenom),
+				P:       float64(s.res.PsNum) / float64(PDenom),
 				Observe: cfg.RoughSlots,
 			},
 		}
@@ -123,7 +123,7 @@ func (s *Stepper) Plan() channel.RoundSpec {
 			Frame: channel.FrameRequest{
 				W: cfg.W,
 				K: cfg.K,
-				P: float64(s.res.PoNum) / float64(cfg.PDenom),
+				P: float64(s.res.PoNum) / float64(PDenom),
 			},
 		}
 		if s.fast {
@@ -156,17 +156,17 @@ func (s *Stepper) Absorb(o channel.RoundObs) (bool, error) {
 		busy := o.Frame.CountBusy()
 		settled := false
 		switch {
-		case busy > 0 && busy < cfg.ProbeWindow:
+		case busy > 0 && busy < probeWindow:
 			settled = true // both idle and busy slots appeared: p_s is valid
-		case s.round+1 >= cfg.MaxProbeRounds:
+		case s.round+1 >= maxProbeRounds:
 			settled = true // give up; the rough phase clamps if still degenerate
 		case busy == 0:
-			if s.probePn >= cfg.PDenom-1 {
+			if s.probePn >= PDenom-1 {
 				settled = true // even the largest p draws no response
 			} else {
 				s.probePn += 2
-				if s.probePn > cfg.PDenom-1 {
-					s.probePn = cfg.PDenom - 1
+				if s.probePn > PDenom-1 {
+					s.probePn = PDenom - 1
 				}
 			}
 		default: // all busy
@@ -187,14 +187,14 @@ func (s *Stepper) Absorb(o channel.RoundObs) (bool, error) {
 
 	case stepRough:
 		s.res.RhoRough, s.res.Saturated = clampRho(o.Frame.RhoIdle(), cfg.RoughSlots)
-		s.res.Rough = EstimateFromRho(s.res.RhoRough, cfg.K, float64(s.res.PsNum)/float64(cfg.PDenom), cfg.W)
+		s.res.Rough = EstimateFromRho(s.res.RhoRough, cfg.K, float64(s.res.PsNum)/float64(PDenom), cfg.W)
 		s.res.LowerBound = cfg.C * s.res.Rough
 		if s.res.LowerBound < 1 {
 			s.res.LowerBound = 1
 		}
-		po, feasible := OptimalPn(s.res.LowerBound, cfg.K, cfg.W, cfg.PDenom, cfg.Epsilon, cfg.Delta)
+		po, feasible := OptimalPn(s.res.LowerBound, cfg.K, cfg.W, PDenom, cfg.Epsilon, cfg.Delta)
 		if !feasible {
-			po = FallbackPn(s.res.LowerBound, cfg.K, cfg.W, cfg.PDenom)
+			po = FallbackPn(s.res.LowerBound, cfg.K, cfg.W, PDenom)
 		}
 		s.res.Feasible = feasible
 		s.res.PoNum = po
@@ -205,7 +205,7 @@ func (s *Stepper) Absorb(o channel.RoundObs) (bool, error) {
 		rho, saturated := clampRho(o.Frame.RhoIdle(), cfg.W)
 		s.res.RhoFinal = rho
 		s.res.Saturated = s.res.Saturated || saturated
-		s.res.Estimate = EstimateFromRho(rho, cfg.K, float64(s.res.PoNum)/float64(cfg.PDenom), cfg.W)
+		s.res.Estimate = EstimateFromRho(rho, cfg.K, float64(s.res.PoNum)/float64(PDenom), cfg.W)
 		s.state = stepDone
 		return true, nil
 

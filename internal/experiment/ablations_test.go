@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func ablOpts() Options {
 	o := DefaultOptions()
@@ -120,29 +117,5 @@ func TestRegistryLookup(t *testing.T) {
 	}
 	if Describe("nope") != "" {
 		t.Fatal("unknown id described")
-	}
-}
-
-func TestRunAllSubset(t *testing.T) {
-	var b strings.Builder
-	if err := RunAll(&b, testOpts(), "fig4", "fig5"); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "Fig. 4") || !strings.Contains(out, "Fig. 5") {
-		t.Fatalf("subset output missing figures:\n%s", out)
-	}
-	if strings.Contains(out, "Fig. 3") {
-		t.Fatal("subset ran unselected figure")
-	}
-}
-
-func TestRunAllUnknownID(t *testing.T) {
-	var b strings.Builder
-	if err := RunAll(&b, testOpts(), "fig4", "bogus"); err == nil {
-		t.Fatal("unknown id accepted")
-	}
-	if b.Len() != 0 {
-		t.Fatal("output written despite error")
 	}
 }

@@ -21,9 +21,9 @@ func InventoryCrossover(o Options) *Table {
 		"n", "inventory s", "BFCE s", "inventory/BFCE", "BFCE acc")
 	est := core.MustNew(core.Config{})
 	for _, n := range []int{10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000} {
-		inv, err := inventory.Run(n, inventory.Config{}, xrand.Combine(o.Seed, uint64(n), 0xc0))
+		inv, err := inventory.Run(n, xrand.Combine(o.Seed, uint64(n), 0xc0))
 		if err != nil {
-			panic(err) // unreachable: config is the validated default
+			panic(err) // unreachable: the population is never negative
 		}
 		var bfceSec, acc float64
 		if n >= 1000 {

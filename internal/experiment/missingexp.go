@@ -25,9 +25,9 @@ func MissingTags(o Options) *Table {
 		Seed: universe.Seed,
 	}
 
-	inv, err := inventory.Run(len(present.Tags), inventory.Config{}, xrand.Combine(o.Seed, 0x3156))
+	inv, err := inventory.Run(len(present.Tags), xrand.Combine(o.Seed, 0x3156))
 	if err != nil {
-		panic(err) // unreachable: config is the validated default
+		panic(err) // unreachable: the population is never negative
 	}
 
 	for _, rounds := range []int{1, 2, 4, 8, 16} {

@@ -43,9 +43,9 @@ func Monitoring(o Options) *Table {
 	mon.FastRounds = 3
 
 	cfg := core.DefaultConfig()
-	pn, ok := core.OptimalPn(150000, cfg.K, cfg.W, cfg.PDenom, cfg.Epsilon, cfg.Delta)
+	pn, ok := core.OptimalPn(150000, cfg.K, cfg.W, core.PDenom, cfg.Epsilon, cfg.Delta)
 	if !ok {
-		pn = core.FallbackPn(150000, cfg.K, cfg.W, cfg.PDenom)
+		pn = core.FallbackPn(150000, cfg.K, cfg.W, core.PDenom)
 	}
 	differ, err := core.NewDiffer(cfg, pn, xrand.Combine(o.Seed, 0xd1ff))
 	if err != nil {

@@ -1,11 +1,5 @@
 package experiment
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
-
 // Runner regenerates one table or figure.
 type Runner func(Options) *Table
 
@@ -70,37 +64,4 @@ func Lookup(id string) (Runner, bool) {
 		}
 	}
 	return nil, false
-}
-
-// RunAll executes every registered experiment and renders each table to w.
-// ids restricts the run when non-empty; unknown ids are reported as an
-// error before anything executes.
-func RunAll(w io.Writer, o Options, ids ...string) error {
-	selected := registry
-	if len(ids) > 0 {
-		seen := map[string]bool{}
-		for _, id := range ids {
-			if _, ok := Lookup(id); !ok {
-				known := IDs()
-				sort.Strings(known)
-				return fmt.Errorf("experiment: unknown id %q (known: %v)", id, known)
-			}
-			seen[id] = true
-		}
-		selected = nil
-		for _, e := range registry {
-			if seen[e.ID] {
-				selected = append(selected, e)
-			}
-		}
-	}
-	for _, e := range selected {
-		if err := e.Runner(o).Render(w); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

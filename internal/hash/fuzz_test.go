@@ -29,11 +29,11 @@ func FuzzPaperTagHashInvariants(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint32(0))
 	f.Add(uint32(0xffffffff), uint32(0x5555aaaa), uint32(0x12345678))
 	f.Fuzz(func(t *testing.T, rn, rs, mask uint32) {
-		h := PaperTagHash(rn, rs)
+		h := PaperTagHashW(rn, rs, 8192)
 		if h < 0 || h >= 8192 {
 			t.Fatalf("hash out of range: %d", h)
 		}
-		if PaperTagHash(rn^mask, rs^mask) != h {
+		if PaperTagHashW(rn^mask, rs^mask, 8192) != h {
 			t.Fatal("hash depends on more than RN ⊕ RS")
 		}
 	})

@@ -7,9 +7,10 @@
 // lightweight tag-side scheme: a 32-bit random number RN is prestored on
 // each tag and the hash is the low 13 bits of RN ⊕ RS where RS is a seed
 // broadcast by the reader. This package implements both that literal scheme
-// (PaperTagHash) and an idealized seeded hash (IDHash) built on a SplitMix64
-// finalizer, plus the slot-selection helpers the protocols need (uniform
-// slot, geometric "lottery" slot, and p-persistence decisions).
+// (PaperTagHashW, for any power-of-two vector length) and an idealized
+// seeded hash (Uniform64) built on a SplitMix64 finalizer, plus the
+// slot-selection helpers the protocols need (uniform slot, geometric
+// "lottery" slot, and p-persistence decisions).
 package hash
 
 import (
@@ -117,20 +118,15 @@ func (k Key) GeometricSlot(seed uint64, max int) int {
 	return j
 }
 
-// PaperTagHash is the tag-side hash of BFCE §IV-E.2:
+// PaperTagHashW is the tag-side hash of BFCE §IV-E.2:
 //
 //	H(id) = bitget(RN ⊕ RS, 13:1)
 //
-// i.e. the low 13 bits of the XOR of the tag's prestored 32-bit random
-// number with the broadcast 32-bit random seed, yielding a slot in
-// [0, 8192). It requires only a bitwise XOR and a mask on the tag.
-func PaperTagHash(rn, rs uint32) int {
-	return int((rn ^ rs) & 0x1fff)
-}
-
-// PaperTagHashW generalizes PaperTagHash to Bloom vectors of any power-of-two
-// length w (the paper fixes w = 8192 = 2^13; the w ablation needs other
-// sizes). It panics if w is not a power of two in [2, 2^32].
+// i.e. the low bits of the XOR of the tag's prestored 32-bit random number
+// with the broadcast 32-bit random seed, yielding a slot in [0, w). It
+// requires only a bitwise XOR and a mask on the tag. The paper fixes
+// w = 8192 = 2^13; the w ablation needs other power-of-two lengths. It
+// panics if w is not a power of two in [2, 2^32].
 func PaperTagHashW(rn, rs uint32, w int) int {
 	if w <= 1 || w&(w-1) != 0 {
 		panic("hash: PaperTagHashW requires a power-of-two w > 1")
@@ -150,8 +146,7 @@ func PaperTagHashW(rn, rs uint32, w int) int {
 // under-estimate at the small numerators (pn ≈ 6) the optimal-p search
 // produces for large populations. That reading cannot be what the authors
 // ran (their Fig. 7 shows sub-ε accuracy), so we treat it as an off-by-one
-// typo for "not larger than p_n−1"; PaperPersistenceLiteral preserves the
-// literal text for the bias study.
+// typo for "not larger than p_n−1".
 func PaperPersistence(rn uint32, rot uint, pn int) bool {
 	return PaperPersistenceAt(rn, rot%23, pn)
 }
@@ -162,12 +157,4 @@ func PaperPersistence(rn uint32, rot uint, pn int) bool {
 func PaperPersistenceAt(rn uint32, rot uint, pn int) bool {
 	v := (rn >> (rot & 31)) & 0x3ff // 10 bits; rot < 23, so the mask only spares a range check
 	return int(v) < pn
-}
-
-// PaperPersistenceLiteral is §IV-E.3 exactly as printed ("smaller than
-// p_n−1"): response probability (pn−1)/1024. Kept to quantify the
-// off-by-one bias PaperPersistence documents.
-func PaperPersistenceLiteral(rn uint32, rot uint, pn int) bool {
-	v := (rn >> (rot % 23)) & 0x3ff // 10 bits
-	return int(v) < pn-1
 }

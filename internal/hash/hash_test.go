@@ -168,7 +168,7 @@ func TestGeometricSlotCap(t *testing.T) {
 
 func TestPaperTagHashRange(t *testing.T) {
 	f := func(rn, rs uint32) bool {
-		h := PaperTagHash(rn, rs)
+		h := PaperTagHashW(rn, rs, 8192)
 		return h >= 0 && h < 8192
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -177,8 +177,9 @@ func TestPaperTagHashRange(t *testing.T) {
 }
 
 func TestPaperTagHashMatchesW8192(t *testing.T) {
+	// At the paper's w = 8192 the hash is §IV-E.2's bitget(RN ⊕ RS, 13:1).
 	f := func(rn, rs uint32) bool {
-		return PaperTagHash(rn, rs) == PaperTagHashW(rn, rs, 8192)
+		return PaperTagHashW(rn, rs, 8192) == int((rn^rs)&0x1fff)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -198,7 +199,7 @@ func TestPaperTagHashXORProperty(t *testing.T) {
 	// H(rn, rs) depends only on rn ⊕ rs: shifting both by the same mask
 	// must not change the hash.
 	f := func(rn, rs, m uint32) bool {
-		return PaperTagHash(rn^m, rs^m) == PaperTagHash(rn, rs)
+		return PaperTagHashW(rn^m, rs^m, 8192) == PaperTagHashW(rn, rs, 8192)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -213,7 +214,7 @@ func TestPaperTagHashUniformOverRandomRN(t *testing.T) {
 	rn := uint32(0x12345678)
 	for i := 0; i < trials; i++ {
 		rn = rn*1664525 + 1013904223 // LCG as a stand-in RN sequence
-		counts[PaperTagHash(rn, 0xdeadbeef)]++
+		counts[PaperTagHashW(rn, 0xdeadbeef, 8192)]++
 	}
 	want := float64(trials) / 8192
 	bad := 0
@@ -250,27 +251,6 @@ func TestPaperPersistenceProbability(t *testing.T) {
 	}
 }
 
-func TestPaperPersistenceLiteralBias(t *testing.T) {
-	// The literal paper text fires with probability (pn-1)/1024 — one
-	// numerator step low; at pn=1 it never responds at all.
-	const trials = 400000
-	for _, pn := range []int{1, 6, 512} {
-		hits := 0
-		rn := uint32(0xbee5)
-		for i := 0; i < trials; i++ {
-			rn = rn*1664525 + 1013904223
-			if PaperPersistenceLiteral(rn, uint(i), pn) {
-				hits++
-			}
-		}
-		got := float64(hits) / trials
-		want := float64(pn-1) / 1024
-		if math.Abs(got-want) > 0.01 {
-			t.Fatalf("PaperPersistenceLiteral(pn=%d) rate %v, want %v", pn, got, want)
-		}
-	}
-}
-
 func BenchmarkUniformSlot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = UniformSlot(uint64(i), 7, 8192)
@@ -279,6 +259,6 @@ func BenchmarkUniformSlot(b *testing.B) {
 
 func BenchmarkPaperTagHash(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = PaperTagHash(uint32(i), 0x5555aaaa)
+		_ = PaperTagHashW(uint32(i), 0x5555aaaa, 8192)
 	}
 }

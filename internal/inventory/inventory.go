@@ -20,7 +20,8 @@
 //
 // Command and reply lengths follow the C1G2 framing (Query 22 bits,
 // QueryRep 4, QueryAdjust 9, ACK 18; RN16 16 tag-bits, PC+EPC+CRC16 128
-// tag-bits for a 96-bit EPC) and are priced with the same air-interface
+// tag-bits for a 96-bit EPC; the package tests pin each to the sum of its
+// §6.3.2.12 field widths) and are priced with the same air-interface
 // profile the estimators use, so "inventory seconds" and "estimation
 // seconds" are directly comparable — the InventoryCrossover experiment is
 // built on exactly that comparison.
@@ -44,44 +45,12 @@ const (
 	EPCReplyBits    = 128 // PC (16) + EPC (96) + CRC-16: the identification
 )
 
-// Config parameterizes the inventory simulation.
-type Config struct {
-	// InitialQ is the Q the first Query announces (Gen2 default 4).
-	InitialQ int
-	// BacklogFactor converts a frame's collision count into a backlog
-	// estimate for the next frame (Schoute's 2.39 by default).
-	BacklogFactor float64
-	// MaxCommands bounds the dialogue against pathological settings
-	// (default 50 million commands).
-	MaxCommands int
-}
-
-// DefaultConfig returns the Gen2-typical settings.
-func DefaultConfig() Config {
-	return Config{InitialQ: 4, BacklogFactor: 2.39, MaxCommands: 50_000_000}
-}
-
-func (c Config) normalize() (Config, error) {
-	def := DefaultConfig()
-	if c.InitialQ == 0 {
-		c.InitialQ = def.InitialQ
-	}
-	if c.BacklogFactor == 0 {
-		c.BacklogFactor = def.BacklogFactor
-	}
-	if c.MaxCommands == 0 {
-		c.MaxCommands = def.MaxCommands
-	}
-	switch {
-	case c.InitialQ < 0 || c.InitialQ > 15:
-		return c, errors.New("inventory: InitialQ out of [0, 15]")
-	case c.BacklogFactor < 1 || c.BacklogFactor > 10:
-		return c, errors.New("inventory: BacklogFactor out of [1, 10]")
-	case c.MaxCommands < 1:
-		return c, errors.New("inventory: MaxCommands must be positive")
-	}
-	return c, nil
-}
+// Gen2-typical dialogue settings.
+const (
+	initialQ      = 4          // the Q the first Query announces (Gen2 default)
+	backlogFactor = 2.39       // Schoute's collisions-to-backlog factor
+	maxCommands   = 50_000_000 // bounds the dialogue against a runaway Q walk
+)
 
 // Result summarizes one full inventory.
 type Result struct {
@@ -97,11 +66,12 @@ type Result struct {
 
 // Run inventories a population of n tags and returns the dialogue
 // statistics. The simulation is deterministic given seed.
-func Run(n int, cfg Config, seed uint64) (Result, error) {
-	cfg, err := cfg.normalize()
-	if err != nil {
-		return Result{}, err
-	}
+func Run(n int, seed uint64) (Result, error) {
+	return run(n, seed, maxCommands)
+}
+
+// run is Run with the command cap as a parameter, so a test can reach it.
+func run(n int, seed uint64, commandCap int) (Result, error) {
 	if n < 0 {
 		return Result{}, errors.New("inventory: negative population")
 	}
@@ -110,10 +80,10 @@ func Run(n int, cfg Config, seed uint64) (Result, error) {
 	var res Result
 
 	remaining := n
-	q := cfg.InitialQ
+	q := initialQ
 	commands := 0
 	first := true
-	for remaining > 0 && commands < cfg.MaxCommands {
+	for remaining > 0 && commands < commandCap {
 		frame := frameOccupancy(rng, remaining, 1<<uint(q))
 		if first {
 			clock.Broadcast(QueryBits)
@@ -146,7 +116,7 @@ func Run(n int, cfg Config, seed uint64) (Result, error) {
 			// Advance to the next slot.
 			clock.Broadcast(QueryRepBits)
 			commands++
-			if commands >= cfg.MaxCommands {
+			if commands >= commandCap {
 				break
 			}
 		}
@@ -154,7 +124,7 @@ func Run(n int, cfg Config, seed uint64) (Result, error) {
 		// Schoute backlog → next Q. A collision-free frame means every
 		// participant was identified; the remaining>0 loop condition
 		// cannot hold then, but guard q anyway.
-		q = qForBacklog(cfg.BacklogFactor * float64(collisions))
+		q = qForBacklog(backlogFactor * float64(collisions))
 	}
 
 	res.Complete = remaining == 0

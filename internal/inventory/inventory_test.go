@@ -9,7 +9,7 @@ import (
 
 func TestRunIdentifiesEveryone(t *testing.T) {
 	for _, n := range []int{0, 1, 10, 100, 1000, 10000} {
-		res, err := Run(n, Config{}, uint64(n)+1)
+		res, err := Run(n, uint64(n)+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -20,11 +20,11 @@ func TestRunIdentifiesEveryone(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(500, Config{}, 42)
+	a, err := Run(500, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(500, Config{}, 42)
+	b, err := Run(500, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,22 +34,13 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(-1, Config{}, 1); err == nil {
+	if _, err := Run(-1, 1); err == nil {
 		t.Fatal("negative n accepted")
-	}
-	if _, err := Run(1, Config{InitialQ: 16}, 1); err == nil {
-		t.Fatal("Q=16 accepted")
-	}
-	if _, err := Run(1, Config{BacklogFactor: 20}, 1); err == nil {
-		t.Fatal("BacklogFactor=20 accepted")
-	}
-	if _, err := Run(1, Config{MaxCommands: -1}, 1); err == nil {
-		t.Fatal("negative command cap accepted")
 	}
 }
 
 func TestRunCommandCap(t *testing.T) {
-	res, err := Run(100000, Config{MaxCommands: 1000}, 7)
+	res, err := run(100000, 7, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +52,44 @@ func TestRunCommandCap(t *testing.T) {
 	}
 }
 
+// TestCommandLengthsMatchInventoryConstants sums each command's field
+// widths as C1G2 §6.3.2.12 lays them out and pins the sums to the lengths
+// the inventory prices.
+func TestCommandLengthsMatchInventoryConstants(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		fields []int
+		priced int
+	}{
+		// Command 1000, DR, M, TRext, Sel, Session, Target, Q, CRC-5.
+		{"Query", []int{4, 1, 2, 1, 2, 2, 1, 4, 5}, QueryBits},
+		// Command 00, Session.
+		{"QueryRep", []int{2, 2}, QueryRepBits},
+		// Command 1001, Session, UpDn.
+		{"QueryAdjust", []int{4, 2, 3}, QueryAdjustBits},
+		// Command 01, RN16.
+		{"ACK", []int{2, 16}, AckBits},
+		// The tag's RN16 backscatter.
+		{"RN16", []int{16}, RN16Bits},
+		// PC, 96-bit EPC, CRC-16.
+		{"EPC reply", []int{16, 96, 16}, EPCReplyBits},
+	} {
+		sum := 0
+		for _, w := range c.fields {
+			sum += w
+		}
+		if sum != c.priced {
+			t.Errorf("%s: fields sum to %d bits, inventory prices %d", c.name, sum, c.priced)
+		}
+	}
+}
+
 func TestSlotEfficiencyNearTheory(t *testing.T) {
 	// A well-adapted framed ALOHA identifies ~1/e ≈ 0.368 of slots as
 	// singletons; the Gen2 Q-walk is a bit below the ideal. Demand the
 	// slot count stay within sane bounds: n/0.368 <= slots <= 5n.
 	const n = 20000
-	res, err := Run(n, Config{}, 11)
+	res, err := Run(n, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +103,11 @@ func TestSlotEfficiencyNearTheory(t *testing.T) {
 
 func TestSecondsScaleLinearly(t *testing.T) {
 	// Inventory time is Θ(n): doubling n should roughly double seconds.
-	a, err := Run(5000, Config{}, 13)
+	a, err := Run(5000, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(10000, Config{}, 13)
+	b, err := Run(10000, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +120,7 @@ func TestSecondsScaleLinearly(t *testing.T) {
 func TestInventoryDwarfsEstimationAtScale(t *testing.T) {
 	// The motivation number: a full inventory of 100k tags takes minutes
 	// of air time, vs BFCE's 0.19 s.
-	res, err := Run(100000, Config{}, 17)
+	res, err := Run(100000, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +137,7 @@ func TestPerTagCostSane(t *testing.T) {
 	// Each identification costs at least RN16 + ACK + EPC ≈ 2.9 ms plus
 	// its share of empty/collision slots.
 	const n = 2000
-	res, err := Run(n, Config{}, 19)
+	res, err := Run(n, 19)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,6 @@ package missing
 
 import (
 	"errors"
-	"math"
 	"sort"
 
 	"rfidest/internal/channel"
@@ -159,31 +158,4 @@ func sortedIDs(m map[uint64]bool) []uint64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// SingletonProbability returns the chance an expected tag sits alone in
-// its slot for one round: (1 − 1/w)^(n−1) ≈ e^{-(n−1)/w}. Rounds needed
-// for coverage c: ceil(ln(1−c) / ln(1−q)).
-func SingletonProbability(n, w int) float64 {
-	if n <= 1 {
-		return 1
-	}
-	return math.Pow(1-1/float64(w), float64(n-1))
-}
-
-// RoundsForCoverage returns the number of rounds needed to make every
-// expected tag singleton at least once with probability >= coverage,
-// per tag.
-func RoundsForCoverage(n, w int, coverage float64) int {
-	if coverage <= 0 {
-		return 1
-	}
-	if coverage >= 1 {
-		coverage = 1 - 1e-12
-	}
-	q := SingletonProbability(n, w)
-	if q >= 1 {
-		return 1
-	}
-	return int(math.Ceil(math.Log(1-coverage) / math.Log(1-q)))
 }

@@ -161,28 +161,3 @@ func TestDetectPaperXORMode(t *testing.T) {
 		t.Fatalf("identified only %d of 200 under paper-xor", len(res.MissingIDs))
 	}
 }
-
-func TestSingletonProbability(t *testing.T) {
-	if SingletonProbability(1, 100) != 1 {
-		t.Fatal("single tag must be singleton")
-	}
-	got := SingletonProbability(8193, 8192)
-	want := math.Exp(-1)
-	if math.Abs(got-want) > 0.01 {
-		t.Fatalf("singleton prob %v, want ~%v", got, want)
-	}
-}
-
-func TestRoundsForCoverage(t *testing.T) {
-	// q ≈ 0.37 at n=w: coverage 0.99 needs ceil(ln(0.01)/ln(0.63)) = 10.
-	got := RoundsForCoverage(8192, 8192, 0.99)
-	if got < 9 || got > 11 {
-		t.Fatalf("rounds = %d, want ~10", got)
-	}
-	if RoundsForCoverage(10, 8192, 0) != 1 {
-		t.Fatal("zero coverage needs one round")
-	}
-	if RoundsForCoverage(2, 8192, 1) < 1 {
-		t.Fatal("full coverage must need at least one round")
-	}
-}

@@ -119,16 +119,6 @@ type FaultStats struct {
 	Stalls, StallSlots int
 }
 
-// Add accumulates other into s.
-func (s *FaultStats) Add(other FaultStats) {
-	s.Frames += other.Frames
-	s.BurstFlips += other.BurstFlips
-	s.Erasures += other.Erasures
-	s.Truncations += other.Truncations
-	s.Stalls += other.Stalls
-	s.StallSlots += other.StallSlots
-}
-
 // Total returns the number of fault events (excluding Frames and the
 // derived StallSlots), the scalar the faults-per-session histogram bins.
 func (s FaultStats) Total() int {

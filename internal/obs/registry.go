@@ -123,7 +123,7 @@ type faultMetrics struct {
 }
 
 // Default bucket bounds. Air time brackets the paper's 0.19 s constant-time
-// budget; probe rounds bracket the MaxProbeRounds safety bound; relative
+// budget; probe rounds bracket BFCE's 768-round probe cap; relative
 // error brackets the evaluated (ε, δ) grid.
 var (
 	airTimeBounds    = []float64{0.01, 0.02, 0.05, 0.1, 0.19, 0.25, 0.5, 1, 2, 5}

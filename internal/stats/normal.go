@@ -15,19 +15,6 @@ func D(delta float64) float64 {
 	return math.Sqrt2 * math.Erfinv(1-delta)
 }
 
-// NormalCDF returns P(Z <= z) for a standard normal Z.
-func NormalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// NormalQuantile returns z such that NormalCDF(z) = p, for p in (0, 1).
-func NormalQuantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		panic("stats: NormalQuantile requires p in (0, 1)")
-	}
-	return math.Sqrt2 * math.Erfinv(2*p-1)
-}
-
 // BinomialTail returns P(X >= k) for X ~ Binomial(m, p), computed by
 // summing exact terms in log space. It is used to size SRC's round count:
 // the smallest odd m with BinomialTail(m, (m+1)/2, 0.8) >= 1−δ.

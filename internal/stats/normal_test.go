@@ -33,34 +33,12 @@ func TestDPanics(t *testing.T) {
 	}
 }
 
-func TestNormalCDFKnown(t *testing.T) {
-	cases := []struct{ z, want float64 }{
-		{0, 0.5},
-		{1.959964, 0.975},
-		{-1.959964, 0.025},
-		{3, 0.998650},
-	}
-	for _, c := range cases {
-		if got := NormalCDF(c.z); math.Abs(got-c.want) > 1e-4 {
-			t.Fatalf("NormalCDF(%v) = %v, want %v", c.z, got, c.want)
-		}
-	}
-}
-
-func TestNormalQuantileRoundTrip(t *testing.T) {
-	for _, p := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.975, 0.999} {
-		z := NormalQuantile(p)
-		if back := NormalCDF(z); math.Abs(back-p) > 1e-9 {
-			t.Fatalf("round trip failed: p=%v z=%v back=%v", p, z, back)
-		}
-	}
-}
-
 func TestDConsistentWithQuantile(t *testing.T) {
-	// d(δ) must equal the (1-δ/2) normal quantile.
+	// d(δ) must be the (1-δ/2) normal quantile: P(−d ≤ Y ≤ d) =
+	// erf(d/√2) = 1−δ.
 	for _, delta := range []float64{0.05, 0.1, 0.2, 0.3} {
-		if math.Abs(D(delta)-NormalQuantile(1-delta/2)) > 1e-9 {
-			t.Fatalf("D(%v) inconsistent with NormalQuantile", delta)
+		if mass := math.Erf(D(delta) / math.Sqrt2); math.Abs(mass-(1-delta)) > 1e-9 {
+			t.Fatalf("D(%v) encloses mass %v, want %v", delta, mass, 1-delta)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package stats provides the statistical substrate for the estimator
-// library: streaming moments, quantiles, empirical CDFs, histograms, the
-// normal-quantile constant d = √2·erfinv(1−δ) that BFCE's feasibility test
-// uses (Theorem 3), and the binomial tail that sizes SRC's round count.
+// library: streaming moments, quantiles, histograms, the two-sample
+// Kolmogorov–Smirnov test, the normal-quantile constant
+// d = √2·erfinv(1−δ) that BFCE's feasibility test uses (Theorem 3), and
+// the binomial tail that sizes SRC's round count.
 package stats
 
 import (
@@ -150,54 +151,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// ECDF is an empirical cumulative distribution function over a sample.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs (the input is copied).
-func NewECDF(xs []float64) *ECDF {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return &ECDF{sorted: sorted}
-}
-
-// At returns P(X <= x) under the empirical distribution.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Points returns k evenly spaced (value, cumulative-probability) pairs
-// spanning the sample, suitable for plotting a CDF curve (Fig. 8).
-func (e *ECDF) Points(k int) (values, probs []float64) {
-	n := len(e.sorted)
-	if n == 0 || k <= 0 {
-		return nil, nil
-	}
-	if k > n {
-		k = n
-	}
-	values = make([]float64, k)
-	probs = make([]float64, k)
-	for i := 0; i < k; i++ {
-		idx := (i * (n - 1)) / (k - 1 + boolToInt(k == 1))
-		values[i] = e.sorted[idx]
-		probs[i] = float64(idx+1) / float64(n)
-	}
-	return values, probs
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // Histogram bins a sample into nbins equal-width bins over [lo, hi].
 // Values outside the range are clamped into the edge bins.
 type Histogram struct {
@@ -225,12 +178,6 @@ func NewHistogram(xs []float64, lo, hi float64, nbins int) *Histogram {
 		h.Total++
 	}
 	return h
-}
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*width
 }
 
 // Fraction returns the fraction of the sample in bin i.

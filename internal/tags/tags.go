@@ -144,13 +144,3 @@ func (p *Population) IDs() []float64 {
 	}
 	return out
 }
-
-// Subset returns a population consisting of the first n tags. It shares the
-// underlying tag storage with p and is used to sweep cardinality while
-// holding the ID material fixed. It panics if n exceeds the population.
-func (p *Population) Subset(n int) *Population {
-	if n < 0 || n > len(p.Tags) {
-		panic("tags: Subset out of range")
-	}
-	return &Population{Tags: p.Tags[:n], Dist: p.Dist, Seed: p.Seed}
-}

@@ -113,20 +113,6 @@ func TestRNUniform(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	pop := Generate(1000, T1, 15)
-	sub := pop.Subset(10)
-	if sub.N() != 10 || sub.Tags[0] != pop.Tags[0] {
-		t.Fatal("Subset wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range Subset did not panic")
-		}
-	}()
-	pop.Subset(1001)
-}
-
 func TestDistributionString(t *testing.T) {
 	if T1.String() != "T1-uniform" || T2.String() != "T2-approx-normal" || T3.String() != "T3-normal" {
 		t.Fatal("distribution names drifted")

@@ -119,9 +119,6 @@ func (cl *Clock) Cost() Cost { return cl.cost }
 // Seconds returns the accumulated air time under profile p.
 func (cl *Clock) Seconds(p Profile) float64 { return cl.cost.Seconds(p) }
 
-// Reset clears the accumulated counters.
-func (cl *Clock) Reset() { cl.cost = Cost{} }
-
 // SeedBits is the length of one random seed broadcast by the reader (§V-A
 // assumes 32-bit seeds; broadcasting one takes 32·37.76 + 302 ≈ 1510 µs).
 const SeedBits = 32

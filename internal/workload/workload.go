@@ -74,59 +74,3 @@ func Drift(rounds, n0 int, arriveRate, departRate float64, seed uint64) (*Timeli
 	}
 	return t, nil
 }
-
-// Burst generates a steady timeline with one bulk departure: at round
-// burstAt, a fraction burstFrac of the stock ships at once (the
-// unreported-shipment scenario a monitor must catch).
-func Burst(rounds, n0, burstAt int, burstFrac float64, seed uint64) (*Timeline, error) {
-	if rounds <= 0 || n0 <= 0 {
-		return nil, errors.New("workload: rounds and n0 must be positive")
-	}
-	if burstAt < 1 || burstAt >= rounds {
-		return nil, errors.New("workload: burstAt out of (0, rounds)")
-	}
-	if burstFrac <= 0 || burstFrac >= 1 {
-		return nil, errors.New("workload: burstFrac out of (0, 1)")
-	}
-	t := &Timeline{UniverseSeed: seed}
-	cur := Round{Start: 0, N: n0}
-	for i := 0; i < rounds; i++ {
-		if i == burstAt {
-			gone := int(float64(cur.N) * burstFrac)
-			cur = Round{Start: cur.Start + gone, N: cur.N - gone}
-		}
-		t.Rounds = append(t.Rounds, cur)
-	}
-	return t, nil
-}
-
-// Seasonal generates a deterministic timeline whose size swings between n0
-// and n0·(1+amplitude) over a period of `period` rounds (receipts on the
-// upswing, shipments on the downswing), approximating a weekly stocking
-// cycle.
-func Seasonal(rounds, n0, period int, amplitude float64, seed uint64) (*Timeline, error) {
-	if rounds <= 0 || n0 <= 0 || period <= 1 {
-		return nil, errors.New("workload: rounds, n0 and period must be positive (period > 1)")
-	}
-	if amplitude <= 0 || amplitude > 2 {
-		return nil, errors.New("workload: amplitude out of (0, 2]")
-	}
-	t := &Timeline{UniverseSeed: seed}
-	cur := Round{Start: 0, N: n0}
-	half := period / 2
-	for i := 0; i < rounds; i++ {
-		t.Rounds = append(t.Rounds, cur)
-		step := int(float64(n0) * amplitude / float64(half))
-		if i%period < half {
-			cur = Round{Start: cur.Start, N: cur.N + step} // receipts
-		} else {
-			gone := step
-			if gone >= cur.N {
-				gone = cur.N - 1
-			}
-			cur = Round{Start: cur.Start + gone, N: cur.N - gone} // shipments
-		}
-	}
-	t.Rounds = t.Rounds[:rounds]
-	return t, nil
-}

@@ -68,64 +68,6 @@ func TestDriftValidation(t *testing.T) {
 	}
 }
 
-func TestBurst(t *testing.T) {
-	tl, err := Burst(10, 100000, 4, 0.3, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.Rounds[3].N != 100000 {
-		t.Fatalf("pre-burst size %d", tl.Rounds[3].N)
-	}
-	if tl.Rounds[4].N != 70000 {
-		t.Fatalf("post-burst size %d", tl.Rounds[4].N)
-	}
-	if tl.Departures(4) != 30000 || tl.Arrivals(4) != 0 {
-		t.Fatalf("burst movement: dep=%d arr=%d", tl.Departures(4), tl.Arrivals(4))
-	}
-}
-
-func TestBurstValidation(t *testing.T) {
-	if _, err := Burst(10, 100, 0, 0.5, 1); err == nil {
-		t.Fatal("burstAt=0 accepted")
-	}
-	if _, err := Burst(10, 100, 5, 1.5, 1); err == nil {
-		t.Fatal("burstFrac>1 accepted")
-	}
-}
-
-func TestSeasonalCycles(t *testing.T) {
-	tl, err := Seasonal(20, 50000, 10, 0.4, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tl.Rounds) != 20 {
-		t.Fatalf("rounds = %d", len(tl.Rounds))
-	}
-	// Peak near mid-cycle should exceed n0; trough should return near n0.
-	peak := tl.Rounds[5].N
-	if peak <= 50000 {
-		t.Fatalf("no upswing: peak %d", peak)
-	}
-	trough := tl.Rounds[10].N
-	if float64(trough) > 1.1*50000 {
-		t.Fatalf("no downswing: trough %d", trough)
-	}
-	for i := range tl.Rounds {
-		if tl.Rounds[i].N < 1 {
-			t.Fatalf("round %d empty", i)
-		}
-	}
-}
-
-func TestSeasonalValidation(t *testing.T) {
-	if _, err := Seasonal(10, 100, 1, 0.5, 1); err == nil {
-		t.Fatal("period=1 accepted")
-	}
-	if _, err := Seasonal(10, 100, 4, 3, 1); err == nil {
-		t.Fatal("amplitude=3 accepted")
-	}
-}
-
 func TestEdgeAccessors(t *testing.T) {
 	tl := &Timeline{Rounds: []Round{{0, 10}, {2, 12}}}
 	if tl.Departures(0) != 0 || tl.Arrivals(0) != 0 {

@@ -25,7 +25,7 @@ type Inventory struct {
 // whether counting exactly or estimating is cheaper — BFCE's constant
 // 0.19 s beats inventory beyond a few dozen tags.
 func (s *System) Inventory() (Inventory, error) {
-	res, err := inventory.Run(s.n, inventory.Config{}, s.seed^s.sessions.Add(1))
+	res, err := inventory.Run(s.n, s.seed^s.sessions.Add(1))
 	if err != nil {
 		return Inventory{}, err
 	}
@@ -64,9 +64,9 @@ func NewTracker(expectedN int, seed uint64) (*Tracker, error) {
 		return nil, errors.New("rfidest: tracker needs a positive expected scale")
 	}
 	cfg := core.DefaultConfig()
-	pn, ok := core.OptimalPn(float64(expectedN), cfg.K, cfg.W, cfg.PDenom, cfg.Epsilon, cfg.Delta)
+	pn, ok := core.OptimalPn(float64(expectedN), cfg.K, cfg.W, core.PDenom, cfg.Epsilon, cfg.Delta)
 	if !ok {
-		pn = core.FallbackPn(float64(expectedN), cfg.K, cfg.W, cfg.PDenom)
+		pn = core.FallbackPn(float64(expectedN), cfg.K, cfg.W, core.PDenom)
 	}
 	d, err := core.NewDiffer(cfg, pn, seed)
 	if err != nil {
