@@ -127,7 +127,8 @@ func BenchmarkBFCETagLevel(b *testing.B) {
 // synthetic channel (no per-tag iteration) at three sizes: n = 10³, near
 // the accuracy floor, where the p_o search finds a numerator past 900 of
 // 1023 or none; n = 3·10⁴; and n = 10⁶, where the balls engine throws
-// some 50,000 responses per session.
+// the ~5,900 responses of the accurate frame and only the heard share of
+// the probe and rough frames' ~23,000 each.
 func BenchmarkBFCESynthetic(b *testing.B) {
 	for _, n := range []int{1000, 30000, 1000000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -47,7 +47,7 @@ func main() {
 		seed         = flag.Uint64("seed", 1, "server seed: roots assigned session salts and default batch salts")
 		maxInFlight  = flag.Int("max-in-flight", 16, "max concurrently executing requests")
 		queueDepth   = flag.Int("queue-depth", 64, "max requests waiting for a slot before 429s start")
-		timeout      = flag.Duration("timeout", 30*time.Second, "default per-request deadline")
+		timeout      = flag.Duration("timeout", 30*time.Second, "default per-request deadline, and the longest a request may set")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits before cutting sessions at a round boundary")
 		enablePprof  = flag.Bool("pprof", true, "mount /debug/pprof/")
 		quiet        = flag.Bool("quiet", false, "suppress the access log")

@@ -76,14 +76,30 @@ func (e *BallsEngine) RunFrameOccupancy(req FrameRequest) Occupancy {
 // response in either regime, so it draws no slot at all: nothing reads
 // the frame's stream after the frame, and one saturating add leaves the
 // state the responses' adds one by one did.
+//
+// A uniform frame heard only on a prefix (BFCE's probe window and rough
+// prefix) samples only that prefix: each response lands in it with
+// probability observe/W, so scatter first draws how many do,
+// Binomial(balls, observe/W), and then scatters just those as a frame of
+// observe slots. Given their number, the responses in the prefix are
+// uniform over it, so its occupancy and the metered transmissions keep
+// the law of scattering every response over all W slots (DESIGN.md §7).
+// A frame heard whole draws nothing extra. Geometric frames keep the
+// whole-frame path even on a prefix: no protocol observes a prefix of
+// one, and a truncated-geometric landing law would be code no traffic
+// runs.
 func (e *BallsEngine) scatter(req FrameRequest, observe int, out frameOut) {
 	if req.Dist != Uniform && req.Dist != Geometric {
 		panic("channel: unknown slot distribution")
 	}
 	rng := e.frameRNG(req)
 	balls := rng.Binomial(e.N*req.K, req.P)
+	if balls > 0 && observe < req.W && req.Dist == Uniform {
+		balls = rng.Binomial(balls, float64(observe)/float64(req.W))
+		req.W = observe
+	}
 	switch {
-	case balls == 0: // a silent frame
+	case balls == 0: // a silent frame, or a silent prefix
 	case req.W == 1:
 		out.add(0, balls)
 		e.transmissions += balls

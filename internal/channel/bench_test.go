@@ -50,10 +50,11 @@ func BenchmarkTagEnginePaperXORFrame(b *testing.B) {
 // BenchmarkBallsEngineFrame measures the synthetic engine (the fast path
 // large sweeps rely on): the full p = 0.01 frame at n = 100,000; the
 // three frames of a BFCE session at n = 10⁶ — the 32-slot probe window and
-// the 1,024-slot rough prefix at p = 8/1024 (about 23,000 responses
-// thrown one by one, for 32 and 1,024 heard slots) and the accurate frame
-// at p_o = 2/1024; and UPE's slot-state measurement frame at n = 10⁶
-// (1,024 slots at p = 1/256, about 3,900 responses).
+// the 1,024-slot rough prefix at p = 8/1024 (of about 23,000 responses,
+// only the ~90 and ~2,900 that land in the heard prefix are thrown) and
+// the accurate frame at p_o = 2/1024 (about 5,900 responses, all heard);
+// and UPE's slot-state measurement frame at n = 10⁶ (1,024 slots at
+// p = 1/256, about 3,900 responses).
 func BenchmarkBallsEngineFrame(b *testing.B) {
 	for _, leg := range []struct {
 		name   string

@@ -171,45 +171,78 @@ func TestTagEngineDistributionInvariance(t *testing.T) {
 	}
 }
 
+// agreeShape is a population size and a frame geometry to run on it.
+type agreeShape struct {
+	name string
+	n    int
+	req  FrameRequest
+	tol  float64 // TestEnginesAgree: allowed gap between mean busy counts
+}
+
+// agreeShapes are the frames TagEngine and BallsEngine are compared on: a
+// whole 1,024-slot frame, and BFCE's 32-slot probe window and 1,024-slot
+// rough prefix of an 8,192-slot frame, which BallsEngine thins to their
+// heard responses before placing them. On the prefixes, n = 20,000 tags at
+// p = 40/1024 load each slot with about 0.29 responses.
+var agreeShapes = []agreeShape{
+	// Busy count ~ w(1-e^{-λ}) ≈ 536; per-frame sd ~ sqrt(w·p(1-p)) ~ 21.
+	{"w=1024", 5000, FrameRequest{W: 1024, K: 3, P: 0.05}, 25},
+	// Busy count ≈ 8 of 32, sd ≈ 2.5.
+	{"probe", 20000, FrameRequest{W: 8192, K: 3, P: 40.0 / 1024, Observe: 32}, 3},
+	// Busy count ≈ 254 of 1,024, sd ≈ 14.
+	{"rough", 20000, FrameRequest{W: 8192, K: 3, P: 40.0 / 1024, Observe: 1024}, 17},
+}
+
 func TestEnginesAgree(t *testing.T) {
 	// TagEngine and BallsEngine must sample the same busy-count
 	// distribution. Compare mean busy counts over repeated frames.
-	const n, trials = 5000, 30
-	pop := tags.Generate(n, tags.T1, 9)
-	te := NewTagEngine(pop, IdealRN)
-	be := NewBallsEngine(n, 9)
-	req := FrameRequest{W: 1024, K: 3, P: 0.05}
-	var sumT, sumB float64
-	for i := 0; i < trials; i++ {
-		req.Seed = uint64(i)
-		sumT += float64(te.RunFrame(req).CountBusy())
-		sumB += float64(be.RunFrame(req).CountBusy())
-	}
-	meanT, meanB := sumT/trials, sumB/trials
-	// Busy count ~ w(1-e^{-λ}) ≈ 536; per-frame sd ~ sqrt(w·p(1-p)) ~ 21.
-	if math.Abs(meanT-meanB) > 25 {
-		t.Fatalf("engines disagree: tag=%v balls=%v", meanT, meanB)
+	const trials = 30
+	for _, shape := range agreeShapes {
+		pop := tags.Generate(shape.n, tags.T1, 9)
+		te := NewTagEngine(pop, IdealRN)
+		be := NewBallsEngine(shape.n, 9)
+		req := shape.req
+		var sumT, sumB float64
+		for i := 0; i < trials; i++ {
+			req.Seed = uint64(i)
+			sumT += float64(te.RunFrame(req).CountBusy())
+			sumB += float64(be.RunFrame(req).CountBusy())
+		}
+		meanT, meanB := sumT/trials, sumB/trials
+		if math.Abs(meanT-meanB) > shape.tol {
+			t.Errorf("%s: engines disagree: tag=%v balls=%v", shape.name, meanT, meanB)
+		}
 	}
 }
 
 func TestEnginesAgreeKS(t *testing.T) {
-	// Distribution-level agreement: the busy-count samples of the two
-	// engines must pass a two-sample Kolmogorov–Smirnov test, not merely
-	// share a mean.
-	const n, frames = 3000, 400
-	pop := tags.Generate(n, tags.T1, 117)
-	te := NewTagEngine(pop, IdealRN)
-	be := NewBallsEngine(n, 117)
-	req := FrameRequest{W: 512, K: 2, P: 0.1}
-	var xs, ys []float64
-	for i := 0; i < frames; i++ {
-		req.Seed = uint64(i)
-		xs = append(xs, float64(te.RunFrame(req).CountBusy()))
-		req.Seed = uint64(i + frames)
-		ys = append(ys, float64(be.RunFrame(req).CountBusy()))
-	}
-	if !stats.SameDistribution(xs, ys, 0.001) {
-		t.Fatalf("engine busy-count distributions differ (KS=%v)", stats.KSStatistic(xs, ys))
+	// Distribution-level agreement: the busy-count and transmission
+	// samples of the two engines must pass a two-sample
+	// Kolmogorov–Smirnov test, not merely share a mean.
+	const frames = 400
+	shapes := append([]agreeShape{{name: "w=512", n: 3000, req: FrameRequest{W: 512, K: 2, P: 0.1}}}, agreeShapes[1:]...)
+	for _, shape := range shapes {
+		pop := tags.Generate(shape.n, tags.T1, 117)
+		te := NewTagEngine(pop, IdealRN)
+		be := NewBallsEngine(shape.n, 117)
+		req := shape.req
+		var busyT, busyB, txT, txB []float64
+		for i := 0; i < frames; i++ {
+			req.Seed = uint64(i)
+			before := te.TagTransmissions()
+			busyT = append(busyT, float64(te.RunFrame(req).CountBusy()))
+			txT = append(txT, float64(te.TagTransmissions()-before))
+			req.Seed = uint64(i + frames)
+			before = be.TagTransmissions()
+			busyB = append(busyB, float64(be.RunFrame(req).CountBusy()))
+			txB = append(txB, float64(be.TagTransmissions()-before))
+		}
+		if !stats.SameDistribution(busyT, busyB, 0.001) {
+			t.Errorf("%s: engine busy-count distributions differ (KS=%v)", shape.name, stats.KSStatistic(busyT, busyB))
+		}
+		if !stats.SameDistribution(txT, txB, 0.001) {
+			t.Errorf("%s: engine transmission distributions differ (KS=%v)", shape.name, stats.KSStatistic(txT, txB))
+		}
 	}
 }
 

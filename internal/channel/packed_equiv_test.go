@@ -191,10 +191,13 @@ func assertTagFrameMatchesRef(t *testing.T, trial int, packed, ref *TagEngine, r
 // per-ball throwing while the expected response count n·k·p stays within
 // 4W, binomial splitting past it (n = 300,000 and 10⁶ split every uniform
 // case below but UPE's frame; n = 4,000 splits the first 1-slot frame and
-// the unthinned geometric frames). The thinned 1-slot frames put ZOE's
-// load, n·p ≈ 1.59, and about 3 responses on the slot at n = 4,000, where
-// a frame of 2–4 responses must saturate its slot as adding them one by
-// one did.
+// the unthinned geometric frames). A uniform prefix is thinned first, so
+// its regime follows the prefix's own load: the rough prefix at P = 0.1
+// still splits at n = 10⁶, while it throws one by one at n = 4,000, as
+// the probe window does at n = 300,000 and 10⁶. The thinned 1-slot frames
+// put ZOE's load, n·p ≈ 1.59, and about 3 responses on the slot at
+// n = 4,000, where a frame of 2–4 responses must saturate its slot as
+// adding them one by one did.
 var scatterCases = []FrameRequest{
 	{W: 8192, K: 3, P: 0.1},                                // BFCE's accurate frame
 	{W: 8192, K: 3, P: 0.1, Observe: 1024},                 // BFCE's rough prefix
@@ -214,16 +217,20 @@ var scatterCases = []FrameRequest{
 }
 
 // TestPackedBallsEngineMatchesReference pins the count-free scatter to the
-// per-slot counts it replaced (scatterCounts): busy bits, slot states and
-// transmissions, in both scatter regimes, with and without an observed
-// prefix, under both slot distributions, and on one-slot frames, which
-// draw no slot.
+// per-slot counts it replaced, thinned to the heard prefix as scatter
+// thins it (heardPrefix): busy bits, slot states and transmissions, in
+// both scatter regimes, with and without an observed prefix, under both
+// slot distributions, and on one-slot frames, which draw no slot.
 func TestPackedBallsEngineMatchesReference(t *testing.T) {
 	// Twin engines with equal seeds hold identical RNG state; every frame
 	// path advances it identically, so the twins stay in lockstep across
 	// the whole sequence.
 	rng := rand.New(rand.NewSource(808))
 	crowded := 0 // one-slot slot-state frames that carried 2–4 responses
+	// Uniform prefixes whose thinned load (responses per heard slot) puts
+	// them well inside the splitting regime, or well inside the per-ball
+	// regime with a few responses to throw.
+	splitPrefixes, perBallPrefixes := 0, 0
 	for _, n := range []int{0, 1, 4000, 300000, 1000000} {
 		packed, ref := NewBallsEngine(n, 63), NewBallsEngine(n, 63)
 		reqs := append([]FrameRequest(nil), scatterCases...)
@@ -232,6 +239,14 @@ func TestPackedBallsEngineMatchesReference(t *testing.T) {
 		}
 		for trial, req := range reqs {
 			req.Seed = rng.Uint64()
+			if req.Dist == Uniform && req.Observe > 0 && req.Observe < req.W {
+				switch load := float64(n*req.K) * req.P / float64(req.W); {
+				case load > 8:
+					splitPrefixes++
+				case load < 2 && load*float64(req.Observe) >= 5:
+					perBallPrefixes++
+				}
+			}
 			assertMatchesRef(t, trial, packed.RunFrame(req), ref.refRunFrame(req))
 			if packed.TagTransmissions() != ref.TagTransmissions() {
 				t.Fatalf("n=%d trial %d: metered %d transmissions, ref %d",
@@ -246,6 +261,10 @@ func TestPackedBallsEngineMatchesReference(t *testing.T) {
 	}
 	if crowded < 2 {
 		t.Fatalf("%d one-slot frames carried 2–4 responses, want at least 2", crowded)
+	}
+	if splitPrefixes == 0 || perBallPrefixes == 0 {
+		t.Fatalf("thinned prefixes: %d split, %d thrown one by one; want both regimes",
+			splitPrefixes, perBallPrefixes)
 	}
 }
 

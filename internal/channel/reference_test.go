@@ -11,11 +11,12 @@ import (
 // This file retains, for tests only, the pre-packing []bool frame
 // representation as the behavioral reference for the word-packed BitVec,
 // the per-slot count scatter the engines ran before they sampled straight
-// into their frame buffers, and the per-tag decision TagEngine ran before
-// it prepared each frame's hashes once (TagHash): equivalence tests
-// cross-check engine output, transmission metering and aggregate queries
-// against these implementations on randomized frames, and the frame
-// benchmarks use them as the speedup baseline.
+// into their frame buffers (BallsEngine's with and without prefix
+// thinning), and the per-tag decision TagEngine ran before it prepared
+// each frame's hashes once (TagHash): equivalence tests cross-check engine
+// output, transmission metering and aggregate queries against these
+// implementations on randomized frames, and the frame benchmarks use them
+// as the speedup baseline.
 
 // refVec is a frame in the reference representation: refVec[i] reports
 // whether slot i was busy.
@@ -220,45 +221,76 @@ func (e *TagEngine) refRunFrameOccupancy(req FrameRequest) Occupancy {
 	return occ
 }
 
-// refRunFrame executes one frame exactly as the pre-packing BallsEngine
-// did. It advances the engine's RNG the same way as RunFrame, so twin
-// engines with equal seeds replay identical frame sequences through either
-// path.
+// refRunFrame executes one frame as the pre-packing BallsEngine did, from
+// per-slot counts, with its heard prefix thinned as scatter thins it
+// (heardPrefix). It advances the engine's RNG the same way as RunFrame, so
+// twin engines with equal seeds replay identical frame sequences through
+// either path.
 func (e *BallsEngine) refRunFrame(req FrameRequest) refVec {
-	observe := req.validate()
-	rng := e.frameRNG(req)
-	counts := scatterCounts(&rng, e.N*req.K, req)
-	busy := make(refVec, observe)
-	for i := range busy {
-		busy[i] = counts[i] > 0
-		e.transmissions += counts[i]
+	return busyOf(e.refCounts(req, heardPrefix))
+}
+
+// refRunFrameOccupancy executes one slot-state frame as the counts-based
+// BallsEngine did, keeping twin engines in lockstep like refRunFrame.
+func (e *BallsEngine) refRunFrameOccupancy(req FrameRequest) Occupancy {
+	return statesOf(e.refCounts(req, heardPrefix))
+}
+
+// busyOf maps per-slot counts to the busy bits a reader senses.
+func busyOf(counts []int) refVec {
+	busy := make(refVec, len(counts))
+	for i, c := range counts {
+		busy[i] = c > 0
 	}
 	return busy
 }
 
-// refRunFrameOccupancy executes one slot-state frame exactly as the
-// counts-based BallsEngine did, keeping twin engines in lockstep like
-// refRunFrame.
-func (e *BallsEngine) refRunFrameOccupancy(req FrameRequest) Occupancy {
-	observe := req.validate()
-	rng := e.frameRNG(req)
-	counts := scatterCounts(&rng, e.N*req.K, req)
-	occ := make(Occupancy, observe)
-	for i := range occ {
-		occ[i] = stateOf(counts[i])
-		e.transmissions += counts[i]
+// statesOf maps per-slot counts to slot states.
+func statesOf(counts []int) Occupancy {
+	occ := make(Occupancy, len(counts))
+	for i, c := range counts {
+		occ[i] = stateOf(c)
 	}
 	return occ
 }
 
-// scatterCounts samples the exact multinomial occupancy of a whole frame
-// into per-slot counts: the response count is Binomial(pairs, p) and
-// responses are distributed over the W slots per the slot distribution.
-// When the number of responses is large relative to the frame it switches
-// from per-ball throwing to sequential binomial splitting (bin_i ~
-// Bin(remaining, q_i / tail_i)) over every slot, observed or not.
-func scatterCounts(rng *xrand.Rand, pairs int, req FrameRequest) []int {
-	balls := rng.Binomial(pairs, req.P)
+// refCounts draws a frame's response count from the engine's stream for
+// the frame, as scatter does, lets law place the responses, and returns
+// the observed prefix's per-slot counts, metering their transmissions.
+func (e *BallsEngine) refCounts(req FrameRequest, law func(rng *xrand.Rand, balls int, req FrameRequest, observe int) []int) []int {
+	observe := req.validate()
+	rng := e.frameRNG(req)
+	counts := law(&rng, rng.Binomial(e.N*req.K, req.P), req, observe)[:observe]
+	for _, c := range counts {
+		e.transmissions += c
+	}
+	return counts
+}
+
+// wholeFrame is the law the engine sampled before it thinned heard
+// prefixes: every response is placed over all W slots, heard or not.
+func wholeFrame(rng *xrand.Rand, balls int, req FrameRequest, _ int) []int {
+	return scatterCounts(rng, balls, req)
+}
+
+// heardPrefix is scatter's law: a uniform frame heard on a prefix first
+// draws how many responses land there, Binomial(balls, observe/W), and
+// places only those, as a frame of observe slots. Every other frame is
+// placed whole.
+func heardPrefix(rng *xrand.Rand, balls int, req FrameRequest, observe int) []int {
+	if balls > 0 && observe < req.W && req.Dist == Uniform {
+		balls = rng.Binomial(balls, float64(observe)/float64(req.W))
+		req.W = observe
+	}
+	return scatterCounts(rng, balls, req)
+}
+
+// scatterCounts distributes balls responses over a frame's W slots per
+// the slot distribution into per-slot counts. When the number of
+// responses is large relative to the frame it switches from per-ball
+// throwing to sequential binomial splitting (bin_i ~
+// Bin(remaining, q_i / tail_i)) over every slot.
+func scatterCounts(rng *xrand.Rand, balls int, req FrameRequest) []int {
 	counts := make([]int, req.W)
 	switch req.Dist {
 	case Uniform:

@@ -10,17 +10,19 @@ import (
 
 // BenchmarkOptimalPn measures the minimal-p search of §IV-D at BFCE's
 // defaults, (0.05, 0.05), across rough lower bounds: one below the
-// accuracy floor (no feasible numerator), and three whose p_o is 394,
-// 119 and 3 out of 1024.
+// accuracy floor (no feasible numerator), three whose p_o is 394, 119
+// and 3 out of 1024, and one past the scalability ceiling, where λ
+// overshoots the feasible window already at p = 1/1024 and the scan
+// stops at its first numerator.
 func BenchmarkOptimalPn(b *testing.B) {
 	for _, leg := range []struct {
 		nLow float64
 		pn   int // the p_o numerator; 0 when none is feasible
-	}{{500, 0}, {1500, 394}, {5000, 119}, {250000, 3}} {
+	}{{500, 0}, {1500, 394}, {5000, 119}, {250000, 3}, {5e8, 0}} {
 		b.Run(fmt.Sprintf("nLow=%g", leg.nLow), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if pn, _ := OptimalPn(leg.nLow, 3, 8192, 1024, 0.05, 0.05); pn != leg.pn {
-					b.Fatalf("p_o = %d/1024, want %d/1024", pn, leg.pn)
+				if pn, ok := OptimalPn(leg.nLow, 3, 8192, 1024, 0.05, 0.05); pn != leg.pn || ok != (leg.pn > 0) {
+					b.Fatalf("p_o = %d/1024 (feasible %v), want %d/1024", pn, ok, leg.pn)
 				}
 			}
 		})

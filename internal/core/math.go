@@ -98,9 +98,19 @@ func Feasible(n float64, k int, p float64, w int, eps, d float64) bool {
 // orders of magnitude above F1's rounding error there, and the two
 // inequalities leave more slack still, so rounding cannot skip a
 // numerator the scan would accept.
+//
+// The scan ends early past the scalability ceiling by the same bound:
+// with 1−e^{−x} ≤ x alone, |F1| ≤ ε·√w·λ/√(e^λ−1), whose log-derivative
+// 1/λ − e^λ/(2(e^λ−1)) is zero where λe^λ = 2(e^λ−1), at LambdaStar, and
+// negative past it. So once a numerator's λ is at least LambdaStar and
+// that bound is below d·(1−10⁻⁹), every larger numerator has a larger λ
+// and an |F1| below d, and none is feasible. The check runs only from
+// LambdaStar's numerator on, so a scan that finds p_o below it costs what
+// it did without the check.
 func OptimalPn(nLow float64, k, w, pdenom int, eps, delta float64) (pn int, ok bool) {
 	d := stats.D(delta)
 	pn = 1
+	peak := pdenom // the first numerator whose load at nLow may reach LambdaStar
 	if nLow > 0 {
 		lambdaMin := d * d / (eps * eps * float64(w))
 		start := math.Floor(lambdaMin * (1 - 1e-9) * float64(w) * float64(pdenom) / (float64(k) * nLow))
@@ -110,13 +120,33 @@ func OptimalPn(nLow float64, k, w, pdenom int, eps, delta float64) (pn int, ok b
 		if start > 1 {
 			pn = int(start)
 		}
+		if at := math.Floor(LambdaStar * float64(w) * float64(pdenom) / (float64(k) * nLow)); at < float64(pdenom) {
+			peak = int(at)
+		}
 	}
-	for ; pn < pdenom; pn++ {
+	for ; pn < peak; pn++ {
 		if Feasible(nLow, k, float64(pn)/float64(pdenom), w, eps, d) {
 			return pn, true
 		}
 	}
+	for ; pn < pdenom; pn++ {
+		p := float64(pn) / float64(pdenom)
+		if Feasible(nLow, k, p, w, eps, d) {
+			return pn, true
+		}
+		if pastCeiling(Lambda(nLow, k, p, w), w, eps, d) {
+			return 0, false
+		}
+	}
 	return 0, false
+}
+
+// pastCeiling reports whether no load from lambda up can meet f1 ≤ −d:
+// lambda is at least LambdaStar, where ε·√w·λ/√(e^λ−1), the bound on
+// |F1| that OptimalPn's scan ends by, starts to fall, and that bound is
+// already below d·(1−10⁻⁹).
+func pastCeiling(lambda float64, w int, eps, d float64) bool {
+	return lambda >= LambdaStar && eps*math.Sqrt(float64(w))*lambda/math.Sqrt(math.Expm1(lambda)) < d*(1-1e-9)
 }
 
 // FallbackPn returns the numerator whose λ at nLow is closest to

@@ -4,9 +4,9 @@ import (
 	"context"
 	"reflect"
 	"testing"
-	"time"
 
 	"rfidest"
+	"rfidest/internal/obs"
 )
 
 // stripSched removes the wall-clock fields and the scheduler round count —
@@ -24,10 +24,12 @@ func stripSched(rep *Report) *Report {
 func TestInterleavedMatchesPooled(t *testing.T) {
 	jobs := mixedBatch(t)
 	// Exercise the retry path under the scheduler too: BFCE saturates on
-	// a one-tag system, so WithRetry re-runs rounds there.
+	// a one-tag system, so WithRetry re-runs rounds there. A trial
+	// saturates with probability about (7/8)³ ≈ 0.67, so two trials both
+	// miss about 11% of the time and four about 1%.
 	jobs = append(jobs, Job{
 		System:    rfidest.NewSystem(1, rfidest.WithSeed(9), rfidest.WithSynthetic()),
-		Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1, Trials: 2,
+		Estimator: "BFCE", Epsilon: 0.1, Delta: 0.1, Trials: 4,
 		Options: []rfidest.Option{rfidest.WithRetry(2, 0)},
 	})
 	ctx := context.Background()
@@ -96,21 +98,35 @@ func TestInterleaveCancelledBeforeStart(t *testing.T) {
 	}
 }
 
+// cancelOnClose is an observer that cancels the batch as soon as a
+// session closes, so the cut lands mid-schedule however fast trials run.
+type cancelOnClose struct {
+	obs.Observer
+	cancel context.CancelFunc
+}
+
+func (c cancelOnClose) SessionClose(s obs.SessionStats) {
+	c.Observer.SessionClose(s)
+	c.cancel()
+}
+
 // TestInterleaveCancelledMidRun: cancellation mid-schedule keeps completed
 // trials, raises no per-job errors, and still returns a coherent report.
 func TestInterleaveCancelledMidRun(t *testing.T) {
 	jobs := mixedBatch(t)
+	total := 0
+	for _, j := range jobs {
+		total += j.Trials
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	// Cancel from a watchdog once the scheduler is certainly mid-batch:
-	// the run below takes hundreds of milliseconds of CPU.
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	rep, err := Run(ctx, Config{Interleave: true}, jobs)
+	defer cancel()
+	// Cancel when the first trial completes: the scheduler checks the
+	// context at every round boundary, so the cut is deterministic rather
+	// than a race against the batch's wall-clock time.
+	cfg := Config{Interleave: true, Observer: cancelOnClose{obs.Nop, cancel}}
+	rep, err := Run(ctx, cfg, jobs)
 	if err == nil {
-		// The batch won the race; nothing to assert beyond coherence.
-		t.Skip("batch finished before cancellation")
+		t.Fatal("cancelled interleaved run returned nil error")
 	}
 	if rep == nil {
 		t.Fatal("cancelled run returned no partial report")
@@ -124,6 +140,9 @@ func TestInterleaveCancelledMidRun(t *testing.T) {
 	}
 	if completed != rep.Trials {
 		t.Errorf("report counts %d trials, jobs hold %d estimates", rep.Trials, completed)
+	}
+	if completed < 1 || completed >= total {
+		t.Errorf("%d of %d trials completed; want a cut strictly mid-batch", completed, total)
 	}
 }
 

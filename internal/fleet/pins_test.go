@@ -8,9 +8,12 @@ package fleet
 // frames now reach the registries' frame and slot counters, and the
 // interleaved schedRounds counts the protocols' real rounds. No job sets a
 // retry count, and the registries' degraded counters are left out: fleet
-// used to emit its own Degraded hook for saturated trials. To regenerate
-// after an intentional behaviour change, marshal fleetPinGrid() with
-// json.MarshalIndent(v, "", "\t").
+// used to emit its own Degraded hook for saturated trials. The synthetic
+// BFCE, BFCE-multi and salted jobs, and the aggregates and registries
+// built from them, were captured again when the synthetic engine began
+// sampling only the heard prefix of BFCE's probe and rough frames. To
+// regenerate after an intentional behaviour change, marshal
+// fleetPinGrid() with json.MarshalIndent(v, "", "\t").
 
 import (
 	"context"

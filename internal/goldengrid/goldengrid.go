@@ -5,7 +5,11 @@
 // word-packing, observability, fault-injection and round-structured
 // execution refactors; every execution path added since (Run, the
 // StartRun/Step round loop, the interleaving scheduler, the fleet modes)
-// is required to reproduce it field for field.
+// is required to reproduce it field for field. Four rows were captured
+// again when the synthetic engine began sampling only the heard prefix of
+// BFCE's probe and rough frames: synthetic BFCE and BFCE-multi at both
+// salts (BFCE's estimates kept N, Seconds and Slots; only their metered
+// transmissions moved).
 //
 // The package exists so multiple test packages — the root regression
 // tests, the scheduler replay tests, the fleet equivalence tests — can
@@ -83,10 +87,10 @@ var cases = []Case{
 	{"tag-n20000-seed42", "ART", 0xdecaf, rfidest.Estimate{N: 19579.775386668836, Seconds: 0.04651856, Slots: 1344, ReaderBits: 384, Rounds: 11, Guarded: true, TagTransmissions: 200619}},
 	{"tag-n20000-seed42", "PET", 0x1, rfidest.Estimate{N: 17559.293470774679, Seconds: 0.91327007999999998, Slots: 820, ReaderBits: 9348, Rounds: 164, Guarded: true, TagTransmissions: 3280000}},
 	{"tag-n20000-seed42", "PET", 0xdecaf, rfidest.Estimate{N: 20358.756296782063, Seconds: 0.91327007999999998, Slots: 820, ReaderBits: 9348, Rounds: 164, Guarded: true, TagTransmissions: 3280000}},
-	{"synthetic-n50000-seed7", "BFCE", 0x1, rfidest.Estimate{N: 49773.311471340974, Seconds: 0.19091407999999999, Slots: 9248, ReaderBits: 384, Rounds: 1, Guarded: true, TagTransmissions: 741}},
-	{"synthetic-n50000-seed7", "BFCE", 0xdecaf, rfidest.Estimate{N: 52067.840763953493, Seconds: 0.19091407999999999, Slots: 9248, ReaderBits: 384, Rounds: 1, Guarded: true, TagTransmissions: 772}},
-	{"synthetic-n50000-seed7", "BFCE-multi", 0x1, rfidest.Estimate{N: 49411.213532277805, Seconds: 0.95457039999999993, Slots: 46240, ReaderBits: 1920, Rounds: 5, Guarded: true, TagTransmissions: 3702}},
-	{"synthetic-n50000-seed7", "BFCE-multi", 0xdecaf, rfidest.Estimate{N: 51477.990559902668, Seconds: 0.95457039999999993, Slots: 46240, ReaderBits: 1920, Rounds: 5, Guarded: true, TagTransmissions: 3910}},
+	{"synthetic-n50000-seed7", "BFCE", 0x1, rfidest.Estimate{N: 49773.311471340974, Seconds: 0.19091407999999999, Slots: 9248, ReaderBits: 384, Rounds: 1, Guarded: true, TagTransmissions: 731}},
+	{"synthetic-n50000-seed7", "BFCE", 0xdecaf, rfidest.Estimate{N: 52067.840763953493, Seconds: 0.19091407999999999, Slots: 9248, ReaderBits: 384, Rounds: 1, Guarded: true, TagTransmissions: 756}},
+	{"synthetic-n50000-seed7", "BFCE-multi", 0x1, rfidest.Estimate{N: 49392.26824977279, Seconds: 0.95457039999999993, Slots: 46240, ReaderBits: 1920, Rounds: 5, Guarded: true, TagTransmissions: 3782}},
+	{"synthetic-n50000-seed7", "BFCE-multi", 0xdecaf, rfidest.Estimate{N: 51372.31525385679, Seconds: 0.95457039999999993, Slots: 46240, ReaderBits: 1920, Rounds: 5, Guarded: true, TagTransmissions: 4058}},
 	{"synthetic-n50000-seed7", "ZOE", 0x1, rfidest.Estimate{N: 50986.203814186185, Seconds: 1.4067207999999998, Slots: 1075, ReaderBits: 24480, Rounds: 11, Guarded: true, TagTransmissions: 500958}},
 	{"synthetic-n50000-seed7", "ZOE", 0xdecaf, rfidest.Estimate{N: 49491.834922266906, Seconds: 1.4067207999999998, Slots: 1075, ReaderBits: 24480, Rounds: 11, Guarded: true, TagTransmissions: 500900}},
 	{"synthetic-n50000-seed7", "ZOE-batched", 0x1, rfidest.Estimate{N: 49683.354931315909, Seconds: 0.041439839999999999, Slots: 1075, ReaderBits: 384, Rounds: 11, Guarded: true, TagTransmissions: 500919}},

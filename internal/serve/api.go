@@ -150,8 +150,9 @@ type EstimateRequest struct {
 	// with the echoed salt reproduces the estimate bit-identically.
 	Salt *uint64 `json:"salt,omitempty"`
 	// TimeoutMs bounds the request, admission wait included; 0 means the
-	// server default. The run stops at a round boundary, so expiry is 504
-	// with deterministic partial accounting.
+	// server default, and a longer one is cut to it. The run stops at a
+	// round boundary, so expiry is 504 with deterministic partial
+	// accounting.
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 }
 
@@ -180,7 +181,9 @@ type BatchJob struct {
 	Estimator string     `json:"estimator,omitempty"` // default "BFCE"
 	Epsilon   float64    `json:"epsilon"`
 	Delta     float64    `json:"delta"`
-	Trials    int        `json:"trials,omitempty"` // 0 means 1
+	// Trials is the job's session count (0 means 1); a batch's sessions
+	// count against the server's MaxBatchSessions.
+	Trials int `json:"trials,omitempty"`
 	// Retries re-runs each trial's saturated rounds up to this many times
 	// inside its session (rfidest.WithRetry(retries, 0)).
 	Retries int `json:"retries,omitempty"`
@@ -203,8 +206,9 @@ type BatchRequest struct {
 	Interleave bool `json:"interleave,omitempty"`
 	// Workers bounds the pooled mode (0 means GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// TimeoutMs bounds the whole batch; expiry returns 504 with the
-	// partial report (unstarted jobs marked skipped).
+	// TimeoutMs bounds the whole batch (0 means the server default, and a
+	// longer one is cut to it); expiry returns 504 with the partial report
+	// (unstarted jobs marked skipped).
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 }
 
@@ -234,7 +238,8 @@ type MonitorRequest struct {
 	// Salt pins the round's session; omitted, the server assigns one from
 	// its durable sequence and echoes it.
 	Salt *uint64 `json:"salt,omitempty"`
-	// TimeoutMs bounds the round; 0 means the server default.
+	// TimeoutMs bounds the round; 0 means the server default, and a
+	// longer one is cut to it.
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 }
 

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -347,5 +348,43 @@ func TestBatchClientErrorsSpareBreaker(t *testing.T) {
 	}
 	if status := readyz(); status != http.StatusOK {
 		t.Fatalf("readyz after unknown-estimator batches: status %d, want 200", status)
+	}
+}
+
+// TestDurableMonitorRoundAllocs pins the allocations of one warm durable
+// monitor round: a pinned-salt POST /v1/monitor over HTTP whose warm state
+// is appended to a checkpoint store and fsynced before the reply. The 22
+// rounds stay under the store's compaction threshold, so no snapshot is
+// written while they are counted. A round allocates 126 objects; -race
+// builds read 136–141 over 17 runs (see raceDetector).
+func TestDurableMonitorRoundAllocs(t *testing.T) {
+	ceiling := 126.0
+	if raceDetector {
+		ceiling = 145
+	}
+	_, ts, st := newDurableServer(t, t.TempDir(), 1)
+	t.Cleanup(func() { st.Close() })
+	salt := uint64(0x5eed)
+	body, err := json.Marshal(serve.MonitorRequest{
+		Name: "dock-allocs", System: monSpec, Epsilon: 0.1, Delta: 0.1, FastRounds: 3, Salt: &salt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := ts.Client()
+	round := func() {
+		resp, err := client.Post(ts.URL+"/v1/monitor", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+	round() // the monitor's first, cold round creates it
+	if got := testing.AllocsPerRun(20, round); got > ceiling {
+		t.Errorf("%v allocations per durable monitor round, ceiling %v", got, ceiling)
 	}
 }

@@ -55,13 +55,16 @@ func checkEstimator(name string) error {
 }
 
 // requestTimeout resolves a request's TimeoutMs against the server
-// default. Negative is a validation error; 0 means "server default".
+// default. Negative is a validation error; 0 means "server default"; a
+// longer timeout than an enabled default is cut to the default, so no
+// request holds its admission slot past it.
 func (s *Server) requestTimeout(timeoutMs int) (time.Duration, error) {
 	if timeoutMs < 0 {
 		return 0, fmt.Errorf("timeoutMs must be non-negative, got %d", timeoutMs)
 	}
-	if timeoutMs == 0 {
-		return s.cfg.DefaultTimeout, nil
+	def := s.cfg.DefaultTimeout
+	if timeoutMs == 0 || (def > 0 && int64(timeoutMs) > def.Milliseconds()) {
+		return def, nil
 	}
 	return time.Duration(timeoutMs) * time.Millisecond, nil
 }
@@ -167,10 +170,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch has no jobs")
 		return
 	}
-	if len(req.Jobs) > s.cfg.MaxBatchJobs {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch has %d jobs, server limit is %d", len(req.Jobs), s.cfg.MaxBatchJobs))
-		return
+	// Every trial is a session. Each job's count is checked against what
+	// the limit leaves, so no sum of client-given trials can overflow.
+	left := s.cfg.MaxBatchSessions
+	for _, bj := range req.Jobs {
+		n := max(bj.Trials, 1)
+		if n > left {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf(
+				"batch asks for more than %d sessions (one per trial of each job), the server limit",
+				s.cfg.MaxBatchSessions))
+			return
+		}
+		left -= n
 	}
 	timeout, err := s.requestTimeout(req.TimeoutMs)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -116,7 +117,7 @@ func TestBatchGoldengridReplay(t *testing.T) {
 		t.Skip("full grid over HTTP is not short")
 	}
 	cases := goldengrid.Cases()
-	_, ts := newTestServer(t, serve.Config{MaxBatchJobs: len(cases)})
+	_, ts := newTestServer(t, serve.Config{MaxBatchSessions: len(cases)})
 	jobs := make([]serve.BatchJob, len(cases))
 	for i, c := range cases {
 		salt := c.Salt
@@ -240,6 +241,51 @@ func TestEstimateValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("unknown field in %s: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+}
+
+// TestBatchSessionLimit: a batch counts its sessions, one per trial of
+// each job, against the server's limit, so a 109-byte body asking for
+// 80,000 trials and a 10-minute timeout is refused before any session
+// runs, while a batch of exactly the limit runs.
+func TestBatchSessionLimit(t *testing.T) {
+	s, ts := newTestServer(t, serve.Config{})
+	body := `{"jobs":[{"system":{"n":1000,"synthetic":true},"epsilon":0.1,"delta":0.1,"trials":80000}],"timeoutMs":600000}`
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er serve.ErrorResponse
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &er) != nil || er.Error == "" {
+		t.Fatalf("80,000 trials: status %d, body %.300s; want 400 with a JSON error", resp.StatusCode, out)
+	}
+	if n := s.Registry().Snapshot().Sessions; n != 0 {
+		t.Fatalf("refused batch ran %d sessions", n)
+	}
+	spec := serve.SystemSpec{N: 1000, Synthetic: true}
+	for _, c := range []struct {
+		trials []int
+		status int
+	}{
+		{[]int{32, 0, 31}, http.StatusOK}, // 64 sessions: a job of 0 trials runs one
+		{[]int{32, 1, 32}, http.StatusBadRequest},
+		{[]int{math.MaxInt, math.MaxInt}, http.StatusBadRequest},
+	} {
+		var jobs []serve.BatchJob
+		for _, n := range c.trials {
+			jobs = append(jobs, serve.BatchJob{System: spec, Epsilon: 0.2, Delta: 0.2, Trials: n})
+		}
+		if status, out := postJSON(t, ts.URL+"/v1/batch", serve.BatchRequest{Jobs: jobs}); status != c.status {
+			t.Errorf("trials %v: status %d, want %d: %.300s", c.trials, status, c.status, out)
+		}
+	}
+	if n := s.Registry().Snapshot().Sessions; n != 64 {
+		t.Errorf("ran %d sessions, want the 64 of the batch at the limit", n)
 	}
 }
 

@@ -29,19 +29,22 @@ type Config struct {
 	QueueDepth        int
 	RetryAfterSeconds int
 
-	// DefaultTimeout bounds requests that do not set timeoutMs (default
-	// 30s; negative disables the default).
+	// DefaultTimeout bounds requests that do not set timeoutMs, and caps
+	// those that set a longer one (default 30s; negative disables the
+	// default and the cap).
 	DefaultTimeout time.Duration
 
 	// MaxSystemN caps system.n in request specs (default 1_000_000) —
 	// building a materialized population is O(n) memory, so the cap is
-	// the server's memory guard. MaxBatchJobs caps jobs per batch
-	// (default 64). MaxBodyBytes caps request bodies (default 1MiB).
-	// SystemCacheSize caps the built-system cache (default 64).
-	MaxSystemN      int
-	MaxBatchJobs    int
-	MaxBodyBytes    int64
-	SystemCacheSize int
+	// the server's memory guard. MaxBatchSessions caps the sessions one
+	// batch runs, Σ max(trials, 1) over its jobs (default 64), so a small
+	// body cannot ask for unbounded work and reply. MaxBodyBytes caps
+	// request bodies (default 1MiB). SystemCacheSize caps the built-system
+	// cache (default 64).
+	MaxSystemN       int
+	MaxBatchSessions int
+	MaxBodyBytes     int64
+	SystemCacheSize  int
 
 	// Now, when non-nil, is the wall clock used for latency metrics,
 	// access logs and the circuit breakers — injected so the library
@@ -85,8 +88,8 @@ func (c *Config) applyDefaults() {
 	if c.MaxSystemN <= 0 {
 		c.MaxSystemN = 1_000_000
 	}
-	if c.MaxBatchJobs <= 0 {
-		c.MaxBatchJobs = 64
+	if c.MaxBatchSessions <= 0 {
+		c.MaxBatchSessions = 64
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20

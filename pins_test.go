@@ -3,9 +3,12 @@ package rfidest
 // Pinned outputs of Monitor.Run and RunBFCEDetail. Both JSON files under
 // testdata/ were captured from the implementation that ran each entry point
 // through its own hand-written loop, before they were moved onto the
-// shared RunSession loop; every value must still replay exactly. To
-// regenerate after an intentional behaviour change, marshal
-// monitorPinGrid() and bfceDetailPinGrid() with json.MarshalIndent(v, "", "\t").
+// shared RunSession loop; every value must still replay exactly. The
+// synthetic entries (every row of bfce_detail_pins.json but n = 0) were
+// captured again when the synthetic engine began sampling only the heard
+// prefix of BFCE's probe and rough frames. To regenerate after an
+// intentional behaviour change, marshal monitorPinGrid() and
+// bfceDetailPinGrid() with json.MarshalIndent(v, "", "\t").
 
 import (
 	"context"
