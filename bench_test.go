@@ -270,3 +270,29 @@ func BenchmarkSRCSynthetic(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPETSynthetic measures one full PET estimation over the
+// synthetic channel: its lottery frames, each 32 geometric slots under
+// full persistence, whose heads the balls engine writes saturated.
+func BenchmarkPETSynthetic(b *testing.B) {
+	sys := rfidest.NewSystem(500000, rfidest.WithSeed(5), rfidest.WithSynthetic())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Run(context.Background(), rfidest.WithEstimator("PET"), rfidest.WithAccuracy(0.05, 0.05)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkUPESynthetic measures one full UPE estimation over the
+// synthetic channel: 1,024-slot slot-state frames, the calibration
+// frames among them loaded past the throw/split crossover or saturated.
+func BenchmarkUPESynthetic(b *testing.B) {
+	sys := rfidest.NewSystem(500000, rfidest.WithSeed(6), rfidest.WithSynthetic())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Run(context.Background(), rfidest.WithEstimator("UPE"), rfidest.WithAccuracy(0.05, 0.05)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -71,6 +71,21 @@ func (s *Set) Get(i int) bool {
 	return s.words[i>>6]>>uint(i&63)&1 == 1
 }
 
+// SetFirst sets bits 0 .. n-1, a whole word at a time. It panics unless
+// 0 <= n <= Len.
+func (s *Set) SetFirst(n int) {
+	if n < 0 || n > s.n {
+		panic(fmt.Sprintf("bitset: set first %d of %d", n, s.n))
+	}
+	full := n >> 6
+	for i := range s.words[:full] {
+		s.words[i] = ^uint64(0)
+	}
+	if r := uint(n & 63); r != 0 {
+		s.words[full] |= 1<<r - 1
+	}
+}
+
 // Count returns the number of set bits.
 func (s *Set) Count() int {
 	c := 0

@@ -348,3 +348,29 @@ func TestResetInPlace(t *testing.T) {
 	}()
 	s.Reset(-1)
 }
+
+func TestSetFirst(t *testing.T) {
+	for _, size := range []int{0, 1, 63, 64, 65, 200} {
+		for _, n := range []int{0, 1, 63, 64, 65, 200} {
+			if n > size {
+				continue
+			}
+			s := New(size)
+			if size > 0 {
+				s.Set1(size - 1) // a bit already set stays set
+			}
+			s.SetFirst(n)
+			for i := 0; i < size; i++ {
+				if want := i < n || i == size-1; s.Get(i) != want {
+					t.Fatalf("size %d, SetFirst(%d): bit %d = %v", size, n, i, s.Get(i))
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetFirst past Len did not panic")
+		}
+	}()
+	New(10).SetFirst(11)
+}

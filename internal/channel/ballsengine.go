@@ -2,6 +2,7 @@ package channel
 
 import (
 	"math"
+	"math/bits"
 
 	"rfidest/internal/xrand"
 )
@@ -11,9 +12,10 @@ import (
 // Binomial(n·k, p) (each of the n·k (tag, hash) pairs responds
 // independently with probability p) and responses land in slots according
 // to the configured slot distribution. For ideal hashing this is the same
-// stochastic process as TagEngine — see TestEnginesAgree — at O(n·k·p + w)
-// per frame instead of O(n·k), which makes protocols that run thousands of
-// frames (ZOE) tractable in large sweeps.
+// stochastic process as TagEngine, within 2^-64 in total variation where
+// scatter writes saturated slots — see TestEnginesAgree — at
+// O(n·k·p + w) per frame instead of O(n·k), which makes protocols that
+// run thousands of frames (ZOE) tractable in large sweeps.
 //
 // Like every engine, a BallsEngine is single-session state (its RNG,
 // frame buffer and energy counter advance on every frame) — one goroutine
@@ -66,16 +68,28 @@ func (e *BallsEngine) RunFrameOccupancy(req FrameRequest) Occupancy {
 	return states
 }
 
-// scatter samples the exact multinomial occupancy of a frame into out,
-// which sees only the observed prefix, and meters the transmissions that
-// land there. The response count is Binomial(n·k, p) and responses are
-// distributed over the W slots per the slot distribution: one by one
-// while there are at most 4W of them (throwBalls), past that by
-// sequential binomial splitting (splitBalls), which samples the identical
-// joint law in O(W) instead of O(balls). A one-slot frame takes every
-// response in either regime, so it draws no slot at all: nothing reads
-// the frame's stream after the frame, and one saturating add leaves the
-// state the responses' adds one by one did.
+// scatter samples the multinomial occupancy of a frame into out, which
+// sees only the observed prefix, and meters the transmissions that land
+// there. The response count is Binomial(n·k, p), and the responses
+// spread over the W slots per the slot distribution. One switch picks how
+// they are placed (DESIGN.md §7 has the table):
+//
+//   - a one-slot frame takes every response, so it draws no slot at all:
+//     nothing reads the frame's stream after the frame, and one
+//     saturating add leaves the state the adds one by one did;
+//   - a lottery frame heard whole saturates its head and throws only the
+//     responses that pass it (lottery);
+//   - a uniform frame whose every slot expects so many responses that
+//     each holds two or more, except with probability 2^-64, is written
+//     whole: every slot busy, or Collision (saturates);
+//   - up to splitLoad responses per slot they are thrown one by one
+//     (throwBalls);
+//   - past that, sequential binomial splitting samples the same joint
+//     law in O(W) instead of O(balls) (splitBalls).
+//
+// Writing slots saturated moves a frame's law by at most 2^-64 in total
+// variation, and every response in them is still metered. Every other
+// regime is exact.
 //
 // A uniform frame heard only on a prefix (BFCE's probe window and rough
 // prefix) samples only that prefix: each response lands in it with
@@ -83,11 +97,10 @@ func (e *BallsEngine) RunFrameOccupancy(req FrameRequest) Occupancy {
 // Binomial(balls, observe/W), and then scatters just those as a frame of
 // observe slots. Given their number, the responses in the prefix are
 // uniform over it, so its occupancy and the metered transmissions keep
-// the law of scattering every response over all W slots (DESIGN.md §7).
-// A frame heard whole draws nothing extra. Geometric frames keep the
-// whole-frame path even on a prefix: no protocol observes a prefix of
-// one, and a truncated-geometric landing law would be code no traffic
-// runs.
+// the law of scattering every response over all W slots. Geometric
+// frames heard on a prefix are thrown or split whole: no protocol
+// observes a prefix of one, and a truncated-geometric landing law would
+// be code no traffic runs.
 func (e *BallsEngine) scatter(req FrameRequest, observe int, out frameOut) {
 	if req.Dist != Uniform && req.Dist != Geometric {
 		panic("channel: unknown slot distribution")
@@ -103,10 +116,92 @@ func (e *BallsEngine) scatter(req FrameRequest, observe int, out frameOut) {
 	case req.W == 1:
 		out.add(0, balls)
 		e.transmissions += balls
-	case balls <= 4*req.W:
+	case req.Dist == Geometric && observe == req.W:
+		lottery(&rng, balls, req.W, out)
+		e.transmissions += balls
+	case req.Dist == Uniform && saturates(balls, req.W):
+		out.fill(req.W)
+		e.transmissions += balls
+	case balls <= splitLoad*req.W:
 		e.transmissions += throwBalls(&rng, balls, req, out)
 	default:
 		e.transmissions += splitBalls(&rng, balls, req, observe, out)
+	}
+}
+
+// splitLoad is the throw/split crossover in responses per slot, where
+// splitting a uniform frame's slots one binomial each starts to cost
+// less than throwing each response (BenchmarkScatterCrossover).
+const splitLoad = 32
+
+// saturationNats is -ln 2^-64: a saturated frame has a slot that would
+// hold fewer than two responses with probability at most e^-saturationNats.
+const saturationNats = 64 * math.Ln2
+
+// saturates reports whether slots slots that each expect balls/slots or
+// more responses all hold two or more, except with probability at most
+// 2^-64. A slot of Bin(b, q) with bq = λ ≥ 4 holds fewer than two with
+// probability at most e^-λ·(1 + λ), the Poisson tail, so by the union
+// bound it suffices that slots·e^-λ·(1 + λ) ≤ 2^-64.
+func saturates(balls, slots int) bool {
+	load := float64(balls) / float64(slots)
+	return load > saturationNats &&
+		load-math.Log1p(load) >= saturationNats+math.Log(float64(slots))
+}
+
+// headLoad is the fewest responses each slot of a lottery head expects:
+// the least whole load at which 64 slots saturate. A head is shorter than
+// 64 slots, since its deepest slot expects balls·2^-head ≥ 1 response.
+var headLoad = func() int {
+	load := 1
+	for !saturates(64*load, 64) {
+		load++
+	}
+	return load
+}()
+
+// lotteryHead returns how many leading slots of a lottery frame of w
+// slots each expect headLoad or more of balls responses: slot j expects
+// balls·2^-(j+1), so that is ⌊log2(balls/headLoad)⌋, and the last slot
+// never joins the head.
+func lotteryHead(balls, w int) int {
+	return min(max(bits.Len(uint(balls/headLoad))-1, 0), w-1)
+}
+
+// lottery scatters balls responses over a geometric frame of w slots
+// heard whole. Slot j < w-1 takes a response with probability 2^-(j+1),
+// so the head, the slots that each expect headLoad or more responses, is
+// written saturated, and only the responses that pass it,
+// Binomial(balls, 2^-head), are thrown. A geometric slot is memoryless:
+// past the head they land as a lottery frame of the w-head slots left.
+// A frame without a head draws exactly what throwing every response
+// drew.
+func lottery(rng *xrand.Rand, balls, w int, out frameOut) {
+	head := lotteryHead(balls, w)
+	passed := balls
+	if head > 0 {
+		out.fill(head)
+		passed = rng.Binomial(balls, math.Ldexp(1, -head))
+	}
+	last := w - 1 - head // the last slot, counted from the head
+	switch {
+	case passed == 0:
+	case last == 0:
+		out.add(head, passed)
+	case out.states == nil && last < 64:
+		// Busy bits need only which slots were drawn, and a draw of
+		// last or more lands in the last slot.
+		set := rng.GeometricHalfSet(passed)
+		for m := set & (1<<last - 1); m != 0; m &= m - 1 {
+			out.busy.setBusy(head + bits.TrailingZeros64(m))
+		}
+		if set>>last != 0 {
+			out.busy.setBusy(w - 1)
+		}
+	default:
+		for ; passed > 0; passed-- {
+			out.add(head+min(rng.GeometricHalf(), last), 1)
+		}
 	}
 }
 

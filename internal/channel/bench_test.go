@@ -1,9 +1,11 @@
 package channel
 
 import (
+	"fmt"
 	"testing"
 
 	"rfidest/internal/tags"
+	"rfidest/internal/xrand"
 )
 
 // BenchmarkTagEngineFrame measures frames over 100k materialized tags
@@ -53,8 +55,12 @@ func BenchmarkTagEnginePaperXORFrame(b *testing.B) {
 // the 1,024-slot rough prefix at p = 8/1024 (of about 23,000 responses,
 // only the ~90 and ~2,900 that land in the heard prefix are thrown) and
 // the accurate frame at p_o = 2/1024 (about 5,900 responses, all heard);
-// and UPE's slot-state measurement frame at n = 10⁶ (1,024 slots at
-// p = 1/256, about 3,900 responses).
+// UPE's slot-state measurement frame at n = 10⁶ (1,024 slots at
+// p = 1/256, about 3,900 responses); LOF's and PET's lottery frame at
+// n = 10⁶ (32 geometric slots under full persistence: a saturated head of
+// 14 slots, and about 61 responses thrown past it); a 1,024-slot
+// slot-state frame at 256 responses per slot, written saturated; and a
+// 1,024-slot frame at 8 responses per slot, thrown one by one.
 func BenchmarkBallsEngineFrame(b *testing.B) {
 	for _, leg := range []struct {
 		name   string
@@ -67,6 +73,9 @@ func BenchmarkBallsEngineFrame(b *testing.B) {
 		{"rough", 1000000, FrameRequest{W: 8192, K: 3, P: 8.0 / 1024, Observe: 1024}, false},
 		{"accurate", 1000000, FrameRequest{W: 8192, K: 3, P: 2.0 / 1024}, false},
 		{"upe-states", 1000000, FrameRequest{W: 1024, K: 1, P: 1.0 / 256}, true},
+		{"lottery", 1000000, FrameRequest{W: 32, K: 1, P: 1, Dist: Geometric}, false},
+		{"saturated-states", 262144, FrameRequest{W: 1024, K: 1, P: 1}, true},
+		{"load-8", 8192, FrameRequest{W: 1024, K: 1, P: 1}, false},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			e := NewBallsEngine(leg.n, 3)
@@ -94,8 +103,9 @@ func BenchmarkBallsEngineZOESlot(b *testing.B) {
 	}
 }
 
-// BenchmarkBallsEngineFullPersistenceGeometric measures the sequential
-// binomial-splitting path (5M responses into 32 slots).
+// BenchmarkBallsEngineFullPersistenceGeometric measures a lottery frame
+// of 5M responses into 32 slots: a saturated head of 16 slots, one
+// binomial for the responses that pass it, and the ~76 of them thrown.
 func BenchmarkBallsEngineFullPersistenceGeometric(b *testing.B) {
 	e := NewBallsEngine(5000000, 5)
 	req := FrameRequest{W: 32, K: 1, P: 1, Dist: Geometric}
@@ -103,5 +113,43 @@ func BenchmarkBallsEngineFullPersistenceGeometric(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		req.Seed = uint64(i)
 		_ = e.RunFrame(req)
+	}
+}
+
+// BenchmarkScatterCrossover prices BallsEngine's two exact regimes on a
+// uniform 1,024-slot frame at loads around splitLoad: throwing every
+// response (throwBalls) against splitting the frame one binomial per
+// slot (splitBalls), in busy bits and slot states. Where split drops
+// below throw is the crossover.
+func BenchmarkScatterCrossover(b *testing.B) {
+	const w = 1024
+	var buf frameBuf
+	for _, load := range []int{8, 16, 24, 32, 40, 48} {
+		for _, states := range []bool{false, true} {
+			for _, split := range []bool{false, true} {
+				regime, kind := "throw", ""
+				if split {
+					regime = "split"
+				}
+				if states {
+					kind = "-states"
+				}
+				b.Run(fmt.Sprintf("load=%d/%s%s", load, regime, kind), func(b *testing.B) {
+					req := FrameRequest{W: w, K: 1, P: 1}
+					for i := 0; i < b.N; i++ {
+						rng := xrand.MakeStream(uint64(i), 0xc0)
+						out := frameOut{busy: buf.bits(w, w)}
+						if states {
+							out = frameOut{states: buf.slotStates(w, w)}
+						}
+						if split {
+							splitBalls(&rng, load*w, req, w, out)
+						} else {
+							throwBalls(&rng, load*w, req, out)
+						}
+					}
+				})
+			}
+		}
 	}
 }

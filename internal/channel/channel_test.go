@@ -216,29 +216,39 @@ func TestEnginesAgree(t *testing.T) {
 }
 
 func TestEnginesAgreeKS(t *testing.T) {
-	// Distribution-level agreement: the busy-count and transmission
-	// samples of the two engines must pass a two-sample
-	// Kolmogorov–Smirnov test, not merely share a mean.
+	// Distribution-level agreement: the busy-count, first-idle and
+	// transmission samples of the two engines must pass a two-sample
+	// Kolmogorov–Smirnov test, not merely share a mean. The lottery
+	// frame (about 10,000 responses, a head of 7 slots in BallsEngine)
+	// holds the balls engine's lottery heads to the tag process itself.
 	const frames = 400
 	shapes := append([]agreeShape{{name: "w=512", n: 3000, req: FrameRequest{W: 512, K: 2, P: 0.1}}}, agreeShapes[1:]...)
+	shapes = append(shapes, agreeShape{name: "lottery", n: 20000, req: FrameRequest{W: 32, K: 1, P: 0.5, Dist: Geometric}})
 	for _, shape := range shapes {
 		pop := tags.Generate(shape.n, tags.T1, 117)
 		te := NewTagEngine(pop, IdealRN)
 		be := NewBallsEngine(shape.n, 117)
 		req := shape.req
-		var busyT, busyB, txT, txB []float64
+		var busyT, busyB, idleT, idleB, txT, txB []float64
 		for i := 0; i < frames; i++ {
 			req.Seed = uint64(i)
 			before := te.TagTransmissions()
-			busyT = append(busyT, float64(te.RunFrame(req).CountBusy()))
+			vec := te.RunFrame(req)
+			busyT = append(busyT, float64(vec.CountBusy()))
+			idleT = append(idleT, float64(vec.FirstIdle()))
 			txT = append(txT, float64(te.TagTransmissions()-before))
 			req.Seed = uint64(i + frames)
 			before = be.TagTransmissions()
-			busyB = append(busyB, float64(be.RunFrame(req).CountBusy()))
+			vec = be.RunFrame(req)
+			busyB = append(busyB, float64(vec.CountBusy()))
+			idleB = append(idleB, float64(vec.FirstIdle()))
 			txB = append(txB, float64(be.TagTransmissions()-before))
 		}
 		if !stats.SameDistribution(busyT, busyB, 0.001) {
 			t.Errorf("%s: engine busy-count distributions differ (KS=%v)", shape.name, stats.KSStatistic(busyT, busyB))
+		}
+		if !stats.SameDistribution(idleT, idleB, 0.001) {
+			t.Errorf("%s: engine first-idle distributions differ (KS=%v)", shape.name, stats.KSStatistic(idleT, idleB))
 		}
 		if !stats.SameDistribution(txT, txB, 0.001) {
 			t.Errorf("%s: engine transmission distributions differ (KS=%v)", shape.name, stats.KSStatistic(txT, txB))

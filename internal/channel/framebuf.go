@@ -51,6 +51,18 @@ func (o frameOut) add(slot, c int) {
 	o.states[slot] = min(o.states[slot]+SlotState(min(c, 2)), Collision)
 }
 
+// fill records two or more responses in each of the first n slots of a
+// fresh frame: busy, or Collision.
+func (o frameOut) fill(n int) {
+	if o.states == nil {
+		o.busy.bits.SetFirst(n)
+		return
+	}
+	for i := range o.states[:n] {
+		o.states[i] = Collision
+	}
+}
+
 // addEach records one response in each of slots that falls inside the
 // observed prefix and returns how many did: one loop per frame kind, so
 // nothing branches on the kind per response.

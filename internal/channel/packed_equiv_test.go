@@ -186,51 +186,53 @@ func assertTagFrameMatchesRef(t *testing.T, trial int, packed, ref *TagEngine, r
 	}
 }
 
-// scatterCases are frame geometries in both of BallsEngine's scatter
-// regimes for the populations of TestPackedBallsEngineMatchesReference:
-// per-ball throwing while the expected response count n·k·p stays within
-// 4W, binomial splitting past it (n = 300,000 and 10⁶ split every uniform
-// case below but UPE's frame; n = 4,000 splits the first 1-slot frame and
-// the unthinned geometric frames). A uniform prefix is thinned first, so
-// its regime follows the prefix's own load: the rough prefix at P = 0.1
-// still splits at n = 10⁶, while it throws one by one at n = 4,000, as
-// the probe window does at n = 300,000 and 10⁶. The thinned 1-slot frames
-// put ZOE's load, n·p ≈ 1.59, and about 3 responses on the slot at
-// n = 4,000, where a frame of 2–4 responses must saturate its slot as
-// adding them one by one did.
+// scatterCases are frame geometries in every one of BallsEngine's
+// scatter regimes for the populations of
+// TestPackedBallsEngineMatchesReference. A uniform prefix is thinned
+// first, so its regime follows the prefix's own load: the rough prefix at
+// P = 0.1 splits at n = 10⁶ (about 37 responses per slot) and is thrown
+// one by one at n = 4,000, as the probe window is at n = 300,000 and 10⁶,
+// while the short prefix at P = 0.9 is written saturated from
+// n = 300,000. UPE's calibration frame is saturated from n = 300,000 and
+// the frame at P = 0.04 splits at n = 10⁶. LOF's lottery frame has a head
+// from n = 4,000 and none at n = 1, the short lottery's head reaches its
+// last slot at n = 10⁶, and the geometric prefixes are thrown or split
+// whole. The one-slot frames put ZOE's load, n·p ≈ 1.59, and about 3
+// responses on the slot at n = 4,000, where a frame of 2–4 responses must
+// saturate its slot as adding them one by one did.
 var scatterCases = []FrameRequest{
 	{W: 8192, K: 3, P: 0.1},                                // BFCE's accurate frame
 	{W: 8192, K: 3, P: 0.1, Observe: 1024},                 // BFCE's rough prefix
 	{W: 8192, K: 3, P: 0.002, Observe: 32},                 // BFCE's probe window
-	{W: 1024, K: 2, P: 0.9, Observe: 100},                  // a short prefix of a split frame
+	{W: 1024, K: 2, P: 0.9, Observe: 100},                  // a short prefix of a saturated frame
 	{W: 3000, K: 4, P: 0.7, Observe: 2999},                 // all but the remainder slot
 	{W: 1024, K: 1, P: 1.0 / 256},                          // UPE's measurement frame, per ball at every n
+	{W: 1024, K: 1, P: 0.25},                               // UPE's calibration frame
+	{W: 1024, K: 1, P: 0.04},                               // between the crossover and saturation at n = 10⁶
 	{W: 1, K: 1, P: 0.3},                                   // ZOE's single slot
 	{W: 1, K: 1, P: 1.59 / 4000},                           // ZOE's load at n = 4,000
 	{W: 1, K: 1, P: 1.59 / 4000},                           // again, on another seed
 	{W: 1, K: 1, P: 3.0 / 4000},                            // three responses on average
 	{W: 1, K: 2, P: 1.0 / 4000, Dist: Geometric},           // a one-slot lottery
 	{W: 32, K: 1, P: 1, Dist: Geometric},                   // LOF's lottery frame
+	{W: 4, K: 1, P: 1, Dist: Geometric},                    // a short lottery
 	{W: 32, K: 1, P: 1, Dist: Geometric, Observe: 9},       // a geometric prefix
 	{W: 64, K: 1, P: 0.001, Dist: Geometric, Observe: 63},  // a thinned lottery
 	{W: 4096, K: 1, P: 0.05, Dist: Geometric, Observe: 40}, // a long geometric frame
 }
 
 // TestPackedBallsEngineMatchesReference pins the count-free scatter to the
-// per-slot counts it replaced, thinned to the heard prefix as scatter
-// thins it (heardPrefix): busy bits, slot states and transmissions, in
-// both scatter regimes, with and without an observed prefix, under both
-// slot distributions, and on one-slot frames, which draw no slot.
+// per-slot counts it replaced, placed regime by regime as scatter places
+// them (scatterPlaced): busy bits, slot states and transmissions, with
+// and without an observed prefix, under both slot distributions. Every
+// regime must be taken, by whole frames and by thinned prefixes alike.
 func TestPackedBallsEngineMatchesReference(t *testing.T) {
 	// Twin engines with equal seeds hold identical RNG state; every frame
 	// path advances it identically, so the twins stay in lockstep across
 	// the whole sequence.
 	rng := rand.New(rand.NewSource(808))
 	crowded := 0 // one-slot slot-state frames that carried 2–4 responses
-	// Uniform prefixes whose thinned load (responses per heard slot) puts
-	// them well inside the splitting regime, or well inside the per-ball
-	// regime with a few responses to throw.
-	splitPrefixes, perBallPrefixes := 0, 0
+	placed, thinned := map[string]int{}, map[string]int{}
 	for _, n := range []int{0, 1, 4000, 300000, 1000000} {
 		packed, ref := NewBallsEngine(n, 63), NewBallsEngine(n, 63)
 		reqs := append([]FrameRequest(nil), scatterCases...)
@@ -239,32 +241,107 @@ func TestPackedBallsEngineMatchesReference(t *testing.T) {
 		}
 		for trial, req := range reqs {
 			req.Seed = rng.Uint64()
-			if req.Dist == Uniform && req.Observe > 0 && req.Observe < req.W {
-				switch load := float64(n*req.K) * req.P / float64(req.W); {
-				case load > 8:
-					splitPrefixes++
-				case load < 2 && load*float64(req.Observe) >= 5:
-					perBallPrefixes++
-				}
-			}
-			assertMatchesRef(t, trial, packed.RunFrame(req), ref.refRunFrame(req))
+			counts, how := ref.refPlaced(req)
+			assertMatchesRef(t, trial, packed.RunFrame(req), busyOf(counts))
 			if packed.TagTransmissions() != ref.TagTransmissions() {
 				t.Fatalf("n=%d trial %d: metered %d transmissions, ref %d",
 					n, trial, packed.TagTransmissions(), ref.TagTransmissions())
 			}
+			placed[how]++
+			if req.Dist == Uniform && req.Observe > 0 && req.Observe < req.W {
+				thinned[how]++
+			}
 			before := packed.TagTransmissions()
-			assertOccupancyMatchesRef(t, trial, packed.RunFrameOccupancy(req), ref.refRunFrameOccupancy(req), packed, ref)
+			counts, how = ref.refPlaced(req)
+			assertOccupancyMatchesRef(t, trial, packed.RunFrameOccupancy(req), statesOf(counts), packed, ref)
 			if tx := packed.TagTransmissions() - before; req.W == 1 && tx >= 2 && tx <= 4 {
 				crowded++
 			}
+			placed[how+" (slot states)"]++
 		}
 	}
 	if crowded < 2 {
 		t.Fatalf("%d one-slot frames carried 2–4 responses, want at least 2", crowded)
 	}
-	if splitPrefixes == 0 || perBallPrefixes == 0 {
-		t.Fatalf("thinned prefixes: %d split, %d thrown one by one; want both regimes",
-			splitPrefixes, perBallPrefixes)
+	for _, how := range []string{"one slot", "lottery", "lottery head", "saturated", "thrown", "split"} {
+		if placed[how] == 0 || placed[how+" (slot states)"] == 0 {
+			t.Errorf("no frame placed %q in both frame kinds (%v)", how, placed)
+		}
+	}
+	for _, how := range []string{"saturated", "thrown", "split"} {
+		if thinned[how] == 0 {
+			t.Errorf("no thinned prefix placed %q (%v)", how, thinned)
+		}
+	}
+}
+
+// unthinnedCases are frames scatter does not thin: uniform frames heard
+// whole (Observe 0 or W), one-slot frames, lottery frames with and
+// without a head, and geometric prefixes, in every regime for the
+// populations of TestUnthinnedFramesMatchWholeFrame.
+var unthinnedCases = []FrameRequest{
+	{W: 8192, K: 3, P: 0.1},                                // BFCE's accurate frame; splits at n = 10⁶
+	{W: 8192, K: 3, P: 2.0 / 1024},                         // the accurate frame at p_o = 2/1024
+	{W: 3000, K: 4, P: 0.7, Observe: 3000},                 // a prefix that is the whole frame; saturated from n = 300,000
+	{W: 1024, K: 1, P: 1.0 / 256},                          // UPE's measurement frame
+	{W: 1024, K: 1, P: 0.25},                               // UPE's calibration frame
+	{W: 1, K: 1, P: 0.3},                                   // ZOE's single slot
+	{W: 1, K: 1, P: 1.59 / 4000},                           // ZOE's load at n = 4,000
+	{W: 32, K: 1, P: 1, Dist: Geometric},                   // LOF's lottery frame
+	{W: 32, K: 1, P: 0.02, Dist: Geometric},                // a lottery without a head at n = 4,000
+	{W: 32, K: 1, P: 1, Dist: Geometric, Observe: 9},       // a geometric prefix
+	{W: 4096, K: 1, P: 0.05, Dist: Geometric, Observe: 40}, // a long geometric prefix
+}
+
+// TestUnthinnedFramesMatchWholeFrame pins every frame scatter does not
+// thin to the exact law (wholeFrame) draw for draw, through twin engines
+// in lockstep: busy bits, slot states and transmissions. Frames scatter
+// places exactly (thrown, split, one slot, and a lottery without a head,
+// which draws the words throwing every response drew) take the same
+// draws. A saturated frame matches too: the exact frame it stands for is
+// saturated as well, but with probability 2^-64. A lottery with a head
+// throws other draws past its head, so it is held to the exact law only
+// on its transmissions here and in distribution by
+// TestScatterRegimesKeepLaw; a third twin says which regime placed each
+// frame.
+func TestUnthinnedFramesMatchWholeFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(2310))
+	placed := map[string]int{}
+	for _, n := range []int{0, 1, 4000, 300000, 1000000} {
+		engine, whole, law := NewBallsEngine(n, 77), NewBallsEngine(n, 77), NewBallsEngine(n, 77)
+		reqs := append([]FrameRequest(nil), unthinnedCases...)
+		for len(reqs) < len(unthinnedCases)+30 {
+			req := randomReq(rng)
+			if req.Dist == Uniform && req.Observe > 0 {
+				req.Observe = req.W
+			}
+			reqs = append(reqs, req)
+		}
+		for trial, req := range reqs {
+			req.Seed = rng.Uint64()
+			_, how := law.refPlaced(req)
+			vec, counts := engine.RunFrame(req), whole.refCounts(req, wholeFrame)
+			if how != "lottery head" {
+				assertMatchesRef(t, trial, vec, busyOf(counts))
+			}
+			if engine.TagTransmissions() != whole.TagTransmissions() {
+				t.Fatalf("n=%d trial %d %+v: metered %d transmissions, whole frame %d",
+					n, trial, req, engine.TagTransmissions(), whole.TagTransmissions())
+			}
+			placed[how]++
+			_, how = law.refPlaced(req)
+			occ, counts := engine.RunFrameOccupancy(req), whole.refCounts(req, wholeFrame)
+			if how == "lottery head" {
+				occ = statesOf(counts) // compare the meters only
+			}
+			assertOccupancyMatchesRef(t, trial, occ, statesOf(counts), engine, whole)
+			placed[how+" (slot states)"]++
+		}
+	}
+	for _, how := range []string{"one slot", "lottery", "saturated", "thrown", "split"} {
+		if placed[how] == 0 || placed[how+" (slot states)"] == 0 {
+			t.Errorf("no frame placed %q in both frame kinds (%v)", how, placed)
+		}
 	}
 }
 

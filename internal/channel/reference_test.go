@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"math"
 	"math/bits"
 
 	"rfidest/internal/hash"
@@ -11,8 +12,8 @@ import (
 // This file retains, for tests only, the pre-packing []bool frame
 // representation as the behavioral reference for the word-packed BitVec,
 // the per-slot count scatter the engines ran before they sampled straight
-// into their frame buffers (BallsEngine's with and without prefix
-// thinning), and the per-tag decision TagEngine ran before it prepared
+// into their frame buffers (BallsEngine's exact law, and its law regime
+// by regime), and the per-tag decision TagEngine ran before it prepared
 // each frame's hashes once (TagHash): equivalence tests cross-check engine
 // output, transmission metering and aggregate queries against these
 // implementations on randomized frames, and the frame benchmarks use them
@@ -222,18 +223,12 @@ func (e *TagEngine) refRunFrameOccupancy(req FrameRequest) Occupancy {
 }
 
 // refRunFrame executes one frame as the pre-packing BallsEngine did, from
-// per-slot counts, with its heard prefix thinned as scatter thins it
-// (heardPrefix). It advances the engine's RNG the same way as RunFrame, so
-// twin engines with equal seeds replay identical frame sequences through
-// either path.
+// per-slot counts placed by scatter's regimes (refPlaced). It advances
+// the engine's RNG the same way as RunFrame, so twin engines with equal
+// seeds replay identical frame sequences through either path.
 func (e *BallsEngine) refRunFrame(req FrameRequest) refVec {
-	return busyOf(e.refCounts(req, heardPrefix))
-}
-
-// refRunFrameOccupancy executes one slot-state frame as the counts-based
-// BallsEngine did, keeping twin engines in lockstep like refRunFrame.
-func (e *BallsEngine) refRunFrameOccupancy(req FrameRequest) Occupancy {
-	return statesOf(e.refCounts(req, heardPrefix))
+	counts, _ := e.refPlaced(req)
+	return busyOf(counts)
 }
 
 // busyOf maps per-slot counts to the busy bits a reader senses.
@@ -267,69 +262,110 @@ func (e *BallsEngine) refCounts(req FrameRequest, law func(rng *xrand.Rand, ball
 	return counts
 }
 
-// wholeFrame is the law the engine sampled before it thinned heard
-// prefixes: every response is placed over all W slots, heard or not.
-func wholeFrame(rng *xrand.Rand, balls int, req FrameRequest, _ int) []int {
-	return scatterCounts(rng, balls, req)
+// refPlaced runs one frame through refCounts under scatter's law and
+// returns its counts and the regime that placed it (scatterPlaced).
+func (e *BallsEngine) refPlaced(req FrameRequest) (counts []int, how string) {
+	counts = e.refCounts(req, func(rng *xrand.Rand, balls int, req FrameRequest, observe int) []int {
+		var c []int
+		c, how = scatterPlaced(rng, balls, req, observe)
+		return c
+	})
+	return counts, how
 }
 
-// heardPrefix is scatter's law: a uniform frame heard on a prefix first
-// draws how many responses land there, Binomial(balls, observe/W), and
-// places only those, as a frame of observe slots. Every other frame is
-// placed whole.
-func heardPrefix(rng *xrand.Rand, balls int, req FrameRequest, observe int) []int {
+// wholeFrame is the exact law: every response is placed over all W
+// slots, heard or not, one by one or by sequential splitting.
+func wholeFrame(rng *xrand.Rand, balls int, req FrameRequest, _ int) []int {
+	counts, _ := placeCounts(rng, balls, req)
+	return counts
+}
+
+// scatterPlaced places a frame as scatter does and names the regime that
+// placed it. A uniform frame heard on a prefix first draws how many
+// responses land there, Binomial(balls, observe/W), and is placed as a
+// frame of observe slots. Then: a one-slot frame takes every response; a
+// lottery frame heard whole spreads the responses that stop in its head
+// over the head and throws the ones that pass it, Binomial(balls,
+// 2^-head), from the head on ("lottery head"; "lottery" without a head);
+// a saturated uniform frame spreads every response evenly, two or more
+// per slot; any other frame is placed exactly (placeCounts).
+func scatterPlaced(rng *xrand.Rand, balls int, req FrameRequest, observe int) ([]int, string) {
 	if balls > 0 && observe < req.W && req.Dist == Uniform {
 		balls = rng.Binomial(balls, float64(observe)/float64(req.W))
 		req.W = observe
 	}
-	return scatterCounts(rng, balls, req)
+	counts := make([]int, req.W)
+	switch {
+	case balls == 0:
+		return counts, "silent"
+	case req.W == 1:
+		counts[0] = balls
+		return counts, "one slot"
+	case req.Dist == Geometric && observe == req.W:
+		head := lotteryHead(balls, req.W)
+		passed := balls
+		if head > 0 {
+			passed = rng.Binomial(balls, math.Ldexp(1, -head))
+			spread(counts[:head], balls-passed)
+		}
+		last := req.W - 1 - head
+		if last == 0 {
+			counts[head] += passed
+		} else {
+			for i := 0; i < passed; i++ {
+				counts[head+min(rng.GeometricHalf(), last)]++
+			}
+		}
+		if head > 0 {
+			return counts, "lottery head"
+		}
+		return counts, "lottery"
+	case req.Dist == Uniform && saturates(balls, req.W):
+		spread(counts, balls)
+		return counts, "saturated"
+	}
+	return placeCounts(rng, balls, req)
 }
 
-// scatterCounts distributes balls responses over a frame's W slots per
-// the slot distribution into per-slot counts. When the number of
-// responses is large relative to the frame it switches from per-ball
-// throwing to sequential binomial splitting (bin_i ~
-// Bin(remaining, q_i / tail_i)) over every slot.
-func scatterCounts(rng *xrand.Rand, balls int, req FrameRequest) []int {
-	counts := make([]int, req.W)
-	switch req.Dist {
-	case Uniform:
-		if balls <= 4*req.W {
-			for i := 0; i < balls; i++ {
-				counts[rng.Intn(req.W)]++
-			}
-			return counts
+// spread deals balls responses round the slots of counts.
+func spread(counts []int, balls int) {
+	for i := range counts {
+		counts[i] = balls / len(counts)
+		if i < balls%len(counts) {
+			counts[i]++
 		}
-		remaining := balls
-		for i := 0; i < req.W-1 && remaining > 0; i++ {
-			c := rng.Binomial(remaining, 1/float64(req.W-i))
-			counts[i] = c
-			remaining -= c
-		}
-		counts[req.W-1] += remaining
-		return counts
-	case Geometric:
-		if balls <= 4*req.W {
-			for i := 0; i < balls; i++ {
-				j := rng.GeometricHalf()
-				if j >= req.W {
-					j = req.W - 1
-				}
-				counts[j]++
-			}
-			return counts
-		}
-		remaining := balls
-		for j := 0; j < req.W-1 && remaining > 0; j++ {
-			c := rng.Binomial(remaining, 0.5)
-			counts[j] = c
-			remaining -= c
-		}
-		counts[req.W-1] += remaining
-		return counts
-	default:
-		panic("channel: unknown slot distribution")
 	}
+}
+
+// placeCounts distributes balls responses over a frame's W slots per
+// the slot distribution into per-slot counts, exactly: one by one up to
+// splitLoad responses per slot ("thrown"), and past that by sequential
+// binomial splitting, bin_i ~ Bin(remaining, q_i / tail_i), over every
+// slot ("split").
+func placeCounts(rng *xrand.Rand, balls int, req FrameRequest) ([]int, string) {
+	counts := make([]int, req.W)
+	if balls <= splitLoad*req.W {
+		for i := 0; i < balls; i++ {
+			if req.Dist == Uniform {
+				counts[rng.Intn(req.W)]++
+			} else {
+				counts[min(rng.GeometricHalf(), req.W-1)]++
+			}
+		}
+		return counts, "thrown"
+	}
+	remaining := balls
+	for i := 0; i < req.W-1 && remaining > 0; i++ {
+		q := 0.5
+		if req.Dist == Uniform {
+			q = 1 / float64(req.W-i)
+		}
+		c := rng.Binomial(remaining, q)
+		counts[i] = c
+		remaining -= c
+	}
+	counts[req.W-1] += remaining
+	return counts, "split"
 }
 
 // stateOf maps a slot's transmission count to its observed state.

@@ -11,7 +11,10 @@ package fleet
 // used to emit its own Degraded hook for saturated trials. The synthetic
 // BFCE, BFCE-multi and salted jobs, and the aggregates and registries
 // built from them, were captured again when the synthetic engine began
-// sampling only the heard prefix of BFCE's probe and rough frames. To
+// sampling only the heard prefix of BFCE's probe and rough frames, and
+// the synthetic ART, EZB, FNEB, LOF, MLE, PET, SRC, ZOE and ZOE-batched
+// jobs (with the aggregates and registries) when it began writing
+// saturated slots and lottery heads without drawing them. To
 // regenerate after an intentional behaviour change, marshal
 // fleetPinGrid() with json.MarshalIndent(v, "", "\t").
 

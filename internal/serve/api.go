@@ -22,7 +22,17 @@ var (
 	// ErrMonitorConflict reports a monitor name is already bound to a
 	// different configuration; 409.
 	ErrMonitorConflict = errors.New("serve: monitor exists with a different configuration")
+	// ErrMonitorLimit reports a new monitor name past MaxMonitors; 507,
+	// which clients do not retry.
+	ErrMonitorLimit = errors.New("serve: monitor limit reached")
 )
+
+// MaxMonitors caps the monitors one server holds, those recovered at boot
+// included. Each holds warm state in memory and a checkpoint record, so
+// names minted per request must not grow either without bound. A state
+// directory holding more still recovers every record, and every existing
+// name keeps running; only new names are refused until deletes make room.
+const MaxMonitors = 4096
 
 // SystemSpec describes a deployment on the wire. It mirrors the
 // rfidest.NewSystem option surface: every field is a SystemOption, so two
@@ -223,7 +233,8 @@ type BatchResponse struct {
 // the named monitor, creating it on first use. A monitor's configuration
 // (system, epsilon, delta, fastRounds) is fixed at creation; a request
 // naming an existing monitor with a different configuration is refused
-// with 409 rather than silently rebinding warm state to a new deployment.
+// with 409 rather than silently rebinding warm state to a new deployment,
+// and a new name on a server holding MaxMonitors monitors with 507.
 type MonitorRequest struct {
 	// Name identifies the monitoring loop; warm state and the checkpoint
 	// record are keyed by it.

@@ -2,16 +2,21 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"rfidest"
 	"rfidest/internal/checkpoint"
+	"rfidest/internal/client"
 	"rfidest/internal/serve"
 )
 
@@ -386,5 +391,70 @@ func TestDurableMonitorRoundAllocs(t *testing.T) {
 	round() // the monitor's first, cold round creates it
 	if got := testing.AllocsPerRun(20, round); got > ceiling {
 		t.Errorf("%v allocations per durable monitor round, ceiling %v", got, ceiling)
+	}
+}
+
+// TestMonitorCeiling: a server recovered over a state directory holding
+// one monitor more than MaxMonitors recovers every record and keeps
+// serving every recovered name, but refuses a new name with a JSON 507
+// that the client does not retry and that writes nothing to the
+// checkpoint; deletes make room again.
+func TestMonitorCeiling(t *testing.T) {
+	dir := t.TempDir()
+	st, err := checkpoint.Open(dir, checkpoint.Config{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := json.Marshal(monSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := func(i int) string { return fmt.Sprintf("dock-%d", i) }
+	for i := 0; i <= serve.MaxMonitors; i++ {
+		if err := st.PutMonitor(name(i), checkpoint.Monitor{Epsilon: 0.1, Delta: 0.1, System: spec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, ts := newTestServer(t, serve.Config{Checkpoint: st})
+	round := func(name string) (int, []byte) {
+		t.Helper()
+		status, _, body := postMonitor(t, ts.URL, serve.MonitorRequest{Name: name, System: monSpec, Epsilon: 0.1, Delta: 0.1})
+		return status, body
+	}
+	// Creating a name past the ceiling would be refused, so a round on
+	// the last record shows it was recovered.
+	if status, body := round(name(serve.MaxMonitors)); status != http.StatusOK {
+		t.Fatalf("recovered monitor past the ceiling: status %d: %s", status, body)
+	}
+
+	before := st.State()
+	status, body := round("dock-new")
+	var e serve.ErrorResponse
+	if status != http.StatusInsufficientStorage || json.Unmarshal(body, &e) != nil || e.Error == "" {
+		t.Fatalf("new name past the ceiling: status %d, body %s; want a JSON 507", status, body)
+	}
+	if !reflect.DeepEqual(st.State(), before) {
+		t.Error("a refused monitor changed the checkpoint")
+	}
+	cl := client.New(client.Config{BaseURL: ts.URL, HTTP: ts.Client(), Retries: 3})
+	_, err = cl.Monitor(context.Background(), serve.MonitorRequest{Name: "dock-new", System: monSpec, Epsilon: 0.1, Delta: 0.1})
+	var serr *client.StatusError
+	if !errors.As(err, &serr) || serr.Status != http.StatusInsufficientStorage || cl.Stats().Attempts != 1 {
+		t.Fatalf("client: err %v after %d attempts, want one 507 attempt", err, cl.Stats().Attempts)
+	}
+
+	for _, i := range []int{0, 1} {
+		hreq, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/monitor?name="+name(i), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	if status, body := round("dock-new"); status != http.StatusOK {
+		t.Fatalf("new name after two deletes: status %d: %s", status, body)
 	}
 }

@@ -495,7 +495,9 @@ func (s *Server) handleMonitorDelete(w http.ResponseWriter, r *http.Request) {
 
 // monitorEntry returns the named monitor and its run lock, creating both
 // on first use. An existing entry with a different configuration is a
-// conflict — rebinding warm state to a new deployment would poison it.
+// conflict — rebinding warm state to a new deployment would poison it —
+// and a new name past MaxMonitors is refused before anything is created
+// or checkpointed.
 func (s *Server) monitorEntry(req MonitorRequest) (*servedMonitor, *sync.Mutex, error) {
 	s.monMu.Lock()
 	defer s.monMu.Unlock()
@@ -504,6 +506,9 @@ func (s *Server) monitorEntry(req MonitorRequest) (*servedMonitor, *sync.Mutex, 
 			return nil, nil, fmt.Errorf("%w: %q", ErrMonitorConflict, req.Name)
 		}
 		return entry, s.monRun[req.Name], nil
+	}
+	if len(s.mons) >= MaxMonitors {
+		return nil, nil, fmt.Errorf("%w: %d monitors, delete one to create %q", ErrMonitorLimit, len(s.mons), req.Name)
 	}
 	mon, err := rfidest.NewMonitor(req.Epsilon, req.Delta, req.FastRounds)
 	if err != nil {

@@ -106,6 +106,8 @@ func httpStatus(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrMonitorConflict):
 		return http.StatusConflict
+	case errors.Is(err, ErrMonitorLimit):
+		return http.StatusInsufficientStorage
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):

@@ -1,6 +1,9 @@
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Norm returns a standard normal variate using the Marsaglia polar method.
 func (r *Rand) Norm() float64 {
@@ -44,20 +47,49 @@ func (r *Rand) geometric(lq float64) int {
 }
 
 // GeometricHalf returns a slot index j >= 0 with P(j = t) = 2^{-(t+1)},
-// the distribution used by lottery-frame (LOF/PET-style) hashing. It is
-// equivalent to counting leading failures of a fair coin.
+// the distribution used by lottery-frame (LOF/PET-style) hashing: the
+// number of leading failures of a fair coin, read as the trailing zeros
+// of uniform words (a zero word is 64 failures, and the count reads on).
 func (r *Rand) GeometricHalf() int {
 	j := 0
 	for {
-		bits := r.Uint64()
-		for b := 0; b < 64; b++ {
-			if bits&1 == 1 {
-				return j
-			}
-			bits >>= 1
-			j++
+		if x := r.Uint64(); x != 0 {
+			return j + bits.TrailingZeros64(x)
 		}
+		j += 64
 	}
+}
+
+// GeometricHalfSet draws n GeometricHalf values from the words n calls
+// would draw, leaves the generator where they would, and returns which
+// values occurred: bit t of the mask is set when some draw was t, for
+// t < 63, and bit 63 when some draw was 63 or more. A draw is the
+// trailing zeros of its word, so the mask ORs each word's lowest set bit,
+// x & -x, with the generator's state in locals for the whole run.
+func (r *Rand) GeometricHalfSet(n int) (mask uint64) {
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	for ; n > 0; n-- {
+		// Uint64, on the local state.
+		x := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		if x == 0 {
+			// 64 failures: the draw is 64 or more, and GeometricHalf
+			// reads on through the words after this one.
+			r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+			r.GeometricHalf()
+			s0, s1, s2, s3 = r.s0, r.s1, r.s2, r.s3
+			x = 1 << 63
+		}
+		mask |= x & -x
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+	return mask
 }
 
 // Binomial returns a Binomial(n, p) variate. It is exact (not a normal

@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -156,11 +157,42 @@ func TestBinomialBTRSTails(t *testing.T) {
 	}
 }
 
-// binomialPin is one pinned Binomial draw and the generator's next
-// Uint64 after it, which pins how many words the draw consumed.
+// binomialPin is one pinned draw (Binomial or GeometricHalf) and the
+// generator's next Uint64 after it, which pins how many words the draw
+// consumed.
 type binomialPin struct {
 	draw int
 	next uint64
+}
+
+// TestGeometricHalfPinned pins GeometricHalf draw for draw, and the
+// generator state after each draw, on three streams and on a generator
+// whose next word is zero, where a draw reads 64 failures from that word
+// and its value from the next. Every lottery frame the balls engine
+// throws goes through these draws, so a drift here would move every
+// lottery-based estimate.
+func TestGeometricHalfPinned(t *testing.T) {
+	streams := [][]binomialPin{
+		{{1, 0x44e54507d9a7fc14}, {0, 0x8ef625b3342e76d6}, {1, 0x9234ec1170a054b9}, {4, 0x146842e9202e9a03}, {0, 0x261acb8524065e17}, {0, 0x9630115a0c637364}, {3, 0xba0d4d7d939f6df2}, {0, 0x843a0cb663a9005d}},
+		{{0, 0x523deee96bddef7b}, {0, 0xf710d60058029b32}, {1, 0xf2aa4948211c53ff}, {1, 0x2ac54e8222411da9}, {1, 0x4150b5f794930c3b}, {0, 0xcb19b31c304befae}, {2, 0x373c3d97792b1337}, {0, 0x74dabf7f0805b938}},
+		{{2, 0x340fe6d8cc113c13}, {0, 0x1ecec4716086675}, {1, 0x3b59e0ef7a06ae5f}, {0, 0x5eaef9834c329642}, {1, 0xb0e9dc3efa3a563}, {0, 0x81b249e59289c497}, {3, 0xa4d6392cf50c8f4b}, {0, 0x41d7e78869f24de7}},
+	}
+	check := func(name string, r *Rand, want []binomialPin) {
+		t.Helper()
+		for i, w := range want {
+			got := binomialPin{draw: r.GeometricHalf()}
+			got.next = r.Uint64()
+			if got != w {
+				t.Fatalf("%s draw %d = %d then %#x, want %d then %#x", name, i, got.draw, got.next, w.draw, w.next)
+			}
+		}
+	}
+	for si, want := range streams {
+		check(fmt.Sprintf("stream %d", si), NewStream(2027, uint64(si)), want)
+	}
+	// xoshiro256** outputs zero exactly when s1 is zero.
+	zero := Rand{s0: 0x243f6a8885a308d3, s2: 0x13198a2e03707344, s3: 0xa4093822299f31d0}
+	check("zero word", &zero, []binomialPin{{64, 0xc64400234b02c5c0}, {1, 0x905ce2cfcfe94e39}, {0, 0x36d0bd59cfd9d403}, {1, 0xd2b614293378298e}})
 }
 
 // TestBinomialPinned pins Binomial draw for draw, and the generator state
@@ -203,6 +235,33 @@ func TestBinomialPinned(t *testing.T) {
 	}
 }
 
+// TestGeometricHalfSetMatchesGeometricHalf checks the lottery kernel
+// against n calls of GeometricHalf: the set of values it reports, with
+// every value of 63 or more folded into bit 63, and the generator state
+// it leaves, on ordinary streams and on one whose first word is zero.
+func TestGeometricHalfSetMatchesGeometricHalf(t *testing.T) {
+	zero := Rand{s0: 0x243f6a8885a308d3, s2: 0x13198a2e03707344, s3: 0xa4093822299f31d0}
+	for _, n := range []int{0, 1, 2, 17, 64, 100, 1000} {
+		for si := 0; si < 4; si++ {
+			a, b := NewStream(31, uint64(n), uint64(si)), NewStream(31, uint64(n), uint64(si))
+			if si == 3 {
+				za, zb := zero, zero
+				a, b = &za, &zb
+			}
+			var want uint64
+			for i := 0; i < n; i++ {
+				want |= 1 << min(b.GeometricHalf(), 63)
+			}
+			if got := a.GeometricHalfSet(n); got != want {
+				t.Fatalf("n=%d stream %d: set %#x, %d GeometricHalf draws %#x", n, si, got, n, want)
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("n=%d stream %d: the set left the generator elsewhere", n, si)
+			}
+		}
+	}
+}
+
 func BenchmarkRandUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
@@ -214,6 +273,13 @@ func BenchmarkBinomialBTRS(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Binomial(3000000, 0.01)
+	}
+}
+
+func BenchmarkGeometricHalfSet(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		_ = r.GeometricHalfSet(64)
 	}
 }
 

@@ -17,10 +17,17 @@
 # cache and on-disk state. The pairs alternate which side runs first. For
 # every end-to-end metric BENCHMARK.json lists, the script prints each
 # side's median and quartiles, the change's median over the parent's, and
-# how many pairs the change won (ties count for neither side). A metric
-# reads PASS when the change won at least nine tenths of the pairs and its
-# median beats the parent's by more than the parent's interquartile range,
-# else FAIL. It also prints how many ops failed on each side. A run that
+# how many pairs the change won (ties count for neither side). Two
+# verdicts follow. The gain column reads PASS when the change won at least
+# nine tenths of the pairs and its median beats the parent's by more than
+# the parent's interquartile range, else FAIL: the rule a claimed gain
+# must meet. The regression column reads WORSE when the change's median is
+# worse than the parent's by more than the metric's bound in
+# BENCHMARK.json, as a fraction of the parent's median (any worsening,
+# when that median is zero), else ok: the rule every end-to-end metric
+# must meet. A last line names the metrics that read WORSE. The script
+# only reads BENCHMARK.json. It also prints how many ops failed on each
+# side. A run that
 # exits non-zero (a failed build, or an output that fails the benchmark's
 # correctness gate) stops the script with exit 1. The temporary directory
 # is removed on exit.
@@ -90,11 +97,13 @@ for side in parent change; do
 	}' "$tmp/$side.results"
 done >"$tmp/values"
 
-# Which way each end-to-end metric improves, from BENCHMARK.json.
+# Which way each end-to-end metric improves, and by how much it may
+# worsen, from BENCHMARK.json: one "name better bound" line per metric.
 awk '
 /"end_to_end"/ { inside = 1 }
 inside && /"name"/ { name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name) }
-inside && /"better"/ { b = $0; sub(/.*"better": *"/, "", b); sub(/".*/, "", b); print name, b }
+inside && /"better"/ { b = $0; sub(/.*"better": *"/, "", b); sub(/".*/, "", b) }
+inside && /"bound"/ { d = $0; sub(/.*"bound": */, "", d); sub(/[^0-9.eE+-].*/, "", d); print name, b, d }
 inside && /^[ \t]*\]/ { inside = 0 }
 ' "$root/BENCHMARK.json" >"$tmp/better"
 
@@ -114,10 +123,11 @@ function q(a, n, p,    h, lo) {
 	if (lo >= n) return a[n]
 	return a[lo] + (h - lo) * (a[lo + 1] - a[lo])
 }
-FNR == NR { better[$1] = $2; order[++metrics] = $1; next }
+FNR == NR { better[$1] = $2; bound[$1] = $3; order[++metrics] = $1; next }
 { v[$1, $2, $3] = $4; seen[$3] = 1; if ($3 == "failed") failed[$1] += $4 }
 END {
-	printf "%-20s %32s %32s %6s %5s %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "wins", "gain"
+	printf "%-20s %32s %32s %6s %5s %-4s %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "wins", "gain", "regression (bound)"
+	worse = ""
 	for (k = 1; k <= metrics; k++) {
 		name = order[k]
 		if (!(name in seen)) continue
@@ -131,10 +141,15 @@ END {
 		iqr = q(p, pairs, 0.75) - q(p, pairs, 0.25)
 		gap = (better[name] == "higher") ? cm - pm : pm - cm
 		verdict = (wins * 10 >= pairs * 9 && gap > iqr) ? "PASS" : "FAIL"
+		# -gap is how much worse the change median is; past bound times
+		# the parent median, the metric regressed.
+		regress = (pm != 0) ? (-gap > bound[name] * (pm < 0 ? -pm : pm)) : (-gap > 0)
+		if (regress) worse = worse " " name
 		ratio = (pm != 0) ? sprintf("%.3f", cm / pm) : "-"
 		ps = sprintf("%.6g [%.6g, %.6g]", pm, q(p, pairs, 0.25), q(p, pairs, 0.75))
 		cs = sprintf("%.6g [%.6g, %.6g]", cm, q(c, pairs, 0.25), q(c, pairs, 0.75))
-		printf "%-20s %32s %32s %6s %5s %s\n", name, ps, cs, ratio, wins "/" pairs, verdict
+		printf "%-20s %32s %32s %6s %5s %-4s %s (%g)\n", name, ps, cs, ratio, wins "/" pairs, verdict, regress ? "WORSE" : "ok", bound[name]
 	}
 	printf "failed ops: parent %d, change %d\n", failed["parent"], failed["change"]
+	print (worse == "") ? "regressions: none beyond their bounds" : "regressions beyond their bounds:" worse
 }' "$tmp/better" "$tmp/values"
