@@ -98,7 +98,8 @@ func BenchmarkGuarantee(b *testing.B) { benchTable(b, experiment.Guarantee, 60) 
 
 // BenchmarkBFCETagLevel measures one full BFCE estimation over a
 // materialized population of 100k tags (per-tag fidelity), with the ideal
-// tag hash and with the paper's.
+// tag hash and with the paper's, after one warm estimation that builds
+// what a population builds once (paper-hash tags' RN planes).
 func BenchmarkBFCETagLevel(b *testing.B) {
 	for _, leg := range []struct {
 		name string
@@ -109,6 +110,9 @@ func BenchmarkBFCETagLevel(b *testing.B) {
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			sys := rfidest.NewSystem(100000, append(leg.opts, rfidest.WithSeed(1))...)
+			if _, err := sys.Run(context.Background()); err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			var secs float64
 			for i := 0; i < b.N; i++ {

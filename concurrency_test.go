@@ -11,10 +11,12 @@ import (
 // TestConcurrentSharedSystem drives many goroutines of estimation calls
 // against single shared Systems — the multi-reader deployment workload
 // (paper §III-A) in which independent sessions are in flight at once. It
-// exercises every System variant (tag-level, synthetic, noisy, merged) and
-// asserts every call succeeds with a sane estimate. Under `go test -race`
-// this test also proves the session-counter contract: on code that bumps
-// the counter without synchronization it fails with a race report.
+// exercises every System variant (tag-level, paper-hash, synthetic, noisy,
+// merged) and asserts every call succeeds with a sane estimate. Under
+// `go test -race` this test also proves the session-counter contract: on
+// code that bumps the counter without synchronization it fails with a race
+// report. The paper-hash system is fresh, so its first sessions race to
+// build the population's shared RN planes.
 func TestConcurrentSharedSystem(t *testing.T) {
 	const n = 20000
 	base := NewSystem(n, WithSeed(101))
@@ -24,10 +26,11 @@ func TestConcurrentSharedSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	systems := map[string]*System{
-		"tag-level": base,
-		"synthetic": NewSystem(n, WithSeed(105), WithSynthetic()),
-		"noisy":     NewSystem(n, WithSeed(107), WithNoise(0.001, 0.001)),
-		"merged":    merged,
+		"tag-level":  base,
+		"paper-hash": NewSystem(n, WithSeed(109), WithPaperTagHash()),
+		"synthetic":  NewSystem(n, WithSeed(105), WithSynthetic()),
+		"noisy":      NewSystem(n, WithSeed(107), WithNoise(0.001, 0.001)),
+		"merged":     merged,
 	}
 
 	const goroutines = 32
@@ -86,41 +89,48 @@ func TestConcurrentSharedSystem(t *testing.T) {
 
 // TestConcurrentSaltedSessions checks that salt-addressed estimation is
 // both safe under concurrency and bit-identical to the same salts applied
-// sequentially — the property the fleet runner's determinism rests on.
+// sequentially — the property the fleet runner's determinism rests on —
+// over the synthetic channel and over paper-hash tags.
 func TestConcurrentSaltedSessions(t *testing.T) {
-	sys := NewSystem(30000, WithSeed(211), WithSynthetic())
+	systems := map[string]*System{
+		"synthetic":  NewSystem(30000, WithSeed(211), WithSynthetic()),
+		"paper-hash": NewSystem(30000, WithSeed(213), WithPaperTagHash()),
+	}
 	const calls = 64
-
-	seq := make([]float64, calls)
-	for i := range seq {
-		est, err := sys.Run(context.Background(), WithEstimator("BFCE"), WithAccuracy(0.1, 0.1), WithSeedSalt(uint64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq[i] = est.N
-	}
-
-	conc := make([]float64, calls)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := 0; i < calls; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			est, err := sys.Run(context.Background(), WithEstimator("BFCE"), WithAccuracy(0.1, 0.1), WithSeedSalt(uint64(i)))
-			if err != nil {
-				t.Error(err)
-				return
+	for name, sys := range systems {
+		t.Run(name, func(t *testing.T) {
+			seq := make([]float64, calls)
+			for i := range seq {
+				est, err := sys.Run(context.Background(), WithEstimator("BFCE"), WithAccuracy(0.1, 0.1), WithSeedSalt(uint64(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				seq[i] = est.N
 			}
-			conc[i] = est.N
-		}(i)
-	}
-	wg.Wait()
-	for i := range seq {
-		if seq[i] != conc[i] {
-			t.Fatalf("salt %d: sequential %v != concurrent %v", i, seq[i], conc[i])
-		}
+
+			conc := make([]float64, calls)
+			var wg sync.WaitGroup
+			sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+			for i := 0; i < calls; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					sem <- struct{}{}
+					defer func() { <-sem }()
+					est, err := sys.Run(context.Background(), WithEstimator("BFCE"), WithAccuracy(0.1, 0.1), WithSeedSalt(uint64(i)))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					conc[i] = est.N
+				}(i)
+			}
+			wg.Wait()
+			for i := range seq {
+				if seq[i] != conc[i] {
+					t.Fatalf("salt %d: sequential %v != concurrent %v", i, seq[i], conc[i])
+				}
+			}
+		})
 	}
 }

@@ -1,9 +1,11 @@
 package channel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"rfidest/internal/hash"
 	"rfidest/internal/tags"
 )
 
@@ -137,32 +139,67 @@ func randomTagReq(rng *rand.Rand, mode HashMode) FrameRequest {
 // TestPackedTagEngineMatchesReference pins TagEngine, in every hash mode,
 // to the per-tag decision it ran before TagHash (tagDecision): busy bits,
 // slot states, first responses under a scan limit, transmissions, and
-// the slots a prepared TagHash reports.
+// the slots a prepared TagHash reports. The populations span no tag, one
+// partial 64-tag block, one whole block, a block and a lane, and many
+// blocks, where paper-hash tags are decided a block at a time.
 func TestPackedTagEngineMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
-	pop := tags.Generate(5000, tags.T1, 61)
 	for _, mode := range []HashMode{IdealRN, IdealID, PaperXOR} {
 		t.Run(mode.String(), func(t *testing.T) {
-			packed, ref := NewTagEngine(pop, mode), NewTagEngine(pop, mode)
-			reqs := append([]FrameRequest(nil), tagCases...)
-			for i := 0; i < 40; i++ {
-				reqs = append(reqs, randomTagReq(rng, mode))
-			}
-			for trial, req := range reqs {
-				req.Seed = rng.Uint64()
-				assertTagFrameMatchesRef(t, trial, packed, ref, req, rng.Intn(req.W+1))
-				for j, h := 0, PrepareTagHash(mode, req); j < req.K; j++ {
-					if j == h.j0+h.n {
-						h = prepareTagHash(mode, req, j) // the next group of hashes
+			for _, n := range []int{0, 1, 63, 64, 65, 5000} {
+				pop := tags.Generate(n, tags.T1, 61)
+				t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+					packed, ref := NewTagEngine(pop, mode), NewTagEngine(pop, mode)
+					reqs := append([]FrameRequest(nil), tagCases...)
+					for i := 0; i < 40; i++ {
+						reqs = append(reqs, randomTagReq(rng, mode))
 					}
-					tag := pop.Tags[rng.Intn(pop.N())]
-					got := h.Slot(&tag, j)
-					if want := refSlotFor(tag, mode, req.Dist, req.Seed, j, req.W); got != want {
-						t.Fatalf("trial %d %+v: TagHash slot of hash %d = %d, ref %d", trial, req, j, got, want)
+					for trial, req := range reqs {
+						req.Seed = rng.Uint64()
+						assertTagFrameMatchesRef(t, trial, packed, ref, req, rng.Intn(req.W+1))
+						if n == 0 {
+							continue // no tag to spot-check a slot of
+						}
+						for j, h := 0, PrepareTagHash(mode, req); j < req.K; j++ {
+							if j == h.j0+h.n {
+								h = prepareTagHash(mode, req, j) // the next group of hashes
+							}
+							tag := pop.Tags[rng.Intn(pop.N())]
+							got := h.Slot(&tag, j)
+							if want := refSlotFor(tag, mode, req.Dist, req.Seed, j, req.W); got != want {
+								t.Fatalf("trial %d %+v: TagHash slot of hash %d = %d, ref %d", trial, req, j, got, want)
+							}
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestBelowMatchesPaperPersistence pins the bit-sliced coin to the
+// per-tag rule: for every p_n and every rotation a frame can prepare,
+// lane l of below over a block of random RNs is hash.PaperPersistence of
+// that block's tag l.
+func TestBelowMatchesPaperPersistence(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 8; trial++ {
+		pop := &tags.Population{Tags: make([]tags.Tag, 64)}
+		for i := range pop.Tags {
+			pop.Tags[i].RN = rng.Uint32()
+		}
+		blk := (*[32]uint64)(pop.RNPlanes())
+		for pn := 0; pn <= 1024; pn++ {
+			for rot := uint(0); rot < 23; rot++ {
+				got := below(blk, rot, pn)
+				for l, tag := range pop.Tags {
+					if want := hash.PaperPersistence(tag.RN, rot, pn); got>>l&1 == 1 != want {
+						t.Fatalf("trial %d: p_n %d, rotation %d: lane %d (RN %#x) below = %v, want %v",
+							trial, pn, rot, l, tag.RN, !want, want)
 					}
 				}
 			}
-		})
+		}
 	}
 }
 

@@ -222,15 +222,6 @@ func (e *TagEngine) refRunFrameOccupancy(req FrameRequest) Occupancy {
 	return occ
 }
 
-// refRunFrame executes one frame as the pre-packing BallsEngine did, from
-// per-slot counts placed by scatter's regimes (refPlaced). It advances
-// the engine's RNG the same way as RunFrame, so twin engines with equal
-// seeds replay identical frame sequences through either path.
-func (e *BallsEngine) refRunFrame(req FrameRequest) refVec {
-	counts, _ := e.refPlaced(req)
-	return busyOf(counts)
-}
-
 // busyOf maps per-slot counts to the busy bits a reader senses.
 func busyOf(counts []int) refVec {
 	busy := make(refVec, len(counts))

@@ -50,17 +50,19 @@ func (m HashMode) String() string {
 // tag-side algorithm, giving per-tag fidelity at O(n·k) per frame.
 //
 // Each frame's hash seeds, persistence threshold and paper-hash rotations
-// are derived once per frame (TagHash); a tag then mixes its key once and
-// flips each hash's persistence coin before its slot hash, so a silent
-// decision costs one mix (ideal modes) or one shift and compare
-// (PaperXOR).
+// are derived once per frame (TagHash). Under the ideal modes a tag then
+// mixes its key once and flips each hash's persistence coin before its
+// slot hash, so a silent decision costs one mix; under PaperXOR one
+// bit-sliced comparison over the population's RN planes flips 64 tags'
+// coins at once.
 //
 // An engine belongs to exactly one reader session and is driven by one
 // goroutine: the frame buffer and the energy counter are written on every
-// frame without synchronization. Pop, however, is only read, so any
-// number of sessions may share one population — which is how a shared
-// System supports concurrent estimation (it builds a fresh engine per
-// session).
+// frame without synchronization. Pop, however, is only read (its RN
+// planes are built once, safely, by whichever session needs them first),
+// so any number of sessions may share one population — which is how a
+// shared System supports concurrent estimation (it builds a fresh engine
+// per session).
 type TagEngine struct {
 	Pop  *tags.Population
 	Mode HashMode
@@ -149,7 +151,7 @@ func (e *TagEngine) run(req FrameRequest, r *responses) {
 	for j0 := 0; j0 < req.K; j0 += hashGroup {
 		h := prepareTagHash(e.Mode, req, j0)
 		if h.mode == PaperXOR {
-			h.runPaper(e.Pop.Tags, r)
+			h.runPaper(e.Pop, r)
 		} else {
 			h.runIdeal(e.Pop.Tags, r)
 		}
@@ -264,18 +266,50 @@ func prepareTagHash(mode HashMode, req FrameRequest, j0 int) TagHash {
 	return h
 }
 
-// runPaper delivers the responses of PaperXOR tags to r: a coin is 10
-// bits of RN compared with p_n, a slot the low bits of RN ⊕ RS.
-func (h *TagHash) runPaper(pop []tags.Tag, r *responses) {
-	hs, pn := h.hashes[:h.n], h.pn
-	for ti := range pop {
-		rn := pop[ti].RN
+// runPaper delivers the responses of PaperXOR tags to r, 64 tags at a
+// time: for each block of the population's RN planes and each hash, one
+// bit-sliced comparison gives the lanes whose coin (10 bits of RN from the
+// hash's rotation up) is below p_n, and only those tags compute their
+// slot, the low bits of RN ⊕ RS. Responses land by OR, saturating add or
+// a first-response minimum, so the order tags are visited in is free.
+func (h *TagHash) runPaper(pop *tags.Population, r *responses) {
+	if h.pn <= 0 {
+		return
+	}
+	ts, planes := pop.Tags, pop.RNPlanes()
+	hs := h.hashes[:h.n]
+	for b := 0; b < len(planes); b += 32 {
+		blk := (*[32]uint64)(planes[b:])
+		t0 := b * 2
+		lanes := ^uint64(0)
+		if rest := len(ts) - t0; rest < 64 {
+			lanes = 1<<rest - 1 // a missing lane reads RN = 0, below every p_n
+		}
 		for i := range hs {
-			if hash.PaperPersistenceAt(rn, uint(hs[i].coin), pn) {
-				r.hit(h.paperSlot(rn, hs[i].slot))
+			for m := below(blk, uint(hs[i].coin), h.pn) & lanes; m != 0; m &= m - 1 {
+				r.hit(h.paperSlot(ts[t0+bits.TrailingZeros64(m)].RN, hs[i].slot))
 			}
 		}
 	}
+}
+
+// below returns the lanes of a block of RN planes whose 10-bit field from
+// plane rot up is below pn, for rot < 23 and pn in [0, 1024]: a comparator
+// run from the field's low bit up, where lt holds the lanes whose bits so
+// far are below pn's. Below pn's lowest set bit no lane can be below.
+func below(blk *[32]uint64, rot uint, pn int) uint64 {
+	if pn >= 1024 {
+		return ^uint64(0)
+	}
+	lt := uint64(0)
+	for i := uint(bits.TrailingZeros(uint(pn))); i < 10; i++ {
+		if x := blk[(rot+i)&31]; pn>>i&1 != 0 {
+			lt |= ^x
+		} else {
+			lt &^= x
+		}
+	}
+	return lt
 }
 
 // runIdeal delivers the responses of IdealRN and IdealID tags to r: each

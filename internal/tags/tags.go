@@ -16,6 +16,7 @@ package tags
 
 import (
 	"fmt"
+	"sync"
 
 	"rfidest/internal/xrand"
 )
@@ -62,15 +63,72 @@ func (d Distribution) String() string {
 var Distributions = []Distribution{T1, T2, T3}
 
 // Population is a set of distinct tags.
+//
+// Tags must not change once RNPlanes has been called: the planes are
+// built from them once and shared read-only by every reader of the
+// population.
 type Population struct {
 	Tags []Tag
 	Dist Distribution
 	Seed uint64
+
+	planesOnce sync.Once
+	planes     []uint64
 }
 
 // N returns the population cardinality — the ground truth every estimator
 // is judged against.
 func (p *Population) N() int { return len(p.Tags) }
+
+// RNPlanes returns the population's RNs as bit planes, built on the first
+// call and shared by every later one: block b holds tags 64b .. 64b+63 in
+// the 32 words planes[32b : 32b+32], word i of a block holding bit i of
+// each of its tags' RN, tag 64b+l in bit l. A lane past the last tag is 0
+// in every plane. Safe for concurrent use.
+func (p *Population) RNPlanes() []uint64 {
+	p.planesOnce.Do(func() { p.planes = rnPlanes(p.Tags) })
+	return p.planes
+}
+
+// rnPlanes transposes tags' RNs into bit planes. Tags t and t+32 of a
+// block share one row, t in the low half, so one lane-wise 32×32
+// transpose (Hacker's Delight 7-3) turns a block's 32 rows into its 32
+// planes.
+func rnPlanes(tags []Tag) []uint64 {
+	planes := make([]uint64, (len(tags)+63)/64*32)
+	for b := 0; b < len(planes); b += 32 {
+		blk := (*[32]uint64)(planes[b:])
+		t0 := b * 2
+		for i := range blk {
+			var lo, hi uint64
+			if t := t0 + i; t < len(tags) {
+				lo = uint64(tags[t].RN)
+			}
+			if t := t0 + 32 + i; t < len(tags) {
+				hi = uint64(tags[t].RN)
+			}
+			blk[i] = lo | hi<<32
+		}
+		transpose32x2(blk)
+	}
+	return planes
+}
+
+// transpose32x2 transposes the two 32×32 bit matrices held in the low and
+// high halves of a's words: bit j of a[i] trades places with bit i of
+// a[j] within each half. Each round swaps the off-diagonal blocks of size
+// s.
+func transpose32x2(a *[32]uint64) {
+	m := uint64(0x0000ffff0000ffff)
+	for s := 16; s != 0; s >>= 1 {
+		for i := 0; i < 32; i = (i + s + 1) &^ s {
+			t := (a[i]>>s ^ a[i+s]) & m
+			a[i+s] ^= t
+			a[i] ^= t << s
+		}
+		m ^= m << (s >> 1)
+	}
+}
 
 // Generate creates a population of n distinct tags with IDs drawn from
 // dist, deterministically from seed. Populations of different sizes under

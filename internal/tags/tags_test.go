@@ -121,3 +121,43 @@ func TestDistributionString(t *testing.T) {
 		t.Fatal("unknown distribution must still render")
 	}
 }
+
+// TestRNPlanes pins the transpose: bit l of a block's plane i is bit i of
+// the RN of the block's tag l, and a lane past the last tag is clear in
+// every plane, for populations ending inside, at and past a block edge.
+func TestRNPlanes(t *testing.T) {
+	for _, n := range []int{0, 1, 31, 32, 33, 63, 64, 65, 1000} {
+		pop := Generate(n, T1, uint64(n)+5)
+		planes := pop.RNPlanes()
+		if want := (n + 63) / 64 * 32; len(planes) != want {
+			t.Fatalf("n = %d: %d plane words, want %d", n, len(planes), want)
+		}
+		for w, word := range planes {
+			b, i := w/32, w%32
+			for l := 0; l < 64; l++ {
+				want := uint64(0)
+				if tag := b*64 + l; tag < n {
+					want = uint64(pop.Tags[tag].RN) >> i & 1
+				}
+				if got := word >> l & 1; got != want {
+					t.Fatalf("n = %d: block %d plane %d lane %d = %d, want %d", n, b, i, l, got, want)
+				}
+			}
+		}
+		if again := pop.RNPlanes(); len(planes) > 0 && &again[0] != &planes[0] {
+			t.Fatalf("n = %d: RNPlanes built the planes twice", n)
+		}
+	}
+}
+
+// BenchmarkRNPlanes measures one transpose of 10⁵ tags' RNs.
+func BenchmarkRNPlanes(b *testing.B) {
+	ts := Generate(100000, T1, 1).Tags
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = (&Population{Tags: ts}).RNPlanes()
+	}
+}
+
+var sink []uint64
