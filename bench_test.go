@@ -162,7 +162,8 @@ func BenchmarkZOESynthetic(b *testing.B) {
 // a mixed batch of 8 shared synthetic Systems × BFCE with 4 trials each,
 // fanned out over GOMAXPROCS workers (sub-benchmark "seq" pins one worker
 // as the scaling baseline). The per-op metric of interest is
-// estimations/s; the baseline recording lives in results/BENCH_fleet.json.
+// estimations/s; compare the two legs on one host, before and after a
+// change.
 func BenchmarkFleetEstimate(b *testing.B) {
 	var jobs []fleet.Job
 	for i := 0; i < 8; i++ {
@@ -234,8 +235,8 @@ func BenchmarkFleetEstimateObs(b *testing.B) {
 // clean tag-level baseline, leg "sev-0.5" runs the same estimation through
 // the severity-0.5 injector (burst noise, erasures, truncation, stalls),
 // and leg "retry" adds the degenerate-round retry policy on top. The off
-// vs sev overhead is the injector's word-level XOR cost; the baseline
-// recording lives in results/BENCH_faults.json.
+// vs sev overhead is the injector's word-level XOR cost, measured by
+// running the legs side by side on one host.
 func BenchmarkFaults(b *testing.B) {
 	for _, bc := range []struct {
 		name string

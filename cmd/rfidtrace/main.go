@@ -49,7 +49,7 @@ func main() {
 		fmt.Printf("%5d  %-60s  t=%.4fs\n", events, e.String(), r.Seconds())
 	})
 
-	res, err := est.Estimate(r, estimators.Accuracy{Epsilon: *eps, Delta: *delta})
+	res, err := estimators.Estimate(est, r, estimators.Accuracy{Epsilon: *eps, Delta: *delta})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rfidtrace: %v\n", err)
 		os.Exit(1)

@@ -11,8 +11,7 @@ import (
 // module-internal dependency closure (type-checked from source, stdlib
 // included), call-graph construction, and all ten analyzers with fact
 // propagation. Each iteration builds a fresh loader — cold-cache cost is
-// the number CI pays on every push, so that is the number tracked
-// (results/BENCH_lint.json).
+// the number CI pays on every push, so that is the number tracked.
 func BenchmarkLintLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		diags, err := analysis.Lint(analysis.All(), []string{"../fleet"})

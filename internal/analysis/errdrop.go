@@ -9,7 +9,8 @@ import (
 // ErrDrop enforces error handling on the repository's contract APIs —
 // the calls whose errors carry correctness information an estimation
 // pipeline must not lose: System.Run/RunBFCEDetail, Monitor.Run, Merge,
-// the core-level Estimate methods, and the fleet entry points (Run, Map).
+// the Estimate entry points (the core-level methods and
+// estimators.Estimate), and the fleet entry points (Run, Map).
 // Dropping one of these errors is how a saturated or infeasible round
 // silently becomes a plausible-looking estimate.
 //

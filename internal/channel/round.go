@@ -122,8 +122,8 @@ type RoundObs struct {
 // protocol is complete. Plan is never called after Absorb returns done.
 //
 // A Stepper never touches the session directly — it holds no Reader, no
-// clock and no seed stream — so snapshotting its state suffices to resume
-// a run, and a scheduler can interleave many steppers' rounds over their
+// clock and no seed stream — so a driver can pause a run between any two
+// rounds, and a scheduler can interleave many steppers' rounds over their
 // own sessions without any cross-talk.
 type Stepper interface {
 	Plan() RoundSpec

@@ -139,9 +139,6 @@ func MustNew(cfg Config) *Estimator {
 	return e
 }
 
-// Name implements the estimator registry convention.
-func (e *Estimator) Name() string { return "BFCE" }
-
 // Estimate runs the full two-phase protocol of §IV over the session r and
 // returns the estimation result. The error is non-nil only for channel
 // misuse (nil session); degenerate observations are reported through

@@ -269,12 +269,6 @@ func TestEstimateWithBallsEngine(t *testing.T) {
 	}
 }
 
-func TestEstimatorName(t *testing.T) {
-	if MustNew(Config{}).Name() != "BFCE" {
-		t.Fatal("name drifted")
-	}
-}
-
 func TestClampRho(t *testing.T) {
 	if v, deg := clampRho(0, 1024); !deg || v != 0.5/1024 {
 		t.Fatalf("clamp low: %v %v", v, deg)

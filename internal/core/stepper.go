@@ -8,7 +8,7 @@ import (
 	"rfidest/internal/timing"
 )
 
-// Stepper is BFCE as a resumable round state machine: the probe, rough and
+// Stepper is BFCE as a round state machine: the probe, rough and
 // accurate phases of §IV expressed as channel.RoundSpec plans and Absorb
 // transitions, with no direct session access. The shared round driver
 // (channel.Drive / channel.StepRound) executes the plans; the Stepper only
@@ -20,9 +20,9 @@ import (
 // conditions — so a driven Stepper is bit-identical to the pre-refactor
 // Estimate.
 //
-// A Stepper is a plain value: Snapshot copies it, Restore overwrites it,
-// and a restored copy resumes mid-protocol (the held probe seed travels
-// inside the state, not in the driver).
+// A Stepper is a plain value: the held probe seed travels inside the
+// state, not in the driver, so a copy of an unstarted machine is a fresh
+// run (BFCE-multi restarts each of its runs that way).
 type Stepper struct {
 	cfg Config
 	res Result
@@ -218,14 +218,3 @@ func (s *Stepper) Absorb(o channel.RoundObs) (bool, error) {
 // are left zero: the driver that owns the session clock stamps them (see
 // driveStepper), keeping the Stepper free of session state.
 func (s *Stepper) Result() Result { return s.res }
-
-// Done reports whether the protocol has completed its accurate phase.
-func (s *Stepper) Done() bool { return s.state == stepDone }
-
-// Snapshot copies the machine's state. The copy is self-contained — the
-// held probe seed and every accumulated diagnostic travel with it — so
-// Restore on a fresh Stepper resumes the run mid-protocol.
-func (s *Stepper) Snapshot() Stepper { return *s }
-
-// Restore overwrites the machine's state with a snapshot.
-func (s *Stepper) Restore(snap Stepper) { *s = snap }

@@ -40,11 +40,6 @@ func (a *ART) Name() string { return "ART" }
 // the idle-fraction statistic at the same load.
 const artInflation = 1.5
 
-// Estimate implements Estimator.
-func (a *ART) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	return estimate(a, r, acc)
-}
-
 // Stepper implements Estimator. ART operates best at moderate busy
 // probability; it targets b ≈ 0.5, i.e. load λ = ln 2.
 func (a *ART) Stepper(acc Accuracy) (Stepper, error) {
@@ -64,8 +59,6 @@ type artStepper struct {
 	runLen int // total length of the busy runs observed
 	runs   int // busy runs observed
 }
-
-func (s *artStepper) Name() string { return "ART" }
 
 func (s *artStepper) Plan() channel.RoundSpec {
 	if !s.rough.done() {
@@ -107,6 +100,3 @@ func (s *artStepper) Result(cost timing.Cost, profile timing.Profile) Result {
 	}
 	return res
 }
-
-func (s *artStepper) Snapshot() any          { return *s }
-func (s *artStepper) Restore(snap any) error { return restore(s, snap) }

@@ -27,7 +27,7 @@ func TestLOFRoughAccuracy(t *testing.T) {
 		var sum float64
 		const trials = 6
 		for trial := 0; trial < trials; trial++ {
-			res, err := NewLOF().Estimate(newSession(n, uint64(trial*100+n%97)), Default)
+			res, err := Estimate(NewLOF(), newSession(n, uint64(trial*100+n%97)), Default)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +41,7 @@ func TestLOFRoughAccuracy(t *testing.T) {
 }
 
 func TestLOFEmptyPopulation(t *testing.T) {
-	res, err := NewLOF().Estimate(newSession(0, 3), Default)
+	res, err := Estimate(NewLOF(), newSession(0, 3), Default)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestLOFEmptyPopulation(t *testing.T) {
 
 func TestLOFCostAccounting(t *testing.T) {
 	r := newSession(1000, 5)
-	res, err := NewLOF().Estimate(r, Default)
+	res, err := Estimate(NewLOF(), r, Default)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestLOFCostAccounting(t *testing.T) {
 }
 
 func TestLOFNilSession(t *testing.T) {
-	if _, err := NewLOF().Estimate(nil, Default); err == nil {
+	if _, err := Estimate(NewLOF(), nil, Default); err == nil {
 		t.Fatal("nil session accepted")
 	}
 }
@@ -96,7 +96,7 @@ func TestZOEAccuracy(t *testing.T) {
 	violations := 0
 	const trials = 6
 	for trial := 0; trial < trials; trial++ {
-		res, err := NewZOE().Estimate(newSession(500000, uint64(trial)), Default)
+		res, err := Estimate(NewZOE(), newSession(500000, uint64(trial)), Default)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestZOEAccuracy(t *testing.T) {
 func TestZOEDominatedByReaderTraffic(t *testing.T) {
 	// The paper's central observation: ZOE's reader→tag time (m×32 bits)
 	// dwarfs its tag→reader time (m×1 bit).
-	res, err := NewZOE().Estimate(newSession(100000, 9), Default)
+	res, err := Estimate(NewZOE(), newSession(100000, 9), Default)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +127,16 @@ func TestZOEDominatedByReaderTraffic(t *testing.T) {
 }
 
 func TestZOEMaxSlotsCap(t *testing.T) {
-	z := &ZOE{MaxSlots: 100}
-	res, err := z.Estimate(newSession(10000, 11), Accuracy{0.01, 0.01})
+	acc := Accuracy{0.01, 0.01}
+	if m, err := ZOESlots(acc); err != nil || m <= zoeMaxSlots {
+		t.Fatalf("ZOESlots(%v) = %d (%v); the test needs a target past the cap", acc, m, err)
+	}
+	res, err := Estimate(NewZOE(), newSession(10000, 11), acc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Slots > 100+320 {
-		t.Fatalf("cap ignored: %d slots", res.Slots)
+	if want := zoeMaxSlots + roughRounds*lofFrame; res.Slots != want {
+		t.Fatalf("cap ignored: %d slots, want %d", res.Slots, want)
 	}
 }
 
@@ -160,7 +163,7 @@ func TestSRCAccuracy(t *testing.T) {
 	violations := 0
 	const trials = 8
 	for trial := 0; trial < trials; trial++ {
-		res, err := NewSRC().Estimate(newSession(500000, uint64(40+trial)), Default)
+		res, err := Estimate(NewSRC(), newSession(500000, uint64(40+trial)), Default)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +179,7 @@ func TestSRCAccuracy(t *testing.T) {
 }
 
 func TestSRCRoundCount(t *testing.T) {
-	res, err := NewSRC().Estimate(newSession(100000, 13), Default)
+	res, err := Estimate(NewSRC(), newSession(100000, 13), Default)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +189,7 @@ func TestSRCRoundCount(t *testing.T) {
 }
 
 func TestBFCEAdapter(t *testing.T) {
-	res, err := NewBFCE().Estimate(newSession(200000, 15), Default)
+	res, err := Estimate(NewBFCE(), newSession(200000, 15), Default)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,15 +207,15 @@ func TestBFCEAdapter(t *testing.T) {
 func TestRelativeSpeeds(t *testing.T) {
 	// Fig. 10's shape: time(ZOE) >> time(SRC) > time(BFCE) at (0.05,0.05).
 	n := 500000
-	bfce, err := NewBFCE().Estimate(newSession(n, 21), Default)
+	bfce, err := Estimate(NewBFCE(), newSession(n, 21), Default)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zoe, err := NewZOE().Estimate(newSession(n, 22), Default)
+	zoe, err := Estimate(NewZOE(), newSession(n, 22), Default)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewSRC().Estimate(newSession(n, 23), Default)
+	src, err := Estimate(NewSRC(), newSession(n, 23), Default)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,9 +235,9 @@ func TestRelativeSpeeds(t *testing.T) {
 
 func TestEstimatorsOnTagEngine(t *testing.T) {
 	// All three comparison protocols must run over the per-tag engine too.
-	for _, e := range []Estimator{NewBFCE(), NewSRC(), &ZOE{MaxSlots: 4000}} {
+	for _, e := range []Estimator{NewBFCE(), NewSRC(), NewZOE()} {
 		r := newTagSession(t, 50000, tags.T2, 31)
-		res, err := e.Estimate(r, Accuracy{0.1, 0.1})
+		res, err := Estimate(e, r, Accuracy{0.1, 0.1})
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}

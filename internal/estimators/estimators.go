@@ -16,7 +16,6 @@ import (
 	"errors"
 	"math"
 
-	"rfidest/internal/channel"
 	"rfidest/internal/stats"
 	"rfidest/internal/timing"
 )
@@ -68,15 +67,14 @@ type Result struct {
 	Saturated bool
 }
 
-// Estimator is a cardinality estimation protocol.
+// Estimator is a cardinality estimation protocol. Estimate runs one over
+// a session.
 type Estimator interface {
 	// Name returns the protocol's short name (as used in the paper).
 	Name() string
-	// Estimate runs the protocol over session r to the accuracy target.
-	Estimate(r *channel.Reader, acc Accuracy) (Result, error)
 	// Stepper returns a fresh round machine for one run at the accuracy
-	// target. Like Estimate, it panics on a degenerate accuracy and
-	// errors on a target the protocol cannot size.
+	// target. It panics on a degenerate accuracy and errors on a target
+	// the protocol cannot size.
 	Stepper(acc Accuracy) (Stepper, error)
 }
 

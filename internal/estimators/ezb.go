@@ -27,11 +27,6 @@ func NewEZB() *EZB { return &EZB{} }
 // Name implements Estimator.
 func (e *EZB) Name() string { return "EZB" }
 
-// Estimate implements Estimator.
-func (e *EZB) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	return estimate(e, r, acc)
-}
-
 // Stepper implements Estimator. R frames so the pooled f·R observations
 // meet (ε, δ) at the design load (same variance law as every zero
 // estimator).
@@ -51,8 +46,6 @@ type ezbStepper struct {
 	round  int
 	idle   int
 }
-
-func (s *ezbStepper) Name() string { return "EZB" }
 
 func (s *ezbStepper) Plan() channel.RoundSpec {
 	if !s.rough.done() {
@@ -89,6 +82,3 @@ func (s *ezbStepper) Result(cost timing.Cost, profile timing.Profile) Result {
 		Seconds:  cost.Seconds(profile),
 	}
 }
-
-func (s *ezbStepper) Snapshot() any          { return *s }
-func (s *ezbStepper) Restore(snap any) error { return restore(s, snap) }

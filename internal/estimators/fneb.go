@@ -26,11 +26,6 @@ func NewFNEB() *FNEB { return &FNEB{} }
 // Name implements Estimator.
 func (f *FNEB) Name() string { return "FNEB" }
 
-// Estimate implements Estimator.
-func (f *FNEB) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	return estimate(f, r, acc)
-}
-
 // Stepper implements Estimator.
 func (f *FNEB) Stepper(acc Accuracy) (Stepper, error) {
 	acc.Validate()
@@ -51,8 +46,6 @@ type fnebStepper struct {
 	slots  int
 	sumU   float64
 }
-
-func (s *fnebStepper) Name() string { return "FNEB" }
 
 func (s *fnebStepper) Plan() channel.RoundSpec {
 	if !s.rough.done() {
@@ -106,9 +99,6 @@ func (s *fnebStepper) Result(cost timing.Cost, profile timing.Profile) Result {
 	}
 	return res
 }
-
-func (s *fnebStepper) Snapshot() any          { return *s }
-func (s *fnebStepper) Restore(snap any) error { return restore(s, snap) }
 
 // nextPow2 returns the smallest power of two >= v (and at least 64).
 func nextPow2(v int) int {

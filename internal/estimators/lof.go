@@ -1,7 +1,5 @@
 package estimators
 
-import "rfidest/internal/channel"
-
 // LOF is the Lottery Frame estimator of Qian et al. [19]: every tag hashes
 // itself into a frame with geometrically decaying slot probabilities
 // (slot j with probability 2^{-(j+1)}), and the position R of the first
@@ -22,8 +20,3 @@ func NewLOF() *LOF { return &LOF{} }
 
 // Name implements Estimator.
 func (l *LOF) Name() string { return "LOF" }
-
-// Estimate implements Estimator.
-func (l *LOF) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	return estimate(l, r, acc)
-}

@@ -37,11 +37,6 @@ func NewMLE() *MLE { return &MLE{} }
 // Name implements Estimator.
 func (m *MLE) Name() string { return "MLE" }
 
-// Estimate implements Estimator.
-func (m *MLE) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	return estimate(m, r, acc)
-}
-
 // Stepper implements Estimator.
 func (m *MLE) Stepper(acc Accuracy) (Stepper, error) {
 	acc.Validate()
@@ -59,8 +54,6 @@ type mleStepper struct {
 	round  int
 	idle   int
 }
-
-func (s *mleStepper) Name() string { return "MLE" }
 
 func (s *mleStepper) Plan() channel.RoundSpec {
 	if !s.rough.done() {
@@ -95,9 +88,6 @@ func (s *mleStepper) Result(cost timing.Cost, profile timing.Profile) Result {
 		Seconds:  cost.Seconds(profile),
 	}
 }
-
-func (s *mleStepper) Snapshot() any          { return *s }
-func (s *mleStepper) Restore(snap any) error { return restore(s, snap) }
 
 // mleMaximize returns argmax_n ℓ(n) for idle idle slots out of total, with
 // per-slot idle probability q(n) = (1−p/f)^n. Since all frames share (p, f)

@@ -22,20 +22,22 @@ import (
 // variance, which the round budget absorbs — PET's tree walk has the same
 // property.) Rounds are sized from the Flajolet–Martin variance: one round
 // of first-idle position has σ(F) ≈ 1.12 bits, so σ(n̂)/n ≈ ln2·1.12 and
-// R = ⌈(1.12·ln2·d/ε)²⌉.
-type PET struct {
-	// Depth is the tree depth / lottery range (default 32, enough for
-	// cardinalities to ~2^32).
-	Depth int
-	// MaxRounds caps the averaging (default 4096).
-	MaxRounds int
-}
+// R = ⌈(1.12·ln2·d/ε)²⌉, at most petMaxRounds.
+type PET struct{}
 
-// NewPET returns PET with default settings.
+const (
+	// petDepth is the tree depth / lottery range, enough for
+	// cardinalities to ~2^32.
+	petDepth = 32
+	// petMaxRounds caps the averaging.
+	petMaxRounds = 4096
+)
+
+// NewPET returns PET.
 func NewPET() *PET { return &PET{} }
 
 // Name implements Estimator.
-func (p *PET) Name() string { return "PET" }
+func (*PET) Name() string { return "PET" }
 
 // fmSigma is the standard deviation (in bit positions) of one
 // first-idle observation of a geometric lottery pattern.
@@ -48,28 +50,14 @@ const fmSigma = 1.12
 // n ∈ [10³, 5·10⁶] (20k frames per point: bias 0.59–0.72 bits, mean 0.67).
 const petBinaryBias = 0.673
 
-// Estimate implements Estimator.
-func (p *PET) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	return estimate(p, r, acc)
-}
-
 // Stepper implements Estimator.
-func (p *PET) Stepper(acc Accuracy) (Stepper, error) {
+func (*PET) Stepper(acc Accuracy) (Stepper, error) {
 	acc.Validate()
-	depth := p.Depth
-	if depth <= 0 {
-		depth = 32
-	}
-	maxRounds := p.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 4096
-	}
 	d := stats.D(acc.Delta)
 	rel := fmSigma * math.Ln2
 	return &petStepper{
-		depth:   depth,
-		posBits: bitsFor(depth),
-		rounds:  sizeRounds((rel*d/acc.Epsilon)*(rel*d/acc.Epsilon), maxRounds),
+		posBits: bitsFor(petDepth),
+		rounds:  sizeRounds((rel*d/acc.Epsilon)*(rel*d/acc.Epsilon), petMaxRounds),
 	}, nil
 }
 
@@ -79,7 +67,7 @@ func (p *PET) Stepper(acc Accuracy) (Stepper, error) {
 // announces the position and senses its one bit-slot. PET's whole point
 // is that only these probes cross the air interface.
 type petStepper struct {
-	depth, posBits, rounds int
+	posBits, rounds int
 
 	round     int
 	probes    int // listen rounds left in the current round's search
@@ -87,8 +75,6 @@ type petStepper struct {
 	sumF      float64
 	responded bool
 }
-
-func (s *petStepper) Name() string { return "PET" }
 
 func (s *petStepper) Plan() channel.RoundSpec {
 	if s.probes > 0 {
@@ -98,7 +84,7 @@ func (s *petStepper) Plan() channel.RoundSpec {
 	return channel.RoundSpec{
 		Kind:      channel.SilentRound,
 		Broadcast: timing.SeedBits,
-		Frame:     channel.FrameRequest{W: s.depth, K: 1, P: 1, Dist: channel.Geometric},
+		Frame:     channel.FrameRequest{W: petDepth, K: 1, P: 1, Dist: channel.Geometric},
 	}
 }
 
@@ -109,7 +95,7 @@ func (s *petStepper) Absorb(o channel.RoundObs) (bool, error) {
 		return s.probes == 0 && s.round >= s.rounds, nil
 	}
 	// Binary search for the first idle position of the lottery pattern.
-	lo, hi := 0, s.depth
+	lo, hi := 0, petDepth
 	for lo < hi {
 		mid := (lo + hi) / 2
 		s.probes++
@@ -134,9 +120,6 @@ func (s *petStepper) Result(cost timing.Cost, profile timing.Profile) Result {
 	}
 	return res
 }
-
-func (s *petStepper) Snapshot() any          { return *s }
-func (s *petStepper) Restore(snap any) error { return restore(s, snap) }
 
 // bitsFor returns the bits needed to address positions in [0, depth).
 func bitsFor(depth int) int {

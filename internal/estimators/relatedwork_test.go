@@ -30,7 +30,7 @@ func TestRelatedWorkNames(t *testing.T) {
 
 func TestRelatedWorkNilSession(t *testing.T) {
 	for _, e := range relatedWork() {
-		if _, err := e.Estimate(nil, Default); err == nil {
+		if _, err := Estimate(e, nil, Default); err == nil {
 			t.Fatalf("%s accepted nil session", e.Name())
 		}
 	}
@@ -42,7 +42,7 @@ func TestRelatedWorkAccuracy(t *testing.T) {
 	const n = 100000
 	acc := Accuracy{Epsilon: 0.1, Delta: 0.1}
 	for _, e := range relatedWork() {
-		res, err := e.Estimate(newSession(n, 301), acc)
+		res, err := Estimate(e, newSession(n, 301), acc)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -57,7 +57,7 @@ func TestRelatedWorkAccuracy(t *testing.T) {
 
 func TestUPECollisionVariant(t *testing.T) {
 	e := &UPE{CollisionBased: true}
-	res, err := e.Estimate(newSession(50000, 303), Accuracy{0.1, 0.1})
+	res, err := Estimate(e, newSession(50000, 303), Accuracy{0.1, 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestUPECollisionVariant(t *testing.T) {
 func TestUPECalibrationHalvesP(t *testing.T) {
 	// A million tags saturate a 1024-slot frame at p=1: calibration must
 	// run several halving rounds before measuring.
-	res, err := NewUPE().Estimate(newSession(1000000, 305), Accuracy{0.1, 0.1})
+	res, err := Estimate(NewUPE(), newSession(1000000, 305), Accuracy{0.1, 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestUPECalibrationHalvesP(t *testing.T) {
 
 func TestUPEAlohaSlotPricing(t *testing.T) {
 	// UPE slots cost channel.AlohaSlotBits tag bits each.
-	res, err := NewUPE().Estimate(newSession(10000, 307), Accuracy{0.2, 0.2})
+	res, err := Estimate(NewUPE(), newSession(10000, 307), Accuracy{0.2, 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestUPEAlohaSlotPricing(t *testing.T) {
 
 func TestFNEBScanCost(t *testing.T) {
 	// FNEB senses only ~L/n slots per round, far fewer than a frame.
-	res, err := NewFNEB().Estimate(newSession(100000, 309), Accuracy{0.2, 0.2})
+	res, err := Estimate(NewFNEB(), newSession(100000, 309), Accuracy{0.2, 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFNEBScanCost(t *testing.T) {
 }
 
 func TestFNEBEmptyPopulation(t *testing.T) {
-	res, err := NewFNEB().Estimate(newSession(0, 311), Accuracy{0.3, 0.3})
+	res, err := Estimate(NewFNEB(), newSession(0, 311), Accuracy{0.3, 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,7 @@ func TestMLEMatchesClosedForm(t *testing.T) {
 
 func TestPETProbeBudget(t *testing.T) {
 	// PET touches only ⌈log2 depth⌉ slots per round.
-	p := &PET{Depth: 32, MaxRounds: 50}
-	res, err := p.Estimate(newSession(100000, 313), Accuracy{0.3, 0.3})
+	res, err := Estimate(NewPET(), newSession(100000, 313), Accuracy{0.3, 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,7 @@ func TestPETProbeBudget(t *testing.T) {
 }
 
 func TestPETEmptyPopulation(t *testing.T) {
-	res, err := NewPET().Estimate(newSession(0, 315), Accuracy{0.3, 0.3})
+	res, err := Estimate(NewPET(), newSession(0, 315), Accuracy{0.3, 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +148,7 @@ func TestARTRunStatistic(t *testing.T) {
 	// ART at moderate n with a per-tag engine (it reads run structure,
 	// which the balls engine also reproduces — cross-check both).
 	r := newTagSession(t, 50000, tags.T3, 317)
-	res, err := NewART().Estimate(r, Accuracy{0.1, 0.1})
+	res, err := Estimate(NewART(), r, Accuracy{0.1, 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"rfidest/internal/channel"
 	"rfidest/internal/stats"
 )
 
@@ -56,9 +55,4 @@ func SRCRounds(delta float64) int {
 		return 1
 	}
 	return stats.MajorityRounds(0.8, delta, 99)
-}
-
-// Estimate implements Estimator.
-func (s *SRC) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	return estimate(s, r, acc)
 }

@@ -1,11 +1,8 @@
 package estimators
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"math"
-	"slices"
 
 	"rfidest/internal/channel"
 	"rfidest/internal/core"
@@ -14,37 +11,27 @@ import (
 )
 
 // This file is the round-structured execution model at the estimator
-// level. A Stepper is a protocol as a resumable state machine (see
-// channel.Stepper for the round vocabulary); Run is the one driver loop
-// every protocol executes under. Every protocol steps natively — its
+// level. A Stepper is a protocol as a round state machine (see
+// channel.Stepper for the round vocabulary); Estimate drives one over a
+// hand-built session, and the root package's RunSession drives one under
+// its deadline, retry and observer. Every protocol steps natively — its
 // Plan/Absorb transitions reproduce the protocol's dialogue round for
-// round, charged through channel.StepRound — and every Estimate method is
-// the same thin wrapper around Run.
+// round, charged through channel.StepRound.
 
-// Stepper is a resumable estimation protocol: channel.Stepper's
-// Plan/Absorb round machine plus the estimator-level finishing moves.
+// Stepper is an estimation protocol as a round machine: channel.Stepper's
+// Plan/Absorb rounds plus the estimator-level Result.
 //
 // Result finalizes the run given the session cost the driver measured
 // around it; it must only be called once Absorb has reported done.
-// Snapshot and Restore carry the machine's full mid-run state (held
-// seeds, partial observations, sub-phase progress), so a restored copy
-// resumes exactly where the snapshot was taken.
 type Stepper interface {
 	channel.Stepper
-	// Name returns the protocol's short name (as used in the paper).
-	Name() string
 	// Result finalizes the run: cost is the communication the driver
 	// measured across the run, profile the session's timing profile.
 	Result(cost timing.Cost, profile timing.Profile) Result
-	// Snapshot returns an opaque copy of the machine's state.
-	Snapshot() any
-	// Restore overwrites the machine's state with a snapshot previously
-	// taken from a Stepper of the same protocol and configuration.
-	Restore(snap any) error
 }
 
 // AsStepper returns est's round machine for one run at the accuracy
-// target, to be driven by Run — one execution path for every protocol.
+// target — one execution path for every protocol.
 func AsStepper(est Estimator, acc Accuracy) (Stepper, error) {
 	if est == nil {
 		return nil, errors.New("estimators: nil estimator")
@@ -52,44 +39,24 @@ func AsStepper(est Estimator, acc Accuracy) (Stepper, error) {
 	return est.Stepper(acc)
 }
 
-// Run drives st over the session r to completion and finalizes its
-// Result, measuring the run's communication cost around the drive. It is
-// the thin loop behind every Estimate method; ctx, when non-nil, cancels
-// between rounds (see channel.Drive).
-func Run(ctx context.Context, r *channel.Reader, st Stepper) (Result, error) {
+// Estimate runs est over the session r to the accuracy target: a fresh
+// round machine, driven to completion, finalized with the communication
+// cost measured around the drive. It is the entry point for hand-built
+// sessions; the root package's RunSession drives registry protocols
+// itself.
+func Estimate(est Estimator, r *channel.Reader, acc Accuracy) (Result, error) {
 	if r == nil {
 		return Result{}, errors.New("estimators: nil session")
 	}
-	start := r.Cost()
-	if err := channel.Drive(ctx, r, st); err != nil {
-		return Result{}, err
-	}
-	return st.Result(r.Cost().Sub(start), r.Profile), nil
-}
-
-// estimate is the body of every protocol's Estimate: a fresh round
-// machine, driven over r to completion.
-func estimate(est Estimator, r *channel.Reader, acc Accuracy) (Result, error) {
-	if r == nil {
-		return Result{}, errors.New("estimators: nil session")
-	}
-	st, err := est.Stepper(acc)
+	st, err := AsStepper(est, acc)
 	if err != nil {
 		return Result{}, err
 	}
-	return Run(nil, r, st)
-}
-
-// restore overwrites *dst with snap, which must be a Snapshot of a
-// machine of dst's own type. Every machine's state is a plain value, so
-// its Snapshot is a copy of itself and its Restore is this.
-func restore[T any](dst *T, snap any) error {
-	v, ok := snap.(T)
-	if !ok {
-		return fmt.Errorf("estimators: cannot restore a %T snapshot into a %T machine", snap, v)
+	start := r.Cost()
+	if err := channel.Drive(nil, r, st); err != nil {
+		return Result{}, err
 	}
-	*dst = v
-	return nil
+	return st.Result(r.Cost().Sub(start), r.Profile), nil
 }
 
 // ---------------------------------------------------------------------
@@ -105,20 +72,17 @@ type bfceStepper struct {
 // keeps the machine for its diagnostics) and drive it like any protocol.
 func BFCEStepper(st *core.Stepper) Stepper { return &bfceStepper{core: st} }
 
-// Stepper implements Estimator.
-func (b *BFCE) Stepper(acc Accuracy) (Stepper, error) {
+// Stepper implements Estimator: a paper-default BFCE machine at the
+// accuracy target.
+func (*BFCE) Stepper(acc Accuracy) (Stepper, error) {
 	acc.Validate()
-	cfg := b.Config
-	cfg.Epsilon = acc.Epsilon
-	cfg.Delta = acc.Delta
-	est, err := core.New(cfg)
+	est, err := core.New(core.Config{Epsilon: acc.Epsilon, Delta: acc.Delta})
 	if err != nil {
 		return nil, err
 	}
 	return BFCEStepper(est.Stepper()), nil
 }
 
-func (s *bfceStepper) Name() string                            { return "BFCE" }
 func (s *bfceStepper) Plan() channel.RoundSpec                 { return s.core.Plan() }
 func (s *bfceStepper) Absorb(o channel.RoundObs) (bool, error) { return s.core.Absorb(o) }
 
@@ -134,9 +98,6 @@ func (s *bfceStepper) Result(cost timing.Cost, profile timing.Profile) Result {
 		Saturated: res.Saturated,
 	}
 }
-
-func (s *bfceStepper) Snapshot() any          { return s.core.Snapshot() }
-func (s *bfceStepper) Restore(snap any) error { return restore(s.core, snap) }
 
 // ---------------------------------------------------------------------
 // LOF: R rounds of geometric lottery frames, alone or as a rough phase.
@@ -205,20 +166,15 @@ func (s *roughLOF) n() float64 { return max(s.estimate(), 1) }
 // lofStepper is LOF run as a protocol of its own.
 type lofStepper struct{ roughLOF }
 
-// Stepper implements Estimator. Accuracy does not size LOF (it is a
-// fixed-budget rough estimator), matching Estimate.
+// Stepper implements Estimator. Accuracy does not size LOF: it is a
+// fixed-budget rough estimator.
 func (l *LOF) Stepper(Accuracy) (Stepper, error) {
 	return &lofStepper{roughLOF{rounds: roughRounds}}, nil
 }
 
-func (s *lofStepper) Name() string { return "LOF" }
-
 func (s *lofStepper) Result(cost timing.Cost, profile timing.Profile) Result {
 	return Result{Estimate: s.estimate(), Rounds: s.rounds, Slots: s.slots, Cost: cost, Seconds: cost.Seconds(profile)}
 }
-
-func (s *lofStepper) Snapshot() any          { return *s }
-func (s *lofStepper) Restore(snap any) error { return restore(s, snap) }
 
 // ---------------------------------------------------------------------
 // ZOE: rough phase, then m single-slot frames.
@@ -233,24 +189,15 @@ type zoeStepper struct {
 }
 
 // Stepper implements Estimator. The accurate phase's slot count m depends
-// on (ε, δ) alone, so it is sized up front.
-func (z *ZOE) Stepper(acc Accuracy) (Stepper, error) {
+// on (ε, δ) alone, so it is sized up front, capped at zoeMaxSlots.
+func (*ZOE) Stepper(acc Accuracy) (Stepper, error) {
 	acc.Validate()
 	m, err := ZOESlots(acc)
 	if err != nil {
 		return nil, err
 	}
-	max := z.MaxSlots
-	if max == 0 {
-		max = 65536
-	}
-	if max > 0 && m > max {
-		m = max
-	}
-	return &zoeStepper{rough: roughLOF{rounds: roughRounds}, m: m}, nil
+	return &zoeStepper{rough: roughLOF{rounds: roughRounds}, m: min(m, zoeMaxSlots)}, nil
 }
-
-func (s *zoeStepper) Name() string { return "ZOE" }
 
 func (s *zoeStepper) Plan() channel.RoundSpec {
 	if !s.rough.done() {
@@ -290,9 +237,6 @@ func (s *zoeStepper) Result(cost timing.Cost, profile timing.Profile) Result {
 	}
 }
 
-func (s *zoeStepper) Snapshot() any          { return *s }
-func (s *zoeStepper) Restore(snap any) error { return restore(s, snap) }
-
 // ---------------------------------------------------------------------
 // SRC: one-round rough phase, then median-combined zero-estimator rounds.
 
@@ -315,8 +259,6 @@ func (src *SRC) Stepper(acc Accuracy) (Stepper, error) {
 	}
 	return &srcStepper{rough: roughLOF{rounds: 1}, l: l, rounds: SRCRounds(acc.Delta)}, nil
 }
-
-func (s *srcStepper) Name() string { return "SRC" }
 
 func (s *srcStepper) Plan() channel.RoundSpec {
 	if !s.rough.done() {
@@ -353,20 +295,4 @@ func (s *srcStepper) Result(cost timing.Cost, profile timing.Profile) Result {
 		Cost:     cost,
 		Seconds:  cost.Seconds(profile),
 	}
-}
-
-// Snapshot copies the estimates slice, so the snapshot and the running
-// machine never share a backing array.
-func (s *srcStepper) Snapshot() any {
-	c := *s
-	c.estimates = slices.Clone(s.estimates)
-	return c
-}
-
-func (s *srcStepper) Restore(snap any) error {
-	if err := restore(s, snap); err != nil {
-		return err
-	}
-	s.estimates = slices.Clone(s.estimates)
-	return nil
 }

@@ -13,7 +13,7 @@ func collectTrace(t *testing.T, e Estimator, n int, acc Accuracy, seed uint64) [
 	r := channel.NewReader(channel.NewBallsEngine(n, seed), seed+1)
 	var events []channel.TraceEvent
 	r.SetTrace(func(ev channel.TraceEvent) { events = append(events, ev) })
-	if _, err := e.Estimate(r, acc); err != nil {
+	if _, err := Estimate(e, r, acc); err != nil {
 		t.Fatal(err)
 	}
 	return events
@@ -73,18 +73,18 @@ func TestSRCTranscript(t *testing.T) {
 	}
 }
 
-// TestBFCEMultiTranscript: R rounds, each with the single-protocol shape
-// (3+probe broadcasts, 3+probe frames).
+// TestBFCEMultiTranscript: bfceMultiRuns runs, each with the
+// single-protocol shape (3+probe broadcasts, 3+probe frames).
 func TestBFCEMultiTranscript(t *testing.T) {
-	events := collectTrace(t, &BFCEMulti{Rounds: 2}, 100000, Default, 65)
+	events := collectTrace(t, NewBFCEMulti(), 100000, Default, 65)
 	fullFrames := 0
 	for _, e := range events {
 		if e.Kind == "frame" && e.Observe == 8192 {
 			fullFrames++
 		}
 	}
-	if fullFrames != 2 {
-		t.Fatalf("accurate frames = %d, want 2 (one per round)", fullFrames)
+	if fullFrames != bfceMultiRuns {
+		t.Fatalf("accurate frames = %d, want %d (one per run)", fullFrames, bfceMultiRuns)
 	}
 }
 

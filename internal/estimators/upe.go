@@ -41,11 +41,6 @@ func (u *UPE) Name() string {
 	return "UPE"
 }
 
-// Estimate implements Estimator.
-func (u *UPE) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	return estimate(u, r, acc)
-}
-
 // Stepper implements Estimator. Calibration starts from p = 1.
 func (u *UPE) Stepper(acc Accuracy) (Stepper, error) {
 	acc.Validate()
@@ -63,8 +58,6 @@ type upeStepper struct {
 	empty      int // empty slots over the measurement frames
 	collisions int // collision slots over the measurement frames
 }
-
-func (s *upeStepper) Name() string { return s.cfg.Name() }
 
 func (s *upeStepper) Plan() channel.RoundSpec {
 	return channel.RoundSpec{
@@ -113,9 +106,6 @@ func (s *upeStepper) Result(cost timing.Cost, profile timing.Profile) Result {
 		Seconds:  cost.Seconds(profile),
 	}
 }
-
-func (s *upeStepper) Snapshot() any          { return *s }
-func (s *upeStepper) Restore(snap any) error { return restore(s, snap) }
 
 // collisionInvert solves for the per-frame load n·p from the collision
 // fraction c = 1 − e^{-λ}(1+λ) (λ = n·p/f), by bisection, and returns n·p.

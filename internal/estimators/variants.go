@@ -13,51 +13,39 @@ import (
 // estimation after multiple runs"; this variant makes that mode a
 // first-class estimator so the accuracy-vs-time tradeoff can be swept
 // (R rounds cost R × 0.19 s and shrink the standard error by √R).
-type BFCEMulti struct {
-	// Rounds is the number of independent estimations averaged
-	// (default 5).
-	Rounds int
-}
+type BFCEMulti struct{}
 
-// NewBFCEMulti returns the multi-round variant with 5 rounds.
-func NewBFCEMulti() *BFCEMulti { return &BFCEMulti{Rounds: 5} }
+// bfceMultiRuns is the number of independent estimations averaged.
+const bfceMultiRuns = 5
+
+// NewBFCEMulti returns the multi-round variant.
+func NewBFCEMulti() *BFCEMulti { return &BFCEMulti{} }
 
 // Name implements Estimator.
-func (m *BFCEMulti) Name() string { return "BFCE-multi" }
+func (*BFCEMulti) Name() string { return "BFCE-multi" }
 
-// Estimate implements Estimator.
-func (m *BFCEMulti) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	return estimate(m, r, acc)
-}
-
-// Stepper implements Estimator: R paper-default BFCE machines stepped
-// back to back. The next run's probe span opens by closing the previous
-// run's accurate span, so observers see each run's spans in order.
-func (m *BFCEMulti) Stepper(acc Accuracy) (Stepper, error) {
+// Stepper implements Estimator: bfceMultiRuns paper-default BFCE machines
+// stepped back to back. The next run's probe span opens by closing the
+// previous run's accurate span, so observers see each run's spans in
+// order.
+func (*BFCEMulti) Stepper(acc Accuracy) (Stepper, error) {
 	acc.Validate()
-	runs := m.Rounds
-	if runs <= 0 {
-		runs = 5
-	}
 	est, err := core.New(core.Config{Epsilon: acc.Epsilon, Delta: acc.Delta})
 	if err != nil {
 		return nil, err
 	}
 	fresh := *est.Stepper()
-	return &bfceMultiStepper{fresh: fresh, inner: fresh, runs: runs, guarded: true}, nil
+	return &bfceMultiStepper{fresh: fresh, inner: fresh, guarded: true}, nil
 }
 
 type bfceMultiStepper struct {
 	fresh core.Stepper // an unstarted BFCE run, copied in as each run starts
 	inner core.Stepper // the run in progress
 
-	runs    int
 	run     int // runs completed
 	sum     float64
 	guarded bool
 }
-
-func (s *bfceMultiStepper) Name() string { return "BFCE-multi" }
 
 func (s *bfceMultiStepper) Plan() channel.RoundSpec { return s.inner.Plan() }
 
@@ -71,24 +59,21 @@ func (s *bfceMultiStepper) Absorb(o channel.RoundObs) (bool, error) {
 	s.guarded = s.guarded && res.Feasible
 	s.run++
 	s.inner = s.fresh
-	return s.run >= s.runs, nil
+	return s.run >= bfceMultiRuns, nil
 }
 
 // Result averages the runs' estimates. Every slot the session sensed
 // belongs to one of the runs, so the slot count is the cost's.
 func (s *bfceMultiStepper) Result(cost timing.Cost, profile timing.Profile) Result {
 	return Result{
-		Estimate: s.sum / float64(s.runs),
-		Rounds:   s.runs,
+		Estimate: s.sum / bfceMultiRuns,
+		Rounds:   bfceMultiRuns,
 		Slots:    cost.TagSlots,
 		Guarded:  s.guarded,
 		Cost:     cost,
 		Seconds:  cost.Seconds(profile),
 	}
 }
-
-func (s *bfceMultiStepper) Snapshot() any          { return *s }
-func (s *bfceMultiStepper) Restore(snap any) error { return restore(s, snap) }
 
 // ZOEBatched is a what-if ablation of ZOE, not a published protocol: the
 // same m single-bit observations, but tags derive each slot's coin from a
@@ -101,25 +86,17 @@ func (s *bfceMultiStepper) Restore(snap any) error { return restore(s, snap) }
 // which can XOR a counter into its prestored RN.)
 type ZOEBatched struct{}
 
-// zoeBatchedMaxSlots caps the observation count.
-const zoeBatchedMaxSlots = 65536
-
 // NewZOEBatched returns the batched ZOE ablation.
 func NewZOEBatched() *ZOEBatched { return &ZOEBatched{} }
 
 // Name implements Estimator.
 func (z *ZOEBatched) Name() string { return "ZOE-batched" }
 
-// Estimate implements Estimator.
-func (z *ZOEBatched) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	return estimate(z, r, acc)
-}
-
 // Stepper implements Estimator. The cap is applied in float: an extreme
 // (ε, δ) sizes m past int (see zoeSlots).
 func (z *ZOEBatched) Stepper(acc Accuracy) (Stepper, error) {
 	acc.Validate()
-	m := zoeBatchedMaxSlots
+	m := zoeMaxSlots
 	if sized := zoeSlots(acc); sized < float64(m) {
 		m = int(sized)
 	}
@@ -140,8 +117,6 @@ type zoeBatchedStepper struct {
 	slot int    // coins drawn so far
 	idle int
 }
-
-func (s *zoeBatchedStepper) Name() string { return "ZOE-batched" }
 
 func (s *zoeBatchedStepper) Plan() channel.RoundSpec {
 	coin := channel.FrameRequest{W: 1, K: 1, P: s.p}
@@ -190,6 +165,3 @@ func (s *zoeBatchedStepper) Result(cost timing.Cost, profile timing.Profile) Res
 		Seconds:  cost.Seconds(profile),
 	}
 }
-
-func (s *zoeBatchedStepper) Snapshot() any          { return *s }
-func (s *zoeBatchedStepper) Restore(snap any) error { return restore(s, snap) }

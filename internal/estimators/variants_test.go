@@ -14,14 +14,14 @@ func TestBFCEMultiAveragesDown(t *testing.T) {
 	var single, multi float64
 	for trial := 0; trial < trials; trial++ {
 		r1 := newSession(n, uint64(400+trial))
-		s, err := NewBFCE().Estimate(r1, Default)
+		s, err := Estimate(NewBFCE(), r1, Default)
 		if err != nil {
 			t.Fatal(err)
 		}
 		single += stats.RelError(s.Estimate, n)
 
 		r2 := newSession(n, uint64(500+trial))
-		m, err := NewBFCEMulti().Estimate(r2, Default)
+		m, err := Estimate(NewBFCEMulti(), r2, Default)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,31 +34,31 @@ func TestBFCEMultiAveragesDown(t *testing.T) {
 
 func TestBFCEMultiCostScalesWithRounds(t *testing.T) {
 	r := newSession(100000, 42)
-	res, err := (&BFCEMulti{Rounds: 3}).Estimate(r, Default)
+	res, err := Estimate(NewBFCEMulti(), r, Default)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != 3 {
-		t.Fatalf("rounds = %d", res.Rounds)
+	if res.Rounds != bfceMultiRuns {
+		t.Fatalf("rounds = %d, want %d", res.Rounds, bfceMultiRuns)
 	}
-	// 3 × (probe + 1024 + 8192) slots at minimum.
-	if res.Slots < 3*9216 {
-		t.Fatalf("slots = %d, want >= %d", res.Slots, 3*9216)
+	// 5 × (probe + 1024 + 8192) slots at minimum.
+	if res.Slots < bfceMultiRuns*9216 {
+		t.Fatalf("slots = %d, want >= %d", res.Slots, bfceMultiRuns*9216)
 	}
-	if res.Seconds < 0.5 || res.Seconds > 0.75 {
-		t.Fatalf("3-round air time %v s, want ~0.57", res.Seconds)
+	if res.Seconds < 0.83 || res.Seconds > 1.25 {
+		t.Fatalf("5-round air time %v s, want ~0.95", res.Seconds)
 	}
 }
 
 func TestBFCEMultiNilSession(t *testing.T) {
-	if _, err := NewBFCEMulti().Estimate(nil, Default); err == nil {
+	if _, err := Estimate(NewBFCEMulti(), nil, Default); err == nil {
 		t.Fatal("nil session accepted")
 	}
 }
 
 func TestZOEBatchedMatchesZOEAccuracy(t *testing.T) {
 	const n = 300000
-	res, err := NewZOEBatched().Estimate(newSession(n, 77), Default)
+	res, err := Estimate(NewZOEBatched(), newSession(n, 77), Default)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestZOEBatchedCollapsesCost(t *testing.T) {
 	// The ablation's whole point: same observations, ~40x less air time,
 	// because the per-slot seed broadcasts are gone.
 	n := 300000
-	zoe, err := NewZOE().Estimate(newSession(n, 81), Default)
+	zoe, err := Estimate(NewZOE(), newSession(n, 81), Default)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := NewZOEBatched().Estimate(newSession(n, 82), Default)
+	batched, err := Estimate(NewZOEBatched(), newSession(n, 82), Default)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestZOEBatchedCollapsesCost(t *testing.T) {
 }
 
 func TestZOEBatchedNilSession(t *testing.T) {
-	if _, err := NewZOEBatched().Estimate(nil, Default); err == nil {
+	if _, err := Estimate(NewZOEBatched(), nil, Default); err == nil {
 		t.Fatal("nil session accepted")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"rfidest/internal/channel"
 	"rfidest/internal/stats"
 )
 
@@ -28,17 +27,16 @@ import (
 // e^{-λ}−e^{-λ(1+ε)} = e^{-λ}(1−e^{-ελ})). Because every slot carries
 // its own 32-bit seed broadcast, ZOE's execution time is dominated by
 // reader→tag traffic (m × 1510 µs) — the observation that motivates BFCE.
-type ZOE struct {
-	// MaxSlots caps the accurate phase (guards against a rough estimate
-	// so bad the formula explodes). Default 65536.
-	MaxSlots int
-}
+type ZOE struct{}
+
+// zoeMaxSlots caps m, for ZOE and ZOE-batched alike.
+const zoeMaxSlots = 65536
 
 // NewZOE returns ZOE configured as in the paper's comparison.
 func NewZOE() *ZOE { return &ZOE{} }
 
 // Name implements Estimator.
-func (z *ZOE) Name() string { return "ZOE" }
+func (*ZOE) Name() string { return "ZOE" }
 
 // lambdaStarZOE is the variance-minimizing per-slot load of the zero
 // estimator (root of λe^λ = 2(e^λ−1)).
@@ -67,9 +65,4 @@ func zoeSlots(acc Accuracy) float64 {
 	edge := math.Exp(-lambdaStarZOE) * (1 - math.Exp(-acc.Epsilon*lambdaStarZOE))
 	root := d * sigmaMax / edge
 	return math.Ceil(root * root)
-}
-
-// Estimate implements Estimator.
-func (z *ZOE) Estimate(r *channel.Reader, acc Accuracy) (Result, error) {
-	return estimate(z, r, acc)
 }

@@ -163,7 +163,7 @@ func Bakeoff(o Options) *Table {
 	acc := estimators.Accuracy{Epsilon: 0.1, Delta: 0.1}
 	for i, e := range all {
 		r := o.session(200000, tags.T2, uint64(i)^0xba)
-		res, err := e.Estimate(r, acc)
+		res, err := estimators.Estimate(e, r, acc)
 		if err != nil {
 			panic(err) // unreachable: session is non-nil by construction
 		}

@@ -31,7 +31,7 @@ func AblationCapture(o Options) *Table {
 				seed := xrand.Combine(o.Seed, 0xcae, uint64(pc*100), uint64(pi), uint64(trial))
 				eng := channel.NewCaptureEngine(channel.NewBallsEngine(n, seed), pc, seed+1)
 				r := channel.NewReader(eng, seed+2)
-				res, err := e.Estimate(r, acc)
+				res, err := estimators.Estimate(e, r, acc)
 				if err != nil {
 					panic(err) // unreachable: session is non-nil by construction
 				}

@@ -24,7 +24,7 @@ func comparisonSet() []estimators.Estimator {
 // comparisonCell runs one estimator once and returns (accuracy, seconds).
 func comparisonCell(o Options, e estimators.Estimator, n int, acc estimators.Accuracy, salt uint64) (float64, float64) {
 	r := o.session(n, tags.T2, salt)
-	res, err := e.Estimate(r, acc)
+	res, err := estimators.Estimate(e, r, acc)
 	if err != nil {
 		panic(err) // unreachable: session is non-nil by construction
 	}

@@ -37,7 +37,7 @@ func Guarantee(o Options) *Table {
 				seed := xrand.Combine(o.Seed, 0x9a4, uint64(mi),
 					uint64(pair[0]*1e4), uint64(pair[1]*1e4), uint64(trial))
 				r := channel.NewReader(channel.NewBallsEngine(n, seed), seed+1)
-				res, err := mk().Estimate(r, acc)
+				res, err := estimators.Estimate(mk(), r, acc)
 				if err != nil {
 					panic(err) // unreachable: session is non-nil by construction
 				}

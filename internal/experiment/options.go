@@ -8,37 +8,10 @@ import (
 	"rfidest/internal/xrand"
 )
 
-// EngineKind selects the channel fidelity an experiment runs at.
-type EngineKind int
-
-const (
-	// Synthetic (the default) samples exact frame statistics without
-	// iterating tags. The comparison sweeps (Fig. 9–10) rely on it: ZOE's
-	// thousands of per-slot frames make per-tag iteration needlessly
-	// slow, and its frame statistics are identical by construction (see
-	// channel.BallsEngine and TestEnginesAgree).
-	Synthetic EngineKind = iota
-	// TagLevel iterates real tag populations (per-tag fidelity). Figures
-	// whose claim involves tagID distributions (Fig. 6–8 and the
-	// ablations) force it through tagSession regardless of this option.
-	TagLevel
-)
-
-// String names the engine kind.
-func (k EngineKind) String() string {
-	if k == TagLevel {
-		return "tag-level"
-	}
-	return "synthetic"
-}
-
 // Options configures an experiment run.
 type Options struct {
 	// Seed pins all randomness; the same Options reproduce the same table.
 	Seed uint64
-	// Engine selects channel fidelity; figure runners that require a
-	// specific fidelity override it.
-	Engine EngineKind
 	// Trials overrides the per-point repetition count of experiments that
 	// report rates or distributions (0 keeps each figure's default).
 	Trials int
@@ -71,17 +44,17 @@ func (o Options) trials(def int) int {
 	return def
 }
 
-// session builds a reader over a population of n tags under o.Engine. Each
-// distinct (n, dist, salt) gets independent randomness derived from o.Seed.
+// session builds a reader over n synthetic tags: the balls engine samples
+// exact frame statistics without iterating tags. The comparison sweeps
+// (Fig. 9–10) rely on it: ZOE's thousands of per-slot frames make per-tag
+// iteration needlessly slow, and its frame statistics are identical by
+// construction (see channel.BallsEngine and TestEnginesAgree). Figures
+// whose claim involves tagID distributions (Fig. 6–8 and the ablations)
+// use tagSession instead. Each distinct (n, dist, salt) gets independent
+// randomness derived from o.Seed.
 func (o Options) session(n int, dist tags.Distribution, salt uint64) *channel.Reader {
 	seed := xrand.Combine(o.Seed, uint64(n), uint64(dist), salt)
-	var eng channel.Engine
-	if o.Engine == TagLevel {
-		eng = channel.NewTagEngine(tags.Generate(n, dist, seed), channel.IdealRN)
-	} else {
-		eng = channel.NewBallsEngine(n, seed)
-	}
-	return o.observed(channel.NewReader(o.faulted(eng, seed), seed+1))
+	return o.observed(channel.NewReader(o.faulted(channel.NewBallsEngine(n, seed), seed), seed+1))
 }
 
 // tagSession is session pinned to per-tag fidelity with a specific hash

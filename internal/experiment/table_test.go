@@ -65,12 +65,6 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestEngineKindString(t *testing.T) {
-	if Synthetic.String() != "synthetic" || TagLevel.String() != "tag-level" {
-		t.Fatal("engine kind names drifted")
-	}
-}
-
 func TestOptionsTrials(t *testing.T) {
 	if (Options{}).trials(7) != 7 {
 		t.Fatal("default trials")

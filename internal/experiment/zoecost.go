@@ -29,7 +29,7 @@ func AblationZOECost(o Options) *Table {
 		errs := make([]interface{}, 0, len(all))
 		for i, e := range all {
 			r := o.session(500000, tags.T2, uint64(eps*1e4)+uint64(i)*7919)
-			res, err := e.Estimate(r, acc)
+			res, err := estimators.Estimate(e, r, acc)
 			if err != nil {
 				panic(err) // unreachable: session is non-nil by construction
 			}

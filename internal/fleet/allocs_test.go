@@ -24,9 +24,9 @@ func TestBatchAllocs(t *testing.T) {
 		cfg     Config
 		ceiling float64
 	}{
-		{"pooled, one worker", Config{Workers: 1}, 117},
-		{"pooled, two workers", Config{Workers: 2}, 121},
-		{"interleaved", Config{Interleave: true}, 125},
+		{"pooled, one worker", Config{Workers: 1}, 113},
+		{"pooled, two workers", Config{Workers: 2}, 117},
+		{"interleaved", Config{Interleave: true}, 121},
 	} {
 		var err error
 		got := testing.AllocsPerRun(5, func() {

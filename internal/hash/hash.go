@@ -148,13 +148,6 @@ func PaperTagHashW(rn, rs uint32, w int) int {
 // ran (their Fig. 7 shows sub-ε accuracy), so we treat it as an off-by-one
 // typo for "not larger than p_n−1".
 func PaperPersistence(rn uint32, rot uint, pn int) bool {
-	return PaperPersistenceAt(rn, rot%23, pn)
-}
-
-// PaperPersistenceAt is PaperPersistence for a rotation already reduced
-// below 23, as a frame prepares it once per hash: the tag responds iff the
-// 10 bits of RN from bit rot up are at most pn−1.
-func PaperPersistenceAt(rn uint32, rot uint, pn int) bool {
-	v := (rn >> (rot & 31)) & 0x3ff // 10 bits; rot < 23, so the mask only spares a range check
+	v := (rn >> (rot % 23)) & 0x3ff // 10 bits from bit rot mod 23 up
 	return int(v) < pn
 }

@@ -60,18 +60,6 @@ func TestFloatThresholdMatchesUniformFloat(t *testing.T) {
 	}
 }
 
-// TestPaperPersistenceAtMatches: with the rotation reduced below 23 once,
-// PaperPersistenceAt decides as PaperPersistence does for any rotation.
-func TestPaperPersistenceAtMatches(t *testing.T) {
-	f := func(rn uint32, rot uint16, pnRaw uint16) bool {
-		pn := int(pnRaw % 1026)
-		return PaperPersistenceAt(rn, uint(rot)%23, pn) == PaperPersistence(rn, uint(rot), pn)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUniformSlotRange(t *testing.T) {
 	for _, w := range []int{1, 2, 3, 7, 1024, 8192, 1000003} {
 		for x := uint64(0); x < 1000; x++ {

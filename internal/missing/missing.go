@@ -35,31 +35,18 @@ import (
 	"rfidest/internal/timing"
 )
 
-// Config parameterizes detection.
+// Config parameterizes detection. The frame size scales with the
+// inventory (see frameSize).
 type Config struct {
-	// W is the frame size. The default scales with the inventory: the
-	// smallest power of two ≥ 2·n (at least 8192), which puts per-round
-	// singleton coverage at e^{-n/w} ≥ 0.6 so eight rounds check
-	// essentially every tag.
-	W int
 	// Rounds is the number of frames with fresh seeds (default 8).
 	Rounds int
 	// Mode must match the engine's tag-side hash mode (default IdealRN).
 	Mode channel.HashMode
 }
 
-func (c Config) normalize(n int) (Config, error) {
-	if c.W == 0 {
-		c.W = 8192
-		for c.W < 2*n {
-			c.W <<= 1
-		}
-	}
+func (c Config) normalize() (Config, error) {
 	if c.Rounds == 0 {
 		c.Rounds = 8
-	}
-	if c.W < 2 {
-		return c, errors.New("missing: W must be at least 2")
 	}
 	if c.Rounds < 1 {
 		return c, errors.New("missing: Rounds must be positive")
@@ -84,7 +71,7 @@ func Detect(r *channel.Reader, expected []tags.Tag, cfg Config) (Result, error) 
 	if r == nil {
 		return Result{}, errors.New("missing: nil session")
 	}
-	cfg, err := cfg.normalize(len(expected))
+	cfg, err := cfg.normalize()
 	if err != nil {
 		return Result{}, err
 	}
@@ -92,6 +79,7 @@ func Detect(r *channel.Reader, expected []tags.Tag, cfg Config) (Result, error) 
 	if len(expected) == 0 {
 		return res, nil
 	}
+	w := frameSize(len(expected))
 	start := r.Cost()
 
 	convicted := make(map[uint64]bool)
@@ -99,9 +87,9 @@ func Detect(r *channel.Reader, expected []tags.Tag, cfg Config) (Result, error) 
 	var idleSingletons, totalSingletons int
 
 	slotOf := make([]int, len(expected))
-	occupancy := make([]int, cfg.W)
+	occupancy := make([]int, w)
 	for round := 0; round < cfg.Rounds; round++ {
-		req := channel.FrameRequest{W: cfg.W, K: 1, P: 1, Seed: r.NextSeed()}
+		req := channel.FrameRequest{W: w, K: 1, P: 1, Seed: r.NextSeed()}
 		r.BroadcastParams(timing.SeedBits + timing.PnBits)
 
 		// Reader-side precomputation of every expected tag's slot, with
@@ -115,7 +103,7 @@ func Detect(r *channel.Reader, expected []tags.Tag, cfg Config) (Result, error) 
 		}
 
 		vec := r.ExecuteFrame(req)
-		res.Slots += cfg.W
+		res.Slots += w
 
 		for i, tag := range expected {
 			s := slotOf[i]
@@ -147,6 +135,17 @@ func Detect(r *channel.Reader, expected []tags.Tag, cfg Config) (Result, error) 
 	res.Cost = r.Cost().Sub(start)
 	res.Seconds = res.Cost.Seconds(r.Profile)
 	return res, nil
+}
+
+// frameSize is the frame for an inventory of n tags: the smallest power of
+// two ≥ 2·n (at least 8192), which puts per-round singleton coverage at
+// e^{-n/w} ≥ 0.6 so eight rounds check essentially every tag.
+func frameSize(n int) int {
+	w := 8192
+	for w < 2*n {
+		w <<= 1
+	}
+	return w
 }
 
 // sortedIDs returns the map's keys in ascending order (deterministic

@@ -96,9 +96,6 @@ func TestDetectValidation(t *testing.T) {
 	if _, err := Detect(nil, expected, Config{}); err == nil {
 		t.Fatal("nil session accepted")
 	}
-	if _, err := Detect(r, expected, Config{W: 1}); err == nil {
-		t.Fatal("W=1 accepted")
-	}
 	if _, err := Detect(r, expected, Config{Rounds: -1}); err == nil {
 		t.Fatal("negative rounds accepted")
 	}
@@ -106,11 +103,11 @@ func TestDetectValidation(t *testing.T) {
 
 func TestDetectCostAccounting(t *testing.T) {
 	expected, _, r := scenario(1000, 0, 100, 23)
-	res, err := Detect(r, expected, Config{Rounds: 4, W: 4096})
+	res, err := Detect(r, expected, Config{Rounds: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Slots != 4*4096 {
+	if res.Slots != 4*8192 {
 		t.Fatalf("slots = %d", res.Slots)
 	}
 	if res.Cost.TagSlots != res.Slots {

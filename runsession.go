@@ -32,7 +32,6 @@ import (
 type RunSession struct {
 	sys  *System
 	o    runOptions
-	name string
 	est  estimators.Estimator // registry protocol, when src is nil
 	acc  estimators.Accuracy
 	src  stepperSource // caller-supplied round machines, or nil
@@ -98,7 +97,7 @@ func (s *System) startRun(o runOptions, src stepperSource) (*RunSession, error) 
 	if err != nil {
 		return nil, err
 	}
-	rs.st, rs.name = st, st.Name()
+	rs.st = st
 	if o.hasSalt {
 		rs.r = s.sessionAt(o.salt)
 	} else {
@@ -108,7 +107,7 @@ func (s *System) startRun(o runOptions, src stepperSource) (*RunSession, error) 
 	if rs.instrumented() {
 		rs.prev = rs.r.Observer()
 		rs.r.SetObserver(obs.Multi(rs.prev, o.observer))
-		o.observer.SessionOpen(rs.name)
+		o.observer.SessionOpen(rs.o.estimator)
 	}
 	return rs, nil
 }
@@ -124,7 +123,7 @@ func (rs *RunSession) nextStepper() (estimators.Stepper, error) {
 func (rs *RunSession) instrumented() bool { return rs.o.observer != obs.Nop }
 
 // Estimator returns the registry name of the protocol being run.
-func (rs *RunSession) Estimator() string { return rs.name }
+func (rs *RunSession) Estimator() string { return rs.o.estimator }
 
 // Rounds returns how many protocol rounds have been stepped so far,
 // across retry attempts.
@@ -173,7 +172,7 @@ func (rs *RunSession) Step(ctx context.Context) (done bool, err error) {
 	res := rs.st.Result(rs.r.Cost().Sub(rs.attemptStart), rs.r.Profile)
 	if rs.instrumented() {
 		rs.o.observer.SessionClose(obs.SessionStats{
-			Estimator:        rs.name,
+			Estimator:        rs.o.estimator,
 			Estimate:         res.Estimate,
 			Rounds:           res.Rounds,
 			Slots:            res.Slots,
@@ -198,7 +197,7 @@ func (rs *RunSession) Step(ctx context.Context) (done bool, err error) {
 	if rs.total.Saturated && rs.attempt < rs.o.retries &&
 		!(rs.o.retryBudget > 0 && rs.total.Seconds >= rs.o.retryBudget) {
 		rs.attempt++
-		rs.o.observer.Retry(rs.name, rs.attempt)
+		rs.o.observer.Retry(rs.o.estimator, rs.attempt)
 		st, err := rs.nextStepper()
 		if err != nil {
 			return true, rs.fail(err)
@@ -206,7 +205,7 @@ func (rs *RunSession) Step(ctx context.Context) (done bool, err error) {
 		rs.st = st
 		rs.attemptStart = rs.r.Cost()
 		if rs.instrumented() {
-			rs.o.observer.SessionOpen(rs.name)
+			rs.o.observer.SessionOpen(rs.o.estimator)
 		}
 		return false, nil
 	}
@@ -224,7 +223,7 @@ func (rs *RunSession) fail(err error) error {
 	}
 	if rs.instrumented() {
 		rs.o.observer.SessionClose(obs.SessionStats{
-			Estimator:        rs.name,
+			Estimator:        rs.o.estimator,
 			TagTransmissions: rs.r.TagTransmissions(),
 			Err:              true,
 		})
@@ -243,7 +242,7 @@ func (rs *RunSession) settle() {
 		rs.tcancel()
 	}
 	if rs.o.retries > 0 && rs.total.Saturated {
-		rs.o.observer.Degraded(rs.name)
+		rs.o.observer.Degraded(rs.o.estimator)
 	}
 	out := fromResult(rs.total)
 	out.Retries = rs.attempt

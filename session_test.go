@@ -201,16 +201,16 @@ func TestStartRunValidation(t *testing.T) {
 func TestSessionAllocs(t *testing.T) {
 	ceiling := map[string]float64{
 		"ART":         7,
-		"BFCE":        9,
-		"BFCE-multi":  12,
+		"BFCE":        8,
+		"BFCE-multi":  11,
 		"EZB":         7,
 		"FNEB":        6,
 		"LOF":         6,
 		"MLE":         7,
-		"PET":         7,
+		"PET":         6,
 		"SRC":         9,
 		"UPE":         7,
-		"ZOE":         7,
+		"ZOE":         6,
 		"ZOE-batched": 6,
 	}
 	sys := rfidest.NewSystem(50000, rfidest.WithSeed(7), rfidest.WithSynthetic())
@@ -250,8 +250,8 @@ func TestSessionAllocs(t *testing.T) {
 // synthetic ones, and a frame's tag hash lives on the stack.
 func TestTagLevelSessionAllocs(t *testing.T) {
 	for key, ceiling := range map[string]float64{
-		"tag-n20000-seed42":       9,
-		"paperhash-n20000-seed42": 9,
+		"tag-n20000-seed42":       8,
+		"paperhash-n20000-seed42": 8,
 	} {
 		sys, err := goldengrid.NewSystem(key)
 		if err != nil {
